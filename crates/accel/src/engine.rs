@@ -2,7 +2,7 @@
 //! constraints and per-memory port limits — the gem5-SALAM dynamic
 //! execution engine analogue.
 //!
-//! Two engines share one fire body ([`Accelerator::exec_node`]):
+//! Two engines share one fire body (`Accelerator::exec_node`):
 //!
 //! - **Cycle** ([`Accelerator::tick`]): the original oracle — every cycle
 //!   retires completions and scans all nodes for issue.

@@ -92,7 +92,7 @@ pub struct GoldenTrace {
 const BLOCK_CYCLE_BOUND: u64 = 1 << 22;
 
 /// Compute the static schedule, or `None` if any block fails to drain
-/// within [`BLOCK_CYCLE_BOUND`] cycles.
+/// within `BLOCK_CYCLE_BOUND` cycles.
 pub fn build_schedule(
     cdfg: &Cdfg,
     fu: &FuConfig,

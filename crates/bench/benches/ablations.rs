@@ -46,7 +46,13 @@ fn early_termination(c: &mut Criterion) {
     g.sample_size(10);
     let gold: Golden = golden("qsort", Isa::RiscV);
     for (label, et) in [("on", true), ("off", false)] {
-        let cc = CampaignConfig { n_faults: 8, workers: 1, early_termination: et, ..Default::default() };
+        let cc = CampaignConfig {
+            n_faults: 8,
+            workers: 1,
+            early_termination: et,
+            ladder_rungs: 0,
+            ..Default::default()
+        };
         g.bench_function(label, |b| {
             b.iter(|| run_campaign(&gold, marvel_soc::Target::PrfInt, &cc).avf())
         });

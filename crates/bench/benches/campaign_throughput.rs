@@ -30,7 +30,7 @@
 //!     `tests/ladder_differential.rs`).
 
 use marvel_core::{
-    campaign_masks, run_dsa_masks, run_masks, run_one_in, CampaignConfig, DsaEngine, DsaGolden,
+    campaign_masks, run_dsa_masks, run_masks, run_one_spanned, CampaignConfig, DsaEngine, DsaGolden,
     DsaHarness, FaultKind, FaultMask, Golden, MaskGenerator, ResetMode, Target, TelemetryConfig,
     WorkerCtx,
 };
@@ -38,7 +38,7 @@ use marvel_cpu::CoreConfig;
 use marvel_ir::{assemble, FuncBuilder, Module};
 use marvel_isa::{AluOp, Cond, Isa, MemWidth};
 use marvel_soc::System;
-use marvel_telemetry::{render_phase_object, Registry, SpanCollector};
+use marvel_telemetry::{render_phase_object, Registry, SpanCollector, SpanLane};
 use marvel_workloads::{accel, mibench};
 use std::time::Instant;
 
@@ -173,6 +173,7 @@ fn lane_leg(golden: &Golden, masks: &[FaultMask], kind: FaultKind) -> LaneLeg {
         reset_mode: ResetMode::Dirty,
         lane_width,
         telemetry: TelemetryConfig { registry, ..Default::default() },
+        ladder_rungs: 0,
         ..Default::default()
     };
     let n = masks.len();
@@ -243,14 +244,15 @@ fn cpu_scenario(
     kind: FaultKind,
     n: usize,
 ) -> Scenario {
-    let cc = CampaignConfig { n_faults: n, kind, ..Default::default() };
+    let cc = CampaignConfig { n_faults: n, kind, ladder_rungs: 0, ..Default::default() };
     let masks = campaign_masks(golden, target, &cc);
 
     // Clone mode: every run deep-copies the checkpoint (ctx = None).
+    let mut lane = SpanLane::disabled();
     let mut it = masks.iter().cycle();
     let clone = sample(
         || {
-            run_one_in(golden, it.next().unwrap(), &cc, None);
+            run_one_spanned(golden, None, it.next().unwrap(), &cc, None, &mut lane);
         },
         n,
     );
@@ -258,11 +260,11 @@ fn cpu_scenario(
     // Dirty mode: one reusable context; prime it so the first run's
     // unavoidable clone stays out of the timings.
     let mut ctx = WorkerCtx::new();
-    run_one_in(golden, &masks[0], &cc, Some(&mut ctx));
+    run_one_spanned(golden, None, &masks[0], &cc, Some(&mut ctx), &mut lane);
     let mut it = masks.iter().cycle();
     let dirty = sample(
         || {
-            run_one_in(golden, it.next().unwrap(), &cc, Some(&mut ctx));
+            run_one_spanned(golden, None, it.next().unwrap(), &cc, Some(&mut ctx), &mut lane);
         },
         n,
     );

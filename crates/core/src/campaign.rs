@@ -140,7 +140,12 @@ impl DsaEngine {
     }
 }
 
-/// Campaign-wide configuration.
+/// Campaign-wide configuration. [`Default`] is the shipped
+/// configuration — the one `marvel campaign`, `marvel dsa`, campaign
+/// specs and the paper-figure harnesses run: an 8-rung ladder, 64-wide
+/// lanes, the event DSA engine and dirty reset. The oracle settings
+/// (`ladder_rungs: 0`, `lane_width: 0`, [`DsaEngine::Cycle`],
+/// [`ResetMode::Clone`]) must be named explicitly.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     pub n_faults: usize,
@@ -158,9 +163,9 @@ pub struct CampaignConfig {
     /// Run-state reset strategy (zero-copy dirty reset vs. deep clone).
     pub reset_mode: ResetMode,
     /// Intermediate checkpoint-ladder rungs snapshotted across the
-    /// injection window. Transient runs start from the nearest rung at or
-    /// below their injection cycle instead of replaying the whole prefix.
-    /// 0 = off: the full-prefix oracle path.
+    /// injection window (8 by default). Transient runs start from the
+    /// nearest rung at or below their injection cycle instead of
+    /// replaying the whole prefix. 0 = off: the full-prefix oracle path.
     pub ladder_rungs: usize,
     /// Dirty-diff convergence exit: at each rung crossing after injection,
     /// compare the run's dirty state against the golden snapshot at the
@@ -195,7 +200,7 @@ impl Default for CampaignConfig {
             early_termination: true,
             confidence: 0.95,
             reset_mode: ResetMode::default(),
-            ladder_rungs: 0,
+            ladder_rungs: 8,
             convergence_exit: false,
             dsa_engine: DsaEngine::default(),
             lane_width: 64,
@@ -502,7 +507,7 @@ fn note_fate(fr: &mut FlightRecorder, cycle: u64, fate: Option<FaultFate>, seen:
     }
 }
 
-fn effect_tag(e: FaultEffect) -> &'static str {
+pub(crate) fn effect_tag(e: FaultEffect) -> &'static str {
     match e {
         FaultEffect::Masked => "Masked",
         FaultEffect::Sdc => "SDC",
@@ -529,59 +534,63 @@ pub(crate) fn taint_finish(rep: Option<TaintReport>, fr: &mut FlightRecorder) ->
     Some(rep.attribution())
 }
 
-/// Reusable per-worker run state for [`ResetMode::Dirty`]: one `System`
-/// kept alive across runs and reset against the shared pristine
-/// checkpoint, instead of a deep clone per run.
-#[derive(Debug, Default)]
-pub struct WorkerCtx {
-    sys: Option<Box<System>>,
-    /// Cycle of the pristine base the reusable system was cloned from
+/// Run state a campaign worker keeps alive across runs: the CPU
+/// [`System`] or the accelerator [`crate::dsa::DsaHarness`]. Both rewind
+/// to the pristine base they were cloned from through `reset_from`.
+pub(crate) trait RunState: Clone {
+    /// Histograms a dirty reset records its wall time and bytes into.
+    const RESET_NS: &'static str;
+    const RESET_BYTES: &'static str;
+    /// Histogram a context-less run records its deep-clone time into.
+    const RESTORE_NS: Option<&'static str> = None;
+    /// Undo every write since `pristine`; returns state bytes copied.
+    fn reset_from(&mut self, pristine: &Self) -> u64;
+    /// Arm the write journals of a fresh clone for later resets.
+    fn track_writes(&mut self) {}
+}
+
+impl RunState for System {
+    const RESET_NS: &'static str = "campaign.reset_ns";
+    const RESET_BYTES: &'static str = "campaign.reset_bytes";
+    const RESTORE_NS: Option<&'static str> = Some("campaign.ckpt_restore_ns");
+    fn reset_from(&mut self, pristine: &System) -> u64 {
+        System::reset_from(self, pristine)
+    }
+    fn track_writes(&mut self) {
+        self.enable_dirty_tracking();
+    }
+}
+
+/// Reusable per-worker run state for [`ResetMode::Dirty`]: one `S` (a
+/// [`System`] or a [`crate::dsa::DsaHarness`]) kept alive across runs and
+/// reset against the shared pristine base, instead of a deep clone per
+/// run.
+#[derive(Debug)]
+pub struct WorkerCtx<S> {
+    state: Option<Box<S>>,
+    /// Cycle of the pristine base the reusable state was cloned from
     /// (checkpoint or ladder rung). A dirty reset is only sound against
     /// the *same* base; switching rungs forces a reclone.
     base_cycle: u64,
 }
 
-impl WorkerCtx {
+impl<S> Default for WorkerCtx<S> {
+    fn default() -> Self {
+        WorkerCtx { state: None, base_cycle: 0 }
+    }
+}
+
+impl<S> WorkerCtx<S> {
     pub fn new() -> Self {
         WorkerCtx::default()
     }
 }
 
-/// Execute one injection run (always via a fresh deep clone of the
-/// checkpoint — the oracle path; campaigns route through [`run_one_in`]).
+/// Execute one injection run from a fresh deep clone of the checkpoint,
+/// with no ladder — the oracle path. Campaigns route through
+/// [`run_one_spanned`].
 pub fn run_one(golden: &Golden, mask: &FaultMask, cc: &CampaignConfig) -> RunRecord {
-    run_one_in(golden, mask, cc, None)
-}
-
-/// Execute one injection run inside an optional reusable worker context.
-///
-/// With `ctx = None` (or on a context's first run) the checkpoint is deep
-/// cloned; afterwards the context's system is dirty-reset from the shared
-/// pristine checkpoint, recording `campaign.reset_ns` / `campaign.reset_bytes`
-/// when the registry is live. Classifications are bit-identical either way.
-pub fn run_one_in(
-    golden: &Golden,
-    mask: &FaultMask,
-    cc: &CampaignConfig,
-    ctx: Option<&mut WorkerCtx>,
-) -> RunRecord {
-    run_one_laddered(golden, None, mask, cc, ctx)
-}
-
-/// [`run_one_in`] with an optional checkpoint ladder: transient
-/// runs start from the nearest rung at or below their injection cycle
-/// (skipping the fault-free prefix), and — when `cc.convergence_exit` is
-/// set — compare dirty state against golden rung snapshots at each later
-/// rung crossing, exiting as Masked on exact convergence. Classifications
-/// and exported records stay identical to the ladder-less oracle.
-pub fn run_one_laddered(
-    golden: &Golden,
-    ladder: Option<&Ladder>,
-    mask: &FaultMask,
-    cc: &CampaignConfig,
-    ctx: Option<&mut WorkerCtx>,
-) -> RunRecord {
-    run_one_spanned(golden, ladder, mask, cc, ctx, &mut SpanLane::disabled())
+    run_one_spanned(golden, None, mask, cc, None, &mut SpanLane::disabled())
 }
 
 /// How the post-injection simulation loop ended — lets the span around it
@@ -594,76 +603,77 @@ enum LoopEnd {
     MaskedEarly,
 }
 
-/// Establish a run's (or lane pass's) starting system: dirty-reset the
-/// worker's reusable system when its base matches, otherwise pay one
-/// deep clone (into the context, or into `owned` for context-less runs).
-/// Shared by the scalar path and the lane-pass driver so both pay
-/// byte-identical reset behaviour.
-fn acquire_system<'a>(
-    base_sys: &System,
+/// Establish a run's (or lane pass's) starting state: dirty-reset the
+/// worker's reusable state when its base matches, otherwise pay one deep
+/// clone (into the context, or into `owned` for context-less runs).
+/// Shared by CPU runs, CPU lane passes and DSA runs, so every path pays
+/// the same reset behaviour.
+pub(crate) fn acquire<'a, S: RunState>(
+    base: &S,
     base_cycle: u64,
     tel: &TelemetryConfig,
-    ctx: Option<&'a mut WorkerCtx>,
-    owned: &'a mut Option<Box<System>>,
+    ctx: Option<&'a mut WorkerCtx<S>>,
+    owned: &'a mut Option<Box<S>>,
     lane: &mut SpanLane,
-) -> &'a mut System {
+) -> &'a mut S {
     let reset_start = tel.registry.is_enabled().then(std::time::Instant::now);
-    match ctx {
-        Some(c) => {
-            match &mut c.sys {
-                Some(s) if c.base_cycle == base_cycle => {
-                    lane.enter(PhaseId::DirtyReset);
-                    let bytes = s.reset_from(base_sys);
-                    lane.exit(PhaseId::DirtyReset);
-                    if let Some(t0) = reset_start {
-                        if let Some(h) = tel.registry.histogram("campaign.reset_ns") {
-                            h.record(t0.elapsed().as_nanos() as u64);
-                        }
-                        if let Some(h) = tel.registry.histogram("campaign.reset_bytes") {
-                            h.record(bytes);
-                        }
-                    }
-                }
-                slot => {
-                    // First run on this worker, or the base rung changed:
-                    // pay the one clone, then arm the dirty journals for
-                    // every later same-base reset. (Campaign scheduling
-                    // sorts runs by injection cycle, so each worker pays
-                    // at most one reclone per rung.)
-                    lane.enter(PhaseId::RungRestore);
-                    let mut s = Box::new(base_sys.clone());
-                    s.enable_dirty_tracking();
-                    lane.exit(PhaseId::RungRestore);
-                    *slot = Some(s);
-                    c.base_cycle = base_cycle;
-                }
+    let Some(c) = ctx else {
+        lane.enter(PhaseId::RungRestore);
+        let s = Box::new(base.clone());
+        lane.exit(PhaseId::RungRestore);
+        if let (Some(t0), Some(name)) = (reset_start, S::RESTORE_NS) {
+            if let Some(h) = tel.registry.histogram(name) {
+                h.record(t0.elapsed().as_nanos() as u64);
             }
-            c.sys.as_mut().expect("worker context populated above")
         }
-        None => {
-            lane.enter(PhaseId::RungRestore);
-            let s = Box::new(base_sys.clone());
-            lane.exit(PhaseId::RungRestore);
+        return owned.insert(s);
+    };
+    match &mut c.state {
+        Some(s) if c.base_cycle == base_cycle => {
+            lane.enter(PhaseId::DirtyReset);
+            let bytes = s.reset_from(base);
+            lane.exit(PhaseId::DirtyReset);
             if let Some(t0) = reset_start {
-                if let Some(h) = tel.registry.histogram("campaign.ckpt_restore_ns") {
+                if let Some(h) = tel.registry.histogram(S::RESET_NS) {
                     h.record(t0.elapsed().as_nanos() as u64);
                 }
+                if let Some(h) = tel.registry.histogram(S::RESET_BYTES) {
+                    h.record(bytes);
+                }
             }
-            owned.insert(s)
+        }
+        slot => {
+            // First run on this worker, or the base rung changed: pay the
+            // one clone, then arm the write journals for every later
+            // same-base reset. (Claim order is rung-monotone, so each
+            // worker pays at most one reclone per rung.)
+            lane.enter(PhaseId::RungRestore);
+            let mut s = Box::new(base.clone());
+            s.track_writes();
+            lane.exit(PhaseId::RungRestore);
+            *slot = Some(s);
+            c.base_cycle = base_cycle;
         }
     }
+    c.state.as_mut().expect("worker context populated above")
 }
 
-/// [`run_one_laddered`] with an explicit span lane: campaign workers pass
-/// their lane so the run's phases (reset, inject, simulate, convergence
-/// diffs) land in the marvel-spans trace. `SpanLane::disabled()` makes
-/// this identical to the un-traced path.
+/// Execute one injection run. With a ladder, transient runs start from
+/// the nearest rung at or below their injection cycle (skipping the
+/// fault-free prefix) and — when `cc.convergence_exit` is set — compare
+/// dirty state against golden rung snapshots at each later rung
+/// crossing, exiting as Masked on exact convergence. With a worker
+/// context, the context's system is dirty-reset from the shared pristine
+/// base instead of deep-cloned. Campaign workers pass their span lane so
+/// the run's phases land in the marvel-spans trace;
+/// `SpanLane::disabled()` makes this the un-traced path. Records are
+/// identical to [`run_one`]'s whatever the ladder, context or lane.
 pub fn run_one_spanned(
     golden: &Golden,
     ladder: Option<&Ladder>,
     mask: &FaultMask,
     cc: &CampaignConfig,
-    ctx: Option<&mut WorkerCtx>,
+    ctx: Option<&mut WorkerCtx<System>>,
     lane: &mut SpanLane,
 ) -> RunRecord {
     let tel = &cc.telemetry;
@@ -700,7 +710,7 @@ pub fn run_one_spanned(
     }
 
     let mut owned: Option<Box<System>> = None;
-    let sys: &mut System = acquire_system(base_sys, base_cycle, tel, ctx, &mut owned, lane);
+    let sys: &mut System = acquire(base_sys, base_cycle, tel, ctx, &mut owned, lane);
     if cc.collect_hvf {
         sys.core.trace_mode = TraceMode::Check(golden.trace.clone());
     }
@@ -1059,11 +1069,24 @@ pub fn run_masks(golden: &Golden, masks: &[FaultMask], cc: &CampaignConfig) -> V
 /// base is always the checkpoint), then transients by injection cycle, so
 /// each worker walks the ladder upward and pays at most one reclone per
 /// rung. Ties keep the original index for determinism.
-pub(crate) fn schedule_key(mask: &FaultMask) -> u64 {
+fn schedule_key(mask: &FaultMask) -> u64 {
     match mask.model {
         FaultModel::Permanent { .. } => 0,
         FaultModel::Transient { cycle } => cycle.saturating_add(1),
     }
+}
+
+/// The indices of `masks` not marked in `skip`, in claim order:
+/// rung-monotone when a ladder is in use, identity otherwise. Records are
+/// per-mask deterministic and tagged with their mask index, so the order
+/// changes locality only, never a record or an export.
+pub(crate) fn claim_order(masks: &[FaultMask], skip: &[bool], laddered: bool) -> Vec<usize> {
+    assert_eq!(skip.len(), masks.len(), "skip flags must cover every mask");
+    let mut order: Vec<usize> = (0..masks.len()).filter(|&i| !skip[i]).collect();
+    if laddered {
+        order.sort_by_key(|&i| (schedule_key(&masks[i]), i));
+    }
+    order
 }
 
 // ----------------------------------------------------------------------
@@ -1205,7 +1228,7 @@ fn run_lane_pass(
     masks: &[FaultMask],
     pack: &[usize],
     cc: &CampaignConfig,
-    ctx: Option<&mut WorkerCtx>,
+    ctx: Option<&mut WorkerCtx<System>>,
     lane: &mut SpanLane,
     out: &mut Vec<(usize, RunRecord)>,
 ) -> Vec<usize> {
@@ -1238,7 +1261,7 @@ fn run_lane_pass(
     }
 
     let mut owned: Option<Box<System>> = None;
-    let sys: &mut System = acquire_system(base_sys, base_cycle, tel, ctx, &mut owned, lane);
+    let sys: &mut System = acquire(base_sys, base_cycle, tel, ctx, &mut owned, lane);
     if cc.collect_hvf {
         sys.core.trace_mode = TraceMode::Check(golden.trace.clone());
     }
@@ -1476,6 +1499,197 @@ pub fn build_campaign_ladder(golden: &Golden, cc: &CampaignConfig) -> Option<Lad
     })
 }
 
+/// One worker's effect tallies and cycle samples since its last flush to
+/// the drive's shared counters.
+#[derive(Default)]
+struct Batch {
+    runs: u64,
+    sdc: u64,
+    crash: u64,
+    early: u64,
+    conv: u64,
+    cycles: Vec<u64>,
+}
+
+/// The worker pool behind [`drive_masks`] and
+/// [`crate::dsa::drive_dsa_masks`]. Workers claim `units` in order, each
+/// with its own [`WorkerCtx`] and span lane (`<lane_prefix>-<w>`), and
+/// hand every claimed unit to `run_unit`, which pushes the unit's
+/// `(mask index, record)` pairs. The pool exports each record to `sink`,
+/// tallies effects in 32-run batches, drives the progress line, honours
+/// `cancel` between claims, and publishes the drive's totals under
+/// `scope` (`campaign` or `dsa`) once every worker has joined.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive_pool<U, S, F>(
+    scope: &str,
+    lane_prefix: &str,
+    units: &[U],
+    runs: u64,
+    population: u64,
+    cc: &CampaignConfig,
+    cancel: Option<&AtomicBool>,
+    sink: &(dyn Fn(usize, RunRecord) + Sync),
+    run_unit: F,
+) -> DriveOutcome
+where
+    U: Sync,
+    F: Fn(&U, &mut WorkerCtx<S>, &mut SpanLane, &mut Vec<(usize, RunRecord)>) + Sync,
+{
+    let workers = if cc.workers == 0 {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+    } else {
+        cc.workers
+    };
+    let workers = workers.min(units.len().max(1));
+    let next = AtomicUsize::new(0);
+
+    let tel = &cc.telemetry;
+    let scope = Scope::new(scope);
+    let done = AtomicU64::new(0);
+    let sdc_n = AtomicU64::new(0);
+    let crash_n = AtomicU64::new(0);
+    let early_n = AtomicU64::new(0);
+    let conv_n = AtomicU64::new(0);
+    let cancelled = AtomicBool::new(false);
+    let active = AtomicUsize::new(workers);
+    let run_cycles = tel.registry.histogram(&scope.metric("run_cycles"));
+    // Wakes the progress reporter the moment the last worker exits
+    // (normal completion or cancellation), instead of letting it sleep
+    // out a full interval after the workers are done.
+    let finish_wake = (std::sync::Mutex::new(false), std::sync::Condvar::new());
+
+    crossbeam::thread::scope(|s| {
+        for w in 0..workers {
+            let worker_runs = tel.registry.scoped_counter(&scope.indexed("worker", w), "runs");
+            let next = &next;
+            let (done, sdc_n, crash_n, early_n, conv_n) = (&done, &sdc_n, &crash_n, &early_n, &conv_n);
+            let (cancelled, active) = (&cancelled, &active);
+            let finish_wake = &finish_wake;
+            let (run_cycles, run_unit) = (&run_cycles, &run_unit);
+            s.spawn(move |_| {
+                let mut ctx = WorkerCtx::new();
+                let mut lane = tel.spans.lane(&format!("{lane_prefix}-{w}"));
+                // Shared-counter traffic is batched: the effect tallies
+                // and cycle samples accumulate locally and flush every
+                // BATCH runs (plus once at exit). Only `done` — which
+                // drives progress — bumps per run.
+                const BATCH: u64 = 32;
+                let mut b = Batch::default();
+                let flush = |b: &mut Batch| {
+                    worker_runs.add(b.runs);
+                    sdc_n.fetch_add(b.sdc, Ordering::Relaxed);
+                    crash_n.fetch_add(b.crash, Ordering::Relaxed);
+                    early_n.fetch_add(b.early, Ordering::Relaxed);
+                    conv_n.fetch_add(b.conv, Ordering::Relaxed);
+                    if let Some(h) = run_cycles {
+                        b.cycles.drain(..).for_each(|c| h.record(c));
+                    }
+                    *b = Batch { cycles: std::mem::take(&mut b.cycles), ..Batch::default() };
+                };
+                let mut retired: Vec<(usize, RunRecord)> = Vec::new();
+                loop {
+                    if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                        cancelled.store(true, Ordering::Relaxed);
+                        break;
+                    }
+                    // The claim itself is spanned only when it succeeds: a
+                    // drained-schedule probe is cancelled, so Schedule call
+                    // counts equal claimed units at any worker count.
+                    lane.enter(PhaseId::Schedule);
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    if k >= units.len() {
+                        lane.cancel(PhaseId::Schedule);
+                        break;
+                    }
+                    lane.exit(PhaseId::Schedule);
+                    run_unit(&units[k], &mut ctx, &mut lane, &mut retired);
+                    for (i, rec) in retired.drain(..) {
+                        b.runs += 1;
+                        match rec.effect {
+                            FaultEffect::Sdc => b.sdc += 1,
+                            FaultEffect::Crash => b.crash += 1,
+                            FaultEffect::Masked => {}
+                        }
+                        b.early += rec.early_terminated as u64;
+                        b.conv += rec.converged as u64;
+                        if run_cycles.is_some() {
+                            b.cycles.push(rec.cycles);
+                        }
+                        lane.enter(PhaseId::ExportRecord);
+                        sink(i, rec);
+                        lane.exit(PhaseId::ExportRecord);
+                        // Progress rate/ETA counts retired *runs*, not
+                        // units: a 64-wide lane pass advances the meter by
+                        // up to 64 the moment its lanes land.
+                        done.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if b.runs >= BATCH {
+                        flush(&mut b);
+                    }
+                }
+                if b.runs > 0 {
+                    flush(&mut b);
+                }
+                // Last worker out (normal drain or cancellation) wakes
+                // the progress reporter for its final line.
+                if active.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    let (lock, cvar) = finish_wake;
+                    *lock.lock().unwrap() = true;
+                    cvar.notify_all();
+                }
+            });
+        }
+        if tel.progress_interval_ms > 0 {
+            let (done, sdc_n, crash_n, early_n) = (&done, &sdc_n, &crash_n, &early_n);
+            let finish_wake = &finish_wake;
+            let interval = std::time::Duration::from_millis(tel.progress_interval_ms);
+            let confidence = cc.confidence;
+            let scope = &scope;
+            s.spawn(move |_| {
+                let meter = ProgressMeter::new(scope.as_str(), runs);
+                let (lock, cvar) = finish_wake;
+                let mut finished = lock.lock().unwrap();
+                loop {
+                    let d = done.load(Ordering::Relaxed);
+                    let margin = error_margin(d.max(1) as usize, population, confidence);
+                    eprintln!(
+                        "{}",
+                        meter.line(
+                            d,
+                            sdc_n.load(Ordering::Relaxed),
+                            crash_n.load(Ordering::Relaxed),
+                            early_n.load(Ordering::Relaxed),
+                            margin
+                        )
+                    );
+                    // `finished` covers both normal completion and a
+                    // cancelled drive whose workers have all exited.
+                    if d >= runs || *finished {
+                        break;
+                    }
+                    // Interval tick, cut short by the workers' notify
+                    // (checked under the lock, so the wake can't be lost).
+                    finished = cvar.wait_timeout(finished, interval).unwrap().0;
+                }
+            });
+        }
+    })
+    .expect("campaign worker panicked");
+
+    // In-flight effect tallies were flushed at worker exit; the scope join
+    // above means the atomics now hold this drive's totals.
+    let completed = done.into_inner();
+    let (sdc, crash) = (sdc_n.into_inner(), crash_n.into_inner());
+    tel.registry.publish_scoped(&scope, "runs", completed);
+    tel.registry.publish_scoped(&scope, "sdc", sdc);
+    tel.registry.publish_scoped(&scope, "crash", crash);
+    tel.registry.publish_scoped(&scope, "masked", completed - sdc - crash);
+    tel.registry.publish_scoped(&scope, "early_terminated", early_n.into_inner());
+    tel.registry.publish_scoped(&scope, "convergence_exits", conv_n.into_inner());
+
+    DriveOutcome { completed: completed as usize, cancelled: cancelled.into_inner() }
+}
+
 /// Incrementally drive the subset of `masks` *not* marked in `skip`
 /// through the worker pool, handing each finished [`RunRecord`] to `sink`
 /// the moment it lands (in completion order, tagged with its mask index).
@@ -1500,231 +1714,82 @@ pub fn drive_masks(
     cancel: Option<&AtomicBool>,
     sink: &(dyn Fn(usize, RunRecord) + Sync),
 ) -> DriveOutcome {
-    assert_eq!(skip.len(), masks.len(), "skip flags must cover every mask");
-    // Rung-monotone claim order (identity when no ladder: runs at any
-    // worker count stay bit-identical either way, only locality changes).
-    let mut order: Vec<usize> = (0..masks.len()).filter(|&i| !skip[i]).collect();
-    if ladder.is_some() {
-        order.sort_by_key(|&i| (schedule_key(&masks[i]), i));
-    }
-    let total = order.len() as u64;
+    let order = claim_order(masks, skip, ladder.is_some());
     // Lane packing: eligible masks fold into shared-pass units; every
     // record stays per-mask deterministic, so unit shape only affects
     // cost, never results (the lane differential test pins this).
     let units = build_units(masks, &order, ladder, cc);
-    let units = &units;
-    let workers = if cc.workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        cc.workers
-    };
-    let workers = workers.min(units.len().max(1));
-    let next = AtomicUsize::new(0);
-
-    let tel = &cc.telemetry;
-    let scope = Scope::new("campaign");
-    let done = AtomicU64::new(0);
-    let sdc_n = AtomicU64::new(0);
-    let crash_n = AtomicU64::new(0);
-    let early_n = AtomicU64::new(0);
-    let conv_n = AtomicU64::new(0);
-    let cancelled = AtomicBool::new(false);
-    let active = AtomicUsize::new(workers);
-    let run_cycles = tel.registry.histogram("campaign.run_cycles");
-    let lane_occupancy = tel.registry.histogram("campaign.lane_occupancy");
+    let reg = &cc.telemetry.registry;
+    let lane_occupancy = reg.histogram("campaign.lane_occupancy");
     let (lane_passes, lane_packed, lane_forks) =
         (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
-    // Wakes the progress reporter the moment the last worker exits
-    // (normal completion or cancellation), instead of letting it sleep
-    // out a full interval after the workers are done.
-    let finish_wake = (std::sync::Mutex::new(false), std::sync::Condvar::new());
-
-    crossbeam::thread::scope(|s| {
-        for w in 0..workers {
-            let worker_runs = tel.registry.scoped_counter(&scope.indexed("worker", w), "runs");
-            let next = &next;
-            let (done, sdc_n, crash_n, early_n, conv_n) = (&done, &sdc_n, &crash_n, &early_n, &conv_n);
-            let (cancelled, active) = (&cancelled, &active);
-            let finish_wake = &finish_wake;
-            let run_cycles = run_cycles.clone();
-            let lane_occupancy = lane_occupancy.clone();
-            let (lane_passes, lane_packed, lane_forks) = (&lane_passes, &lane_packed, &lane_forks);
-            s.spawn(move |_| {
-                let mut ctx = WorkerCtx::new();
-                let mut lane = tel.spans.lane(&format!("cpu-worker-{w}"));
-                // Shared-counter traffic is batched: the effect tallies
-                // and cycle samples accumulate locally and flush every
-                // BATCH runs (plus once at exit). Only `done` — which
-                // drives progress — bumps per run.
-                const BATCH: u64 = 32;
-                let (mut b_runs, mut b_sdc, mut b_crash, mut b_early, mut b_conv) =
-                    (0u64, 0u64, 0u64, 0u64, 0u64);
-                let mut b_cycles: Vec<u64> = Vec::new();
-                loop {
-                    if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                        cancelled.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    // The claim itself is spanned only when it succeeds: a
-                    // drained-schedule probe is cancelled, so Schedule call
-                    // counts equal completed runs at any worker count.
-                    lane.enter(PhaseId::Schedule);
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= units.len() {
-                        lane.cancel(PhaseId::Schedule);
-                        break;
-                    }
-                    let unit = &units[k];
-                    lane.exit(PhaseId::Schedule);
-                    let mut retired: Vec<(usize, RunRecord)> = Vec::new();
-                    match unit {
-                        Unit::Scalar(i) => {
-                            lane.begin_run(*i as u64);
-                            let c = (cc.reset_mode == ResetMode::Dirty).then_some(&mut ctx);
-                            let rec = run_one_spanned(golden, ladder, &masks[*i], cc, c, &mut lane);
-                            lane.end_run();
-                            retired.push((*i, rec));
-                        }
-                        Unit::Pass(pack) => {
-                            lane.begin_run(pack[0] as u64);
-                            let c = (cc.reset_mode == ResetMode::Dirty).then_some(&mut ctx);
-                            let fk = run_lane_pass(
-                                golden,
-                                ladder,
-                                masks,
-                                pack,
-                                cc,
-                                c,
-                                &mut lane,
-                                &mut retired,
-                            );
-                            lane.end_run();
-                            lane_passes.fetch_add(1, Ordering::Relaxed);
-                            lane_packed.fetch_add(pack.len() as u64, Ordering::Relaxed);
-                            lane_forks.fetch_add(fk.len() as u64, Ordering::Relaxed);
-                            if let Some(h) = &lane_occupancy {
-                                h.record(pack.len() as u64);
-                            }
-                            // Forked lanes fall back to ordinary scalar
-                            // runs — same mask, same worker context, same
-                            // record the pure scalar path would produce.
-                            for i in fk {
-                                lane.enter(PhaseId::LaneFork);
-                                lane.begin_run(i as u64);
-                                let c = (cc.reset_mode == ResetMode::Dirty).then_some(&mut ctx);
-                                let rec = run_one_spanned(golden, ladder, &masks[i], cc, c, &mut lane);
-                                lane.end_run();
-                                lane.exit(PhaseId::LaneFork);
-                                retired.push((i, rec));
-                            }
-                        }
-                    }
-                    for (i, rec) in retired {
-                        b_runs += 1;
-                        match rec.effect {
-                            FaultEffect::Sdc => b_sdc += 1,
-                            FaultEffect::Crash => b_crash += 1,
-                            FaultEffect::Masked => {}
-                        }
-                        if rec.early_terminated {
-                            b_early += 1;
-                        }
-                        if rec.converged {
-                            b_conv += 1;
-                        }
-                        if run_cycles.is_some() {
-                            b_cycles.push(rec.cycles);
-                        }
-                        lane.enter(PhaseId::ExportRecord);
-                        sink(i, rec);
-                        lane.exit(PhaseId::ExportRecord);
-                        // Progress rate/ETA counts retired *runs*, not
-                        // passes: a 64-wide pass advances the meter by
-                        // up to 64 the moment its lanes land.
-                        done.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if b_runs >= BATCH {
-                        worker_runs.add(b_runs);
-                        sdc_n.fetch_add(b_sdc, Ordering::Relaxed);
-                        crash_n.fetch_add(b_crash, Ordering::Relaxed);
-                        early_n.fetch_add(b_early, Ordering::Relaxed);
-                        conv_n.fetch_add(b_conv, Ordering::Relaxed);
-                        if let Some(h) = &run_cycles {
-                            b_cycles.drain(..).for_each(|c| h.record(c));
-                        }
-                        (b_runs, b_sdc, b_crash, b_early, b_conv) = (0, 0, 0, 0, 0);
-                    }
-                }
-                if b_runs > 0 {
-                    worker_runs.add(b_runs);
-                    sdc_n.fetch_add(b_sdc, Ordering::Relaxed);
-                    crash_n.fetch_add(b_crash, Ordering::Relaxed);
-                    early_n.fetch_add(b_early, Ordering::Relaxed);
-                    conv_n.fetch_add(b_conv, Ordering::Relaxed);
-                    if let Some(h) = &run_cycles {
-                        b_cycles.drain(..).for_each(|c| h.record(c));
-                    }
-                }
-                // Last worker out (normal drain or cancellation) wakes
-                // the progress reporter for its final line.
-                if active.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let (lock, cvar) = finish_wake;
-                    *lock.lock().unwrap() = true;
-                    cvar.notify_all();
-                }
-            });
+    let dirty = cc.reset_mode == ResetMode::Dirty;
+    let run_unit = |unit: &Unit,
+                    ctx: &mut WorkerCtx<System>,
+                    lane: &mut SpanLane,
+                    retired: &mut Vec<(usize, RunRecord)>| match unit {
+        Unit::Scalar(i) => {
+            lane.begin_run(*i as u64);
+            let rec = run_one_spanned(golden, ladder, &masks[*i], cc, dirty.then_some(ctx), lane);
+            lane.end_run();
+            retired.push((*i, rec));
         }
-        if tel.progress_interval_ms > 0 {
-            let (done, sdc_n, crash_n, early_n) = (&done, &sdc_n, &crash_n, &early_n);
-            let finish_wake = &finish_wake;
-            let interval = std::time::Duration::from_millis(tel.progress_interval_ms);
-            let confidence = cc.confidence;
-            s.spawn(move |_| {
-                let meter = ProgressMeter::new("campaign", total);
-                let (lock, cvar) = finish_wake;
-                let mut finished = lock.lock().unwrap();
-                loop {
-                    let d = done.load(Ordering::Relaxed);
-                    let margin = error_margin(d.max(1) as usize, population, confidence);
-                    eprintln!(
-                        "{}",
-                        meter.line(
-                            d,
-                            sdc_n.load(Ordering::Relaxed),
-                            crash_n.load(Ordering::Relaxed),
-                            early_n.load(Ordering::Relaxed),
-                            margin
-                        )
-                    );
-                    // `finished` covers both normal completion and a
-                    // cancelled drive whose workers have all exited.
-                    if d >= total || *finished {
-                        break;
-                    }
-                    // Interval tick, cut short by the workers' notify
-                    // (checked under the lock, so the wake can't be lost).
-                    finished = cvar.wait_timeout(finished, interval).unwrap().0;
-                }
-            });
+        Unit::Pass(pack) => {
+            lane.begin_run(pack[0] as u64);
+            let fk = run_lane_pass(
+                golden,
+                ladder,
+                masks,
+                pack,
+                cc,
+                dirty.then_some(&mut *ctx),
+                lane,
+                retired,
+            );
+            lane.end_run();
+            lane_passes.fetch_add(1, Ordering::Relaxed);
+            lane_packed.fetch_add(pack.len() as u64, Ordering::Relaxed);
+            lane_forks.fetch_add(fk.len() as u64, Ordering::Relaxed);
+            if let Some(h) = &lane_occupancy {
+                h.record(pack.len() as u64);
+            }
+            // Forked lanes fall back to ordinary scalar runs — same mask,
+            // same worker context, same record the pure scalar path would
+            // produce.
+            for i in fk {
+                lane.enter(PhaseId::LaneFork);
+                lane.begin_run(i as u64);
+                let c = dirty.then_some(&mut *ctx);
+                let rec = run_one_spanned(golden, ladder, &masks[i], cc, c, lane);
+                lane.end_run();
+                lane.exit(PhaseId::LaneFork);
+                retired.push((i, rec));
+            }
         }
-    })
-    .expect("campaign worker panicked");
+    };
+    let runs = order.len() as u64;
+    let outcome =
+        drive_pool("campaign", "cpu-worker", &units, runs, population, cc, cancel, sink, run_unit);
+    let scope = Scope::new("campaign");
+    reg.publish_scoped(&scope, "lane_passes", lane_passes.into_inner());
+    reg.publish_scoped(&scope, "lane_runs_packed", lane_packed.into_inner());
+    reg.publish_scoped(&scope, "lane_forks", lane_forks.into_inner());
+    outcome
+}
 
-    // In-flight effect tallies were flushed at worker exit; the scope join
-    // above means the atomics now hold this drive's totals.
-    let completed = done.into_inner();
-    let (sdc, crash) = (sdc_n.into_inner(), crash_n.into_inner());
-    tel.registry.publish_scoped(&scope, "runs", completed);
-    tel.registry.publish_scoped(&scope, "sdc", sdc);
-    tel.registry.publish_scoped(&scope, "crash", crash);
-    tel.registry.publish_scoped(&scope, "masked", completed - sdc - crash);
-    tel.registry.publish_scoped(&scope, "early_terminated", early_n.into_inner());
-    tel.registry.publish_scoped(&scope, "convergence_exits", conv_n.into_inner());
-    tel.registry.publish_scoped(&scope, "lane_passes", lane_passes.into_inner());
-    tel.registry.publish_scoped(&scope, "lane_runs_packed", lane_packed.into_inner());
-    tel.registry.publish_scoped(&scope, "lane_forks", lane_forks.into_inner());
-
-    DriveOutcome { completed: completed as usize, cancelled: cancelled.into_inner() }
+/// Run every mask through `drive` (a [`drive_masks`] or
+/// [`crate::dsa::drive_dsa_masks`] call with nothing skipped) and return
+/// the records in mask order.
+pub(crate) fn collect_records(
+    n: usize,
+    drive: impl FnOnce(&[bool], &(dyn Fn(usize, RunRecord) + Sync)) -> DriveOutcome,
+) -> Vec<RunRecord> {
+    let slots: Vec<std::sync::Mutex<Option<RunRecord>>> =
+        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
+    drive(&vec![false; n], &|i, rec| {
+        *slots[i].lock().unwrap() = Some(rec);
+    });
+    slots.into_iter().map(|slot| slot.into_inner().unwrap().expect("all masks executed")).collect()
 }
 
 fn run_masks_with_population(
@@ -1734,13 +1799,9 @@ fn run_masks_with_population(
     population: u64,
 ) -> Vec<RunRecord> {
     let ladder = build_campaign_ladder(golden, cc);
-    let skip = vec![false; masks.len()];
-    let slots: Vec<std::sync::Mutex<Option<RunRecord>>> =
-        masks.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    drive_masks(golden, ladder.as_ref(), masks, cc, population, &skip, None, &|i, rec| {
-        *slots[i].lock().unwrap() = Some(rec);
-    });
-    slots.into_iter().map(|slot| slot.into_inner().unwrap().expect("all masks executed")).collect()
+    collect_records(masks.len(), |skip, sink| {
+        drive_masks(golden, ladder.as_ref(), masks, cc, population, skip, None, sink)
+    })
 }
 
 fn target_hash(t: Target) -> u64 {
@@ -1826,7 +1887,13 @@ mod tests {
     #[test]
     fn small_campaign_classifies_all_runs() {
         let g = golden_for(Isa::RiscV);
-        let cc = CampaignConfig { n_faults: 24, collect_hvf: true, workers: 4, ..Default::default() };
+        let cc = CampaignConfig {
+            n_faults: 24,
+            collect_hvf: true,
+            workers: 4,
+            ladder_rungs: 0,
+            ..Default::default()
+        };
         let res = run_campaign(&g, Target::PrfInt, &cc);
         assert_eq!(res.n(), 24);
         let total = res.avf() + res.frac(FaultEffect::Masked);
@@ -1840,7 +1907,7 @@ mod tests {
     fn fp_prf_faults_always_masked() {
         // Integer workloads never read the FP register file.
         let g = golden_for(Isa::Arm);
-        let cc = CampaignConfig { n_faults: 10, workers: 2, ..Default::default() };
+        let cc = CampaignConfig { n_faults: 10, workers: 2, ladder_rungs: 0, ..Default::default() };
         let res = run_campaign(&g, Target::PrfFp, &cc);
         assert!((res.avf() - 0.0).abs() < 1e-9);
     }
@@ -1848,7 +1915,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let g = golden_for(Isa::RiscV);
-        let cc = CampaignConfig { n_faults: 12, workers: 3, ..Default::default() };
+        let cc = CampaignConfig { n_faults: 12, workers: 3, ladder_rungs: 0, ..Default::default() };
         let r1 = run_campaign(&g, Target::L1D, &cc);
         let r2 = run_campaign(&g, Target::L1D, &cc);
         let e1: Vec<_> = r1.records.iter().map(|r| r.effect).collect();
@@ -1864,6 +1931,7 @@ mod tests {
             collect_hvf: true,
             workers: 3,
             reset_mode: mode,
+            ladder_rungs: 0,
             ..Default::default()
         };
         for target in [Target::PrfInt, Target::L1D] {
@@ -1918,6 +1986,7 @@ mod tests {
             n_faults: 10,
             kind: FaultKind::Permanent,
             workers: 2,
+            ladder_rungs: 0,
             ..Default::default()
         };
         let res = run_campaign(&g, Target::L1D, &cc);

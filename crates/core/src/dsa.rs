@@ -7,14 +7,14 @@
 //! are reported.
 
 use crate::campaign::{
-    taint_finish, CampaignConfig, DriveOutcome, DsaEngine, FaultEffect, ResetMode, RunRecord,
+    acquire, claim_order, collect_records, drive_pool, effect_tag, taint_finish, CampaignConfig,
+    CampaignResult, DriveOutcome, DsaEngine, FaultEffect, ResetMode, RunRecord, RunState, WorkerCtx,
 };
 use crate::fault::{FaultMask, FaultModel, MaskGenerator};
-use crate::stats::error_margin;
 use marvel_accel::{AccelState, Accelerator, DmaEngine, DmaJob, SramFate};
 use marvel_soc::Target;
-use marvel_telemetry::{Event, FlightRecorder, PhaseId, ProgressMeter, Scope, SpanCollector, SpanLane};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use marvel_telemetry::{Event, FlightRecorder, PhaseId, Scope, SpanCollector, SpanLane};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// A self-contained accelerator experiment: the accelerator, a private RAM
@@ -288,6 +288,14 @@ impl DsaHarness {
     }
 }
 
+impl RunState for DsaHarness {
+    const RESET_NS: &'static str = "dsa.reset_ns";
+    const RESET_BYTES: &'static str = "dsa.reset_bytes";
+    fn reset_from(&mut self, pristine: &DsaHarness) -> u64 {
+        DsaHarness::reset_from(self, pristine)
+    }
+}
+
 /// Mid-run simulation state of a harness run — the DMA engine, phase
 /// machine, cycle count and RAM taint shadow that used to live on
 /// `run_recorded`'s stack. Split out so checkpoint-ladder rungs can
@@ -459,61 +467,6 @@ impl DsaLadder {
     }
 }
 
-/// DSA campaign result (AVF == HVF for these targets).
-#[derive(Debug, Clone)]
-pub struct DsaCampaignResult {
-    pub target: Target,
-    pub records: Vec<RunRecord>,
-    pub bit_population: u64,
-    pub golden_cycles: u64,
-    pub confidence: f64,
-}
-
-impl DsaCampaignResult {
-    fn frac(&self, e: FaultEffect) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().filter(|r| r.effect == e).count() as f64 / self.records.len() as f64
-    }
-
-    pub fn avf(&self) -> f64 {
-        self.frac(FaultEffect::Sdc) + self.frac(FaultEffect::Crash)
-    }
-
-    pub fn sdc_avf(&self) -> f64 {
-        self.frac(FaultEffect::Sdc)
-    }
-
-    pub fn crash_avf(&self) -> f64 {
-        self.frac(FaultEffect::Crash)
-    }
-
-    pub fn margin(&self) -> f64 {
-        error_margin(
-            self.records.len().max(1),
-            self.bit_population.saturating_mul(self.golden_cycles.max(1)),
-            self.confidence,
-        )
-    }
-
-    /// Fraction of runs cut short by the fate-poll early termination.
-    pub fn early_termination_rate(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().filter(|r| r.early_terminated).count() as f64 / self.records.len() as f64
-    }
-
-    /// Fraction of runs ended by the ladder convergence exit.
-    pub fn convergence_exit_rate(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().filter(|r| r.converged).count() as f64 / self.records.len() as f64
-    }
-}
-
 /// How a campaign-driven DSA run ended.
 enum DsaRunEnd {
     /// Ran to a terminal outcome (done / error / timeout).
@@ -663,8 +616,9 @@ fn drive_run(
     end
 }
 
-/// Run a statistical campaign on one DSA memory target.
-pub fn run_dsa_campaign(golden: &DsaGolden, target: Target, cc: &CampaignConfig) -> DsaCampaignResult {
+/// Run a statistical campaign on one DSA memory target. AVF == HVF for
+/// these targets, so the result's records carry no HVF class.
+pub fn run_dsa_campaign(golden: &DsaGolden, target: Target, cc: &CampaignConfig) -> CampaignResult {
     let masks = dsa_campaign_masks(golden, target, cc);
     run_dsa_masks(golden, target, &masks, cc)
 }
@@ -711,33 +665,27 @@ pub fn run_dsa_masks(
     target: Target,
     masks: &[FaultMask],
     cc: &CampaignConfig,
-) -> DsaCampaignResult {
+) -> CampaignResult {
     let ladder = build_dsa_ladder(golden, cc);
     let ladder_ref = (!ladder.is_empty()).then_some(&ladder);
-    let skip = vec![false; masks.len()];
-    let slots: Vec<std::sync::Mutex<Option<RunRecord>>> =
-        masks.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    drive_dsa_masks(golden, target, ladder_ref, masks, cc, &skip, None, &|i, rec| {
-        *slots[i].lock().unwrap() = Some(rec);
+    let records = collect_records(masks.len(), |skip, sink| {
+        drive_dsa_masks(golden, target, ladder_ref, masks, cc, skip, None, sink)
     });
 
     let tel = &cc.telemetry;
     if tel.registry.is_enabled() {
         // One extra fault-free run to export the accelerator's structure
         // counters (SPM/RegBank traffic, node/block execution).
-        let watchdog = golden.cycles * cc.watchdog_factor + 10_000;
         let mut h = golden.harness.clone();
-        let _ = h.run(None, watchdog);
+        let _ = h.run(None, dsa_watchdog(golden, cc));
         h.accel.publish_metrics(&tel.registry, &Scope::new("dsa").child("golden_accel"));
     }
 
-    let records =
-        slots.into_iter().map(|s| s.into_inner().unwrap().expect("all masks executed")).collect();
-    DsaCampaignResult {
+    CampaignResult {
         target,
         records,
         bit_population: golden.harness.bit_len(target),
-        golden_cycles: golden.cycles,
+        golden_exec_cycles: golden.cycles,
         confidence: cc.confidence,
     }
 }
@@ -751,9 +699,123 @@ fn dsa_event_engine(golden: &DsaGolden, cc: &CampaignConfig) -> bool {
     cc.dsa_engine == DsaEngine::Event && golden.harness.accel.replay_armed()
 }
 
+/// Cycle budget of one DSA injection run.
+fn dsa_watchdog(golden: &DsaGolden, cc: &CampaignConfig) -> u64 {
+    golden.cycles * cc.watchdog_factor + 10_000
+}
+
+/// Execute one DSA injection run into `target`: start from the deepest
+/// ladder rung strictly below the injection cycle (the cycle-0 harness
+/// for permanents and early injections), dirty-reset the worker's
+/// harness when given a context, drive the run to an end and classify
+/// it. The DSA counterpart of [`crate::campaign::run_one_spanned`].
+fn run_dsa_one(
+    golden: &DsaGolden,
+    target: Target,
+    ladder: Option<&DsaLadder>,
+    mask: &FaultMask,
+    cc: &CampaignConfig,
+    ctx: Option<&mut WorkerCtx<DsaHarness>>,
+    lane: &mut SpanLane,
+) -> RunRecord {
+    let tel = &cc.telemetry;
+    let watchdog = dsa_watchdog(golden, cc);
+    let mut fr = if tel.flight_capacity > 0 {
+        FlightRecorder::new(tel.flight_capacity)
+    } else {
+        FlightRecorder::disabled()
+    };
+    let inject_at = match mask.model {
+        FaultModel::Transient { cycle } => Some(cycle),
+        _ => None,
+    };
+    let (base, next_rung) = match (ladder, inject_at) {
+        (Some(l), Some(c)) => {
+            let r = l.rungs.partition_point(|r| r.cycle < c);
+            (r.checked_sub(1).map(|r| &l.rungs[r]), r)
+        }
+        _ => (None, 0),
+    };
+    let (base_h, base_cycle) = base.map_or((&golden.harness, 0), |r| (&r.harness, r.cycle));
+    let mut owned: Option<Box<DsaHarness>> = None;
+    let h = acquire(base_h, base_cycle, tel, ctx, &mut owned, lane);
+    // Pin the drive engine after positioning — resets copy the base's
+    // engine, and the pristine golden harness stays on the cycle oracle.
+    let event = dsa_event_engine(golden, cc);
+    if event {
+        h.accel.set_engine_event();
+    } else {
+        h.accel.set_engine_cycle();
+    }
+    // The event engine needs the shadow planes even in non-taint
+    // campaigns: replay memoization is gated on untainted inputs.
+    let planes = tel.taint || event;
+    if planes {
+        // Before arming: the injection seeds the shadow planes. The
+        // fault-free prefix carries no taint, so enabling at a rung
+        // matches enabling at cycle 0.
+        h.accel.enable_taint(&target.name());
+    }
+    let mut st = match base {
+        Some(r) => {
+            let mut st = r.sim.clone();
+            if planes && st.ram_shadow.is_empty() {
+                st.ram_shadow = vec![0u8; h.ram.len()];
+            }
+            st
+        }
+        None => DsaSimState::start(h),
+    };
+    if let Some(c) = inject_at {
+        if let Some(hist) = tel.registry.histogram("dsa.prefix_cycles") {
+            hist.record(c - base_cycle);
+        }
+        if let Some(hist) = tel.registry.histogram("dsa.prefix_cycles_skipped") {
+            hist.record(base_cycle);
+        }
+    }
+    let end = drive_run(
+        h, &mut st, mask, inject_at, ladder, next_rung, cc, watchdog, tel.taint, &mut fr, lane,
+    );
+    let (effect, trap, cycles, early_terminated, converged) = match end {
+        DsaRunEnd::Finished(outcome) => {
+            let (effect, trap) = match &outcome {
+                DsaOutcome::Done { output, .. } if *output == golden.output => {
+                    (FaultEffect::Masked, None)
+                }
+                DsaOutcome::Done { .. } => (FaultEffect::Sdc, None),
+                DsaOutcome::Error { .. } => (FaultEffect::Crash, Some("accel-error")),
+                DsaOutcome::Timeout => (FaultEffect::Crash, Some("watchdog")),
+            };
+            let cycles = match outcome {
+                DsaOutcome::Done { cycles, .. } | DsaOutcome::Error { cycles } => cycles,
+                DsaOutcome::Timeout => watchdog,
+            };
+            (effect, trap, cycles, false, false)
+        }
+        DsaRunEnd::MaskedEarly { cycles } => (FaultEffect::Masked, None, cycles, true, false),
+        DsaRunEnd::Converged => (FaultEffect::Masked, None, golden.cycles, false, true),
+    };
+    if fr.is_enabled() {
+        match h.fault_fate(target) {
+            Some(SramFate::Read) => fr.record(cycles, Event::BitRead),
+            Some(SramFate::Overwritten) => fr.record(cycles, Event::BitOverwritten),
+            _ => {}
+        }
+        fr.record(cycles, Event::Classified { effect: effect_tag(effect) });
+    }
+    // Attribution only when the user asked for taint — planes enabled
+    // solely for replay memoization must not change exports vs the cycle
+    // oracle.
+    let attribution =
+        if tel.taint { taint_finish(h.accel.taint_tracer().map(|t| t.report()), &mut fr) } else { None };
+    let forensics = (fr.is_enabled() && effect != FaultEffect::Masked).then(|| fr.take());
+    RunRecord { effect, hvf: None, trap, early_terminated, converged, cycles, forensics, attribution }
+}
+
 /// Incrementally drive the subset of `masks` *not* marked in `skip`
-/// through the DSA worker pool, handing each finished [`RunRecord`] to
-/// `sink` as it lands (completion order, tagged with its mask index).
+/// through the campaign worker pool, handing each finished [`RunRecord`]
+/// to `sink` as it lands (completion order, tagged with its mask index).
 /// The DSA counterpart of [`crate::campaign::drive_masks`] — same
 /// skip/cancel/sink contract, same per-mask determinism guarantee.
 #[allow(clippy::too_many_arguments)]
@@ -767,338 +829,28 @@ pub fn drive_dsa_masks(
     cancel: Option<&AtomicBool>,
     sink: &(dyn Fn(usize, RunRecord) + Sync),
 ) -> DriveOutcome {
-    assert_eq!(skip.len(), masks.len(), "skip flags must cover every mask");
+    let order = claim_order(masks, skip, ladder_ref.is_some());
     let bit_len = golden.harness.bit_len(target);
-    let next = AtomicUsize::new(0);
-    let watchdog = golden.cycles * cc.watchdog_factor + 10_000;
-    let event = dsa_event_engine(golden, cc);
-
-    let tel = &cc.telemetry;
+    let reg = &cc.telemetry.registry;
     let scope = Scope::new("dsa");
-    let population = bit_len.saturating_mul(golden.cycles.max(1));
-    tel.registry.publish_scoped(&scope, "bit_population", bit_len);
-    tel.registry.publish_scoped(&scope, "golden_cycles", golden.cycles);
-
-    let done = AtomicU64::new(0);
-    let sdc_n = AtomicU64::new(0);
-    let crash_n = AtomicU64::new(0);
-    let early_n = AtomicU64::new(0);
-    let conv_n = AtomicU64::new(0);
-    let cancelled = AtomicBool::new(false);
-    let run_cycles = tel.registry.histogram("dsa.run_cycles");
-    let prefix_cycles = tel.registry.histogram("dsa.prefix_cycles");
-    let prefix_skipped = tel.registry.histogram("dsa.prefix_cycles_skipped");
-
-    // Rung-monotone claim order (permanents first — their base is always
-    // the checkpoint — then transients by injection cycle), so each worker
-    // walks the ladder upward and pays at most one reclone per rung.
-    // Results are tagged with the original mask index, so record order —
-    // and thus every export — is identical to the unsorted schedule.
-    let mut order: Vec<usize> = (0..masks.len()).filter(|&i| !skip[i]).collect();
-    if ladder_ref.is_some() {
-        order.sort_by_key(|&i| (crate::campaign::schedule_key(&masks[i]), i));
-    }
-    let order = order.as_slice();
-    let total = order.len() as u64;
-    let workers = if cc.workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        cc.workers
+    reg.publish_scoped(&scope, "bit_population", bit_len);
+    reg.publish_scoped(&scope, "golden_cycles", golden.cycles);
+    // Registered up front, so permanent-only drives export them too.
+    reg.histogram("dsa.prefix_cycles");
+    reg.histogram("dsa.prefix_cycles_skipped");
+    let dirty = cc.reset_mode == ResetMode::Dirty;
+    let run_unit = |&i: &usize,
+                    ctx: &mut WorkerCtx<DsaHarness>,
+                    lane: &mut SpanLane,
+                    retired: &mut Vec<(usize, RunRecord)>| {
+        lane.begin_run(i as u64);
+        let rec = run_dsa_one(golden, target, ladder_ref, &masks[i], cc, dirty.then_some(ctx), lane);
+        lane.end_run();
+        retired.push((i, rec));
     };
-    let workers = workers.min(order.len().max(1));
-    let active = AtomicUsize::new(workers);
-    // Wakes the progress reporter the moment the last worker exits (see
-    // the matching pattern in `drive_masks`).
-    let finish_wake = (std::sync::Mutex::new(false), std::sync::Condvar::new());
-
-    crossbeam::thread::scope(|s| {
-        for w in 0..workers {
-            let worker_runs = tel.registry.scoped_counter(&scope.indexed("worker", w), "runs");
-            let next = &next;
-            let (done, sdc_n, crash_n) = (&done, &sdc_n, &crash_n);
-            let (early_n, conv_n) = (&early_n, &conv_n);
-            let (cancelled, active) = (&cancelled, &active);
-            let finish_wake = &finish_wake;
-            let run_cycles = run_cycles.clone();
-            let prefix_cycles = prefix_cycles.clone();
-            let prefix_skipped = prefix_skipped.clone();
-            let flight_capacity = tel.flight_capacity;
-            let taint = tel.taint;
-            s.spawn(move |_| {
-                // Reusable per-worker harness for the dirty reset mode.
-                // The dirty reset is only valid against the snapshot the
-                // harness was cloned from, so a rung switch recloned.
-                let mut reusable: Option<Box<DsaHarness>> = None;
-                let mut reusable_base: u64 = 0;
-                let mut lane = tel.spans.lane(&format!("dsa-worker-{w}"));
-                const BATCH: u64 = 32;
-                let (mut b_runs, mut b_sdc, mut b_crash, mut b_early, mut b_conv) =
-                    (0u64, 0u64, 0u64, 0u64, 0u64);
-                let mut b_cycles: Vec<u64> = Vec::new();
-                loop {
-                    if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                        cancelled.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    // Spanned only when the claim succeeds (see the CPU
-                    // worker): Schedule calls equal completed runs.
-                    lane.enter(PhaseId::Schedule);
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= order.len() {
-                        lane.cancel(PhaseId::Schedule);
-                        break;
-                    }
-                    let i = order[k];
-                    lane.exit(PhaseId::Schedule);
-                    lane.begin_run(i as u64);
-                    let mask = &masks[i];
-                    let mut fr = if flight_capacity > 0 {
-                        FlightRecorder::new(flight_capacity)
-                    } else {
-                        FlightRecorder::disabled()
-                    };
-                    let inject_at = match mask.model {
-                        FaultModel::Transient { cycle } => Some(cycle),
-                        _ => None,
-                    };
-                    // Deepest rung strictly below the injection cycle; the
-                    // cycle-0 harness for permanents and early injections.
-                    let (base, next_rung) = match (ladder_ref, inject_at) {
-                        (Some(l), Some(c)) => {
-                            let r = l.rungs.partition_point(|r| r.cycle < c);
-                            (r.checked_sub(1).map(|r| &l.rungs[r]), r)
-                        }
-                        _ => (None, 0),
-                    };
-                    let (base_h, base_cycle) =
-                        base.map_or((&golden.harness, 0), |r| (&r.harness, r.cycle));
-                    let mut fresh: Option<DsaHarness> = None;
-                    let h: &mut DsaHarness = match cc.reset_mode {
-                        ResetMode::Dirty => {
-                            let reset_start = tel.registry.is_enabled().then(std::time::Instant::now);
-                            if let Some(h) = reusable.as_mut().filter(|_| reusable_base == base_cycle) {
-                                lane.enter(PhaseId::DirtyReset);
-                                let bytes = h.reset_from(base_h);
-                                lane.exit(PhaseId::DirtyReset);
-                                if let Some(t0) = reset_start {
-                                    if let Some(hist) = tel.registry.histogram("dsa.reset_ns") {
-                                        hist.record(t0.elapsed().as_nanos() as u64);
-                                    }
-                                    if let Some(hist) = tel.registry.histogram("dsa.reset_bytes") {
-                                        hist.record(bytes);
-                                    }
-                                }
-                            } else {
-                                // First run, or the base rung changed: pay
-                                // one full clone of the new base.
-                                lane.enter(PhaseId::RungRestore);
-                                reusable = Some(Box::new(base_h.clone()));
-                                lane.exit(PhaseId::RungRestore);
-                                reusable_base = base_cycle;
-                            }
-                            reusable.as_mut().expect("populated above")
-                        }
-                        ResetMode::Clone => {
-                            lane.enter(PhaseId::RungRestore);
-                            let h = fresh.insert(base_h.clone());
-                            lane.exit(PhaseId::RungRestore);
-                            h
-                        }
-                    };
-                    // Pin the drive engine after positioning — resets copy
-                    // the base's engine, and the pristine golden harness
-                    // stays on the cycle oracle.
-                    if event {
-                        h.accel.set_engine_event();
-                    } else {
-                        h.accel.set_engine_cycle();
-                    }
-                    // The event engine needs the shadow planes even in
-                    // non-taint campaigns: replay memoization is gated on
-                    // untainted inputs.
-                    let planes = taint || event;
-                    if planes {
-                        // Before arming: the injection seeds the shadow
-                        // planes. The fault-free prefix carries no taint,
-                        // so enabling at a rung matches enabling at cycle 0.
-                        h.accel.enable_taint(&target.name());
-                    }
-                    let mut st = match base {
-                        Some(r) => {
-                            let mut st = r.sim.clone();
-                            if planes && st.ram_shadow.is_empty() {
-                                st.ram_shadow = vec![0u8; h.ram.len()];
-                            }
-                            st
-                        }
-                        None => DsaSimState::start(h),
-                    };
-                    if let Some(c) = inject_at {
-                        if let Some(hist) = &prefix_cycles {
-                            hist.record(c - base_cycle);
-                        }
-                        if let Some(hist) = &prefix_skipped {
-                            hist.record(base_cycle);
-                        }
-                    }
-                    let end = drive_run(
-                        h, &mut st, mask, inject_at, ladder_ref, next_rung, cc, watchdog, taint,
-                        &mut fr, &mut lane,
-                    );
-                    let (effect, trap, cycles, early_terminated, converged) = match end {
-                        DsaRunEnd::Finished(outcome) => {
-                            let (effect, trap) = match &outcome {
-                                DsaOutcome::Done { output, .. } => {
-                                    if *output == golden.output {
-                                        (FaultEffect::Masked, None)
-                                    } else {
-                                        (FaultEffect::Sdc, None)
-                                    }
-                                }
-                                DsaOutcome::Error { .. } => (FaultEffect::Crash, Some("accel-error")),
-                                DsaOutcome::Timeout => (FaultEffect::Crash, Some("watchdog")),
-                            };
-                            let cycles = match outcome {
-                                DsaOutcome::Done { cycles, .. } | DsaOutcome::Error { cycles } => cycles,
-                                DsaOutcome::Timeout => watchdog,
-                            };
-                            (effect, trap, cycles, false, false)
-                        }
-                        DsaRunEnd::MaskedEarly { cycles } => {
-                            (FaultEffect::Masked, None, cycles, true, false)
-                        }
-                        DsaRunEnd::Converged => (FaultEffect::Masked, None, golden.cycles, false, true),
-                    };
-                    if fr.is_enabled() {
-                        match h.fault_fate(target) {
-                            Some(SramFate::Read) => fr.record(cycles, Event::BitRead),
-                            Some(SramFate::Overwritten) => fr.record(cycles, Event::BitOverwritten),
-                            _ => {}
-                        }
-                        let tag = match effect {
-                            FaultEffect::Masked => "Masked",
-                            FaultEffect::Sdc => "SDC",
-                            FaultEffect::Crash => "Crash",
-                        };
-                        fr.record(cycles, Event::Classified { effect: tag });
-                    }
-                    b_runs += 1;
-                    match effect {
-                        FaultEffect::Sdc => b_sdc += 1,
-                        FaultEffect::Crash => b_crash += 1,
-                        FaultEffect::Masked => {}
-                    }
-                    if early_terminated {
-                        b_early += 1;
-                    }
-                    if converged {
-                        b_conv += 1;
-                    }
-                    if run_cycles.is_some() {
-                        b_cycles.push(cycles);
-                    }
-                    // Attribution only when the user asked for taint —
-                    // planes enabled solely for replay memoization must
-                    // not change exports vs the cycle oracle.
-                    let attribution = if taint {
-                        taint_finish(h.accel.taint_tracer().map(|t| t.report()), &mut fr)
-                    } else {
-                        None
-                    };
-                    let forensics =
-                        (fr.is_enabled() && effect != FaultEffect::Masked).then(|| fr.take());
-                    lane.enter(PhaseId::ExportRecord);
-                    sink(
-                        i,
-                        RunRecord {
-                            effect,
-                            hvf: None,
-                            trap,
-                            early_terminated,
-                            converged,
-                            cycles,
-                            forensics,
-                            attribution,
-                        },
-                    );
-                    lane.exit(PhaseId::ExportRecord);
-                    lane.end_run();
-                    done.fetch_add(1, Ordering::Relaxed);
-                    if b_runs >= BATCH {
-                        worker_runs.add(b_runs);
-                        sdc_n.fetch_add(b_sdc, Ordering::Relaxed);
-                        crash_n.fetch_add(b_crash, Ordering::Relaxed);
-                        early_n.fetch_add(b_early, Ordering::Relaxed);
-                        conv_n.fetch_add(b_conv, Ordering::Relaxed);
-                        if let Some(hist) = &run_cycles {
-                            b_cycles.drain(..).for_each(|c| hist.record(c));
-                        }
-                        (b_runs, b_sdc, b_crash, b_early, b_conv) = (0, 0, 0, 0, 0);
-                    }
-                }
-                if b_runs > 0 {
-                    worker_runs.add(b_runs);
-                    sdc_n.fetch_add(b_sdc, Ordering::Relaxed);
-                    crash_n.fetch_add(b_crash, Ordering::Relaxed);
-                    early_n.fetch_add(b_early, Ordering::Relaxed);
-                    conv_n.fetch_add(b_conv, Ordering::Relaxed);
-                    if let Some(hist) = &run_cycles {
-                        b_cycles.drain(..).for_each(|c| hist.record(c));
-                    }
-                }
-                // Last worker out (normal drain or cancellation) wakes
-                // the progress reporter for its final line.
-                if active.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let (lock, cvar) = finish_wake;
-                    *lock.lock().unwrap() = true;
-                    cvar.notify_all();
-                }
-            });
-        }
-        if tel.progress_interval_ms > 0 {
-            let (done, sdc_n, crash_n, early_n) = (&done, &sdc_n, &crash_n, &early_n);
-            let finish_wake = &finish_wake;
-            let interval = std::time::Duration::from_millis(tel.progress_interval_ms);
-            let confidence = cc.confidence;
-            s.spawn(move |_| {
-                let meter = ProgressMeter::new("dsa", total);
-                let (lock, cvar) = finish_wake;
-                let mut finished = lock.lock().unwrap();
-                loop {
-                    let d = done.load(Ordering::Relaxed);
-                    let margin = error_margin(d.max(1) as usize, population, confidence);
-                    eprintln!(
-                        "{}",
-                        meter.line(
-                            d,
-                            sdc_n.load(Ordering::Relaxed),
-                            crash_n.load(Ordering::Relaxed),
-                            early_n.load(Ordering::Relaxed),
-                            margin
-                        )
-                    );
-                    // `finished` covers both normal completion and a
-                    // cancelled drive whose workers have all exited.
-                    if d >= total || *finished {
-                        break;
-                    }
-                    finished = cvar.wait_timeout(finished, interval).unwrap().0;
-                }
-            });
-        }
-    })
-    .expect("dsa campaign worker panicked");
-
-    let completed = done.into_inner();
-    let (sdc, crash) = (sdc_n.into_inner(), crash_n.into_inner());
-    tel.registry.publish_scoped(&scope, "runs", completed);
-    tel.registry.publish_scoped(&scope, "sdc", sdc);
-    tel.registry.publish_scoped(&scope, "crash", crash);
-    tel.registry.publish_scoped(&scope, "masked", completed - sdc - crash);
-    tel.registry.publish_scoped(&scope, "early_terminated", early_n.into_inner());
-    tel.registry.publish_scoped(&scope, "convergence_exits", conv_n.into_inner());
-
-    DriveOutcome { completed: completed as usize, cancelled: cancelled.into_inner() }
+    let runs = order.len() as u64;
+    let population = bit_len.saturating_mul(golden.cycles.max(1));
+    drive_pool("dsa", "dsa-worker", &order, runs, population, cc, cancel, sink, run_unit)
 }
 
 #[cfg(test)]
@@ -1180,7 +932,7 @@ mod tests {
     #[test]
     fn input_spm_campaign_mostly_sdc() {
         let g = DsaGolden::prepare(triple_harness(), 100_000);
-        let cc = CampaignConfig { n_faults: 60, workers: 4, ..Default::default() };
+        let cc = CampaignConfig { n_faults: 60, workers: 4, ladder_rungs: 0, ..Default::default() };
         let res = run_dsa_campaign(&g, Target::Spm { accel: 0, mem: 0 }, &cc);
         assert_eq!(res.records.len(), 60);
         // Data SPM faults corrupt outputs but never addresses: SDC-heavy,
@@ -1197,6 +949,7 @@ mod tests {
             n_faults: 30,
             kind: crate::fault::FaultKind::Permanent,
             workers: 4,
+            ladder_rungs: 0,
             ..Default::default()
         };
         let res = run_dsa_campaign(&g, Target::Spm { accel: 0, mem: 1 }, &cc);
@@ -1211,6 +964,7 @@ mod tests {
             kind,
             workers: 3,
             reset_mode: mode,
+            ladder_rungs: 0,
             ..Default::default()
         };
         for kind in [crate::fault::FaultKind::Transient, crate::fault::FaultKind::Permanent] {
@@ -1264,7 +1018,7 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = DsaGolden::prepare(triple_harness(), 100_000);
-        let cc = CampaignConfig { n_faults: 16, workers: 3, ..Default::default() };
+        let cc = CampaignConfig { n_faults: 16, workers: 3, ladder_rungs: 0, ..Default::default() };
         let r1 = run_dsa_campaign(&g, Target::Spm { accel: 0, mem: 0 }, &cc);
         let r2 = run_dsa_campaign(&g, Target::Spm { accel: 0, mem: 0 }, &cc);
         let e1: Vec<_> = r1.records.iter().map(|r| r.effect).collect();

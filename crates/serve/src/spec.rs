@@ -200,7 +200,8 @@ impl CampaignSpec {
             return Err("spec asks for 0 faults".into());
         }
         let kind = parse_kind(v.get("fault_kind").and_then(Json::as_str).unwrap_or("transient"))?;
-        let seed = v.get("seed").and_then(Json::as_u64).unwrap_or(0xC0FFEE);
+        let defaults = CampaignConfig::default();
+        let seed = v.get("seed").and_then(Json::as_u64).unwrap_or(defaults.seed);
         let workers = v.get("workers").and_then(Json::as_usize).unwrap_or(0);
         let reset_mode = match v.get("reset_mode").and_then(Json::as_str) {
             None => ResetMode::default(),
@@ -208,7 +209,8 @@ impl CampaignSpec {
                 ResetMode::parse(s).ok_or_else(|| format!("unknown reset_mode '{s}' (clone|dirty)"))?
             }
         };
-        let ladder_rungs = v.get("ladder_rungs").and_then(Json::as_usize).unwrap_or(8);
+        let ladder_rungs =
+            v.get("ladder_rungs").and_then(Json::as_usize).unwrap_or(defaults.ladder_rungs);
         let convergence_exit = v.get("convergence_exit").and_then(Json::as_bool).unwrap_or(false);
         let collect_hvf = v.get("hvf").and_then(Json::as_bool).unwrap_or(false);
         let taint = v.get("taint").and_then(Json::as_bool).unwrap_or(false);

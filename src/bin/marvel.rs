@@ -9,12 +9,12 @@
 //!                 [--faults N] [--kind transient|permanent] [--hvf] [--seed S]
 //!                 [--prep ref|cycle] [--reset-mode clone|dirty]
 //!                 [--ladder-rungs N] [--convergence-exit] [--lane-width N]
-//!                 [--metrics [path]] [--forensics [path]] [--progress [ms]]
+//!                 [--workers N] [--metrics [path]] [--forensics [path]] [--progress [ms]]
 //!                 [--taint] [--attribution [path]] [--trace-pipeline [dir]]
 //!                 [--trace-spans [path]] [--phase-report]
 //! marvel dsa <design> [--faults N] [--fus N] [--reset-mode clone|dirty]
 //!                 [--dsa-engine cycle|event]
-//!                 [--ladder-rungs N] [--convergence-exit]
+//!                 [--ladder-rungs N] [--convergence-exit] [--workers N]
 //!                 [--metrics [path]] [--forensics [path]] [--progress [ms]]
 //!                 [--taint] [--attribution [path]]
 //!                 [--trace-spans [path]] [--phase-report]
@@ -65,6 +65,8 @@
 //! reporting the first divergence; `--prep ref` fast-forwards the golden
 //! run to the checkpoint with the reference interpreter instead of the
 //! cycle-level core.
+//! `--workers N` (default 0 = every core) sets the campaign's worker
+//! threads; reports are identical at any worker count.
 //! `--journal <path>` journals every completed run (fsync'd watermarks,
 //! same format as the campaign service); Ctrl-C flushes the journal and
 //! prints a resume hint, and `--resume` continues an interrupted campaign
@@ -83,6 +85,7 @@ use gem5_marvel::core::{
 use gem5_marvel::cpu::CoreConfig;
 use gem5_marvel::ir::assemble;
 use gem5_marvel::isa::{disassemble, Isa};
+use gem5_marvel::serve::spec::parse_cpu_target;
 use gem5_marvel::serve::{
     install_shutdown_handler, read_addr_file, request, serve, watch, CampaignSpec, Journal, ServeConfig,
     Workload,
@@ -136,21 +139,6 @@ fn parse_isa(s: &str) -> Result<Isa, String> {
     }
 }
 
-fn parse_target(s: &str) -> Result<Target, String> {
-    Ok(match s.to_lowercase().as_str() {
-        "prf" | "rf" => Target::PrfInt,
-        "prf-fp" | "fp" => Target::PrfFp,
-        "l1i" => Target::L1I,
-        "l1d" => Target::L1D,
-        "l2" => Target::L2,
-        "lq" => Target::LoadQueue,
-        "sq" => Target::StoreQueue,
-        "rob" => Target::Rob,
-        "rename" => Target::RenameMap,
-        other => return Err(format!("unknown target '{other}'")),
-    })
-}
-
 /// Parse `--reset-mode clone|dirty` (default: dirty, the zero-copy path;
 /// `clone` keeps the original deep-clone-per-run oracle selectable).
 fn parse_reset_mode(args: &Args) -> Result<ResetMode, String> {
@@ -158,17 +146,6 @@ fn parse_reset_mode(args: &Args) -> Result<ResetMode, String> {
         None => Ok(ResetMode::default()),
         Some(v) => ResetMode::parse(v).ok_or_else(|| format!("unknown reset mode '{v}' (clone|dirty)")),
     }
-}
-
-/// Parse `--ladder-rungs N` (default 8; 0 disables the checkpoint ladder
-/// and restores the full-prefix oracle) plus the `--convergence-exit`
-/// switch (dirty-diff masked-run exit at ladder rungs).
-fn parse_ladder(args: &Args) -> Result<(usize, bool), String> {
-    let rungs = match args.flags.get("ladder-rungs") {
-        None => 8,
-        Some(v) => v.parse().map_err(|_| format!("bad --ladder-rungs '{v}' (want a count)"))?,
-    };
-    Ok((rungs, args.switches.contains("convergence-exit")))
 }
 
 /// Parse `--lane-width N` (default 64: pack up to 64 single-bit
@@ -201,20 +178,36 @@ struct SpanOutputs {
     report: bool,
 }
 
-/// Build the observability config from `--metrics`, `--forensics`,
-/// `--progress [ms]`, `--trace-spans` and `--phase-report`. Returns the
-/// config plus the export paths and span outputs.
-fn telemetry_from_args(
-    args: &Args,
-    metrics_default: &str,
-    forensics_default: &str,
-    trace_default: &str,
-) -> (TelemetryConfig, Option<PathBuf>, Option<PathBuf>, SpanOutputs) {
-    let metrics = path_flag(args, "metrics", metrics_default);
-    let forensics = path_flag(args, "forensics", forensics_default);
-    let spans_out = SpanOutputs {
-        trace: path_flag(args, "trace-spans", trace_default),
-        report: args.switches.contains("phase-report"),
+/// Fault count of `marvel campaign` / `marvel dsa` without `--faults`.
+const DEFAULT_FAULTS: usize = 100;
+
+/// Where a campaign command writes its exports once the campaign is done.
+struct Outputs {
+    metrics: Option<PathBuf>,
+    forensics: Option<PathBuf>,
+    spans: SpanOutputs,
+}
+
+/// The config `marvel campaign` and `marvel dsa` share: `--faults`,
+/// `--reset-mode`, `--ladder-rungs` (0 = the full-prefix oracle),
+/// `--convergence-exit`, `--workers` and the telemetry flags
+/// (`--metrics`, `--forensics`, `--progress [ms]`, `--taint`,
+/// `--trace-spans`, `--phase-report`; default paths
+/// `results/<cmd>_*`), over `CampaignConfig::default()`. Each command
+/// sets its own flags on top.
+fn campaign_config(args: &Args, cmd: &str) -> Result<(CampaignConfig, Outputs), String> {
+    let defaults = CampaignConfig::default();
+    let count = |flag: &str, default: usize| match args.flags.get(flag) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("bad --{flag} '{v}' (want a count)")),
+    };
+    let out = Outputs {
+        metrics: path_flag(args, "metrics", &format!("results/{cmd}_metrics.jsonl")),
+        forensics: path_flag(args, "forensics", &format!("results/{cmd}_forensics.jsonl")),
+        spans: SpanOutputs {
+            trace: path_flag(args, "trace-spans", &format!("results/{cmd}_trace.json")),
+            report: args.switches.contains("phase-report"),
+        },
     };
     let progress_interval_ms = if args.switches.contains("progress") {
         500
@@ -222,19 +215,31 @@ fn telemetry_from_args(
         args.flags.get("progress").and_then(|v| v.parse().ok()).unwrap_or(0)
     };
     let taint = args.switches.contains("taint") || args.flags.contains_key("taint");
-    let tel = TelemetryConfig {
-        registry: if metrics.is_some() { Registry::new() } else { Registry::disabled() },
+    let telemetry = TelemetryConfig {
+        registry: if out.metrics.is_some() { Registry::new() } else { Registry::disabled() },
         progress_interval_ms,
         // Taint timelines ride the flight recorder, so --taint implies it.
-        flight_capacity: if forensics.is_some() || taint { 64 } else { 0 },
+        flight_capacity: if out.forensics.is_some() || taint { 64 } else { 0 },
         taint,
-        spans: if spans_out.trace.is_some() || spans_out.report {
+        spans: if out.spans.trace.is_some() || out.spans.report {
             SpanCollector::enabled()
         } else {
             SpanCollector::disabled()
         },
     };
-    (tel, metrics, forensics, spans_out)
+    let cc = CampaignConfig {
+        n_faults: args
+            .flags
+            .get("faults")
+            .map_or(DEFAULT_FAULTS, |v| v.parse().unwrap_or(DEFAULT_FAULTS)),
+        workers: count("workers", defaults.workers)?,
+        reset_mode: parse_reset_mode(args)?,
+        ladder_rungs: count("ladder-rungs", defaults.ladder_rungs)?,
+        convergence_exit: args.switches.contains("convergence-exit"),
+        telemetry,
+        ..defaults
+    };
+    Ok((cc, out))
 }
 
 /// Print the phase attribution table and/or write the Chrome trace JSON.
@@ -417,39 +422,21 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
 fn cmd_campaign(args: &Args) -> Result<(), String> {
     let bench = args.positional.get(1).ok_or("usage: marvel campaign <benchmark>")?;
     let isa = parse_isa(args.flags.get("isa").map(String::as_str).unwrap_or("riscv"))?;
-    let target = parse_target(args.flags.get("target").map(String::as_str).unwrap_or("prf"))?;
-    let n_faults: usize = args.flags.get("faults").map(|v| v.parse().unwrap_or(100)).unwrap_or(100);
-    let kind = match args.flags.get("kind").map(String::as_str).unwrap_or("transient") {
-        "permanent" => FaultKind::Permanent,
-        _ => FaultKind::Transient,
-    };
-    let seed: u64 = args.flags.get("seed").map(|v| v.parse().unwrap_or(0xC0FFEE)).unwrap_or(0xC0FFEE);
+    let target = parse_cpu_target(&args.flags.get("target").map_or("prf".into(), |t| t.to_lowercase()))?;
     let fast_prep = match args.flags.get("prep").map(String::as_str).unwrap_or("cycle") {
         "ref" | "fast" => true,
         "cycle" | "o3" => false,
         other => return Err(format!("unknown prep mode '{other}' (ref|cycle)")),
     };
-    let reset_mode = parse_reset_mode(args)?;
-    let (ladder_rungs, convergence_exit) = parse_ladder(args)?;
-    let lane_width = parse_lane_width(args)?;
-    let (telemetry, metrics_path, forensics_path, spans_out) = telemetry_from_args(
-        args,
-        "results/campaign_metrics.jsonl",
-        "results/campaign_forensics.jsonl",
-        "results/campaign_trace.json",
-    );
-    let cc = CampaignConfig {
-        n_faults,
-        kind,
-        seed,
-        collect_hvf: args.switches.contains("hvf"),
-        reset_mode,
-        ladder_rungs,
-        convergence_exit,
-        lane_width,
-        telemetry,
-        ..Default::default()
+    let (mut cc, out) = campaign_config(args, "campaign")?;
+    cc.kind = match args.flags.get("kind").map(String::as_str).unwrap_or("transient") {
+        "permanent" => FaultKind::Permanent,
+        _ => FaultKind::Transient,
     };
+    cc.seed = args.flags.get("seed").map_or(cc.seed, |v| v.parse().unwrap_or(cc.seed));
+    cc.collect_hvf = args.switches.contains("hvf");
+    cc.lane_width = parse_lane_width(args)?;
+    let (n_faults, kind, seed) = (cc.n_faults, cc.kind, cc.seed);
     eprintln!(
         "preparing golden run for {bench}/{isa} ({} prep) ...",
         if fast_prep { "reference fast-forward" } else { "cycle-level" }
@@ -476,10 +463,13 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
                 n_faults,
                 kind,
                 seed,
+                // Records do not depend on the worker count, so it stays
+                // out of the journal identity: a journal resumes at any
+                // --workers.
                 workers: 0,
-                reset_mode,
-                ladder_rungs,
-                convergence_exit,
+                reset_mode: cc.reset_mode,
+                ladder_rungs: cc.ladder_rungs,
+                convergence_exit: cc.convergence_exit,
                 collect_hvf: cc.collect_hvf,
                 taint: cc.telemetry.taint,
                 fast_prep,
@@ -509,14 +499,14 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         println!("HVF       : {:.2}%", h * 100.0);
     }
     println!("early-terminated runs: {:.0}%", res.early_termination_rate() * 100.0);
-    if convergence_exit {
+    if cc.convergence_exit {
         println!("convergence exits    : {:.0}%", res.convergence_exit_rate() * 100.0);
     }
-    if let Some(p) = &metrics_path {
+    if let Some(p) = &out.metrics {
         write_snapshot(&cc.telemetry.registry.snapshot(), p).map_err(|e| e.to_string())?;
         eprintln!("metrics snapshot written to {}", p.display());
     }
-    if let Some(p) = &forensics_path {
+    if let Some(p) = &out.forensics {
         std::fs::remove_file(p).ok();
         let n = dump_forensics(p, &res.records, &format!("{bench}/{}", target.name()))?;
         eprintln!("{n} flight-recorder dumps written to {}", p.display());
@@ -553,7 +543,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
             fp.display()
         );
     }
-    report_spans(&cc.telemetry.spans, &spans_out)?;
+    report_spans(&cc.telemetry.spans, &out.spans)?;
     Ok(())
 }
 
@@ -626,35 +616,16 @@ fn run_campaign_journaled(
 
 fn cmd_dsa(args: &Args) -> Result<(), String> {
     let name = args.positional.get(1).ok_or("usage: marvel dsa <design>")?.to_uppercase();
-    let n_faults: usize = args.flags.get("faults").map(|v| v.parse().unwrap_or(100)).unwrap_or(100);
     let fus: usize = args.flags.get("fus").map(|v| v.parse().unwrap_or(4)).unwrap_or(4);
     let d = accel::designs()
         .into_iter()
         .find(|d| d.name == name)
         .ok_or_else(|| format!("unknown design '{name}' (try `marvel list`)"))?;
-    let reset_mode = parse_reset_mode(args)?;
-    let dsa_engine = match args.flags.get("dsa-engine").map(String::as_str) {
-        None => DsaEngine::default(),
-        Some(s) => {
-            DsaEngine::parse(s).ok_or_else(|| format!("unknown --dsa-engine '{s}' (cycle|event)"))?
-        }
-    };
-    let (ladder_rungs, convergence_exit) = parse_ladder(args)?;
-    let (telemetry, metrics_path, forensics_path, spans_out) = telemetry_from_args(
-        args,
-        "results/dsa_metrics.jsonl",
-        "results/dsa_forensics.jsonl",
-        "results/dsa_trace.json",
-    );
-    let cc = CampaignConfig {
-        n_faults,
-        reset_mode,
-        ladder_rungs,
-        convergence_exit,
-        dsa_engine,
-        telemetry,
-        ..Default::default()
-    };
+    let (mut cc, out) = campaign_config(args, "dsa")?;
+    if let Some(s) = args.flags.get("dsa-engine") {
+        cc.dsa_engine =
+            DsaEngine::parse(s).ok_or_else(|| format!("unknown --dsa-engine '{s}' (cycle|event)"))?;
+    }
     // prepare_spanned splits the cycle-oracle run (GoldenPrep) from the
     // static-schedule build + trace recording (ScheduleBuild).
     let golden =
@@ -670,7 +641,7 @@ fn cmd_dsa(args: &Args) -> Result<(), String> {
             DsaEngine::Cycle => "cycle",
         }
     );
-    if let Some(p) = &forensics_path {
+    if let Some(p) = &out.forensics {
         std::fs::remove_file(p).ok();
     }
     let mut dumps = 0;
@@ -686,7 +657,7 @@ fn cmd_dsa(args: &Args) -> Result<(), String> {
             res.sdc_avf() * 100.0,
             res.crash_avf() * 100.0
         );
-        if let Some(p) = &forensics_path {
+        if let Some(p) = &out.forensics {
             dumps += dump_forensics(p, &res.records, &format!("{name}/{}", c.name))?;
         }
         if cc.telemetry.taint {
@@ -698,14 +669,14 @@ fn cmd_dsa(args: &Args) -> Result<(), String> {
             .unwrap_or_else(|| PathBuf::from("results/dsa_attribution.csv"));
         report_attribution(&all_records, &p)?;
     }
-    if let Some(p) = &metrics_path {
+    if let Some(p) = &out.metrics {
         write_snapshot(&cc.telemetry.registry.snapshot(), p).map_err(|e| e.to_string())?;
         eprintln!("metrics snapshot written to {}", p.display());
     }
-    if let Some(p) = &forensics_path {
+    if let Some(p) = &out.forensics {
         eprintln!("{dumps} flight-recorder dumps written to {}", p.display());
     }
-    report_spans(&cc.telemetry.spans, &spans_out)?;
+    report_spans(&cc.telemetry.spans, &out.spans)?;
     Ok(())
 }
 
@@ -806,11 +777,11 @@ fn main() -> ExitCode {
                  marvel campaign <benchmark> [--isa ...] [--target prf|l1i|l1d|l2|lq|sq|rob|rename]\n            \
                  [--faults N] [--kind transient|permanent] [--hvf] [--seed S] [--prep ref|cycle]\n            \
                  [--reset-mode clone|dirty] [--ladder-rungs N] [--convergence-exit] [--lane-width N]\n            \
-                 [--metrics [path]] [--forensics [path]] [--progress [ms]]\n            \
+                 [--workers N] [--metrics [path]] [--forensics [path]] [--progress [ms]]\n            \
                  [--taint] [--attribution [path]] [--trace-pipeline [dir]]\n            \
                  [--trace-spans [path]] [--phase-report]\n  \
                  marvel dsa <design> [--faults N] [--fus N] [--reset-mode clone|dirty]\n            \
-                 [--dsa-engine cycle|event] [--ladder-rungs N] [--convergence-exit]\n            \
+                 [--dsa-engine cycle|event] [--ladder-rungs N] [--convergence-exit] [--workers N]\n            \
                  [--metrics [path]] [--forensics [path]] [--progress [ms]]\n            \
                  [--taint] [--attribution [path]] [--trace-spans [path]] [--phase-report]\n  \
                  marvel campaign ... [--journal path [--resume]] [--campaign-id id]\n  \

@@ -29,7 +29,13 @@ fn fingerprint(records: &[RunRecord]) -> Vec<(FaultEffect, Option<&'static str>,
 #[test]
 fn classification_counts_sum_to_total() {
     let g = golden("bitcount", Isa::Arm);
-    let cc = CampaignConfig { n_faults: 40, collect_hvf: true, workers: 4, ..Default::default() };
+    let cc = CampaignConfig {
+        n_faults: 40,
+        collect_hvf: true,
+        workers: 4,
+        ladder_rungs: 0,
+        ..Default::default()
+    };
     for target in [Target::PrfInt, Target::L1D, Target::Rob] {
         let res = run_campaign(&g, target, &cc);
         let masked = res.records.iter().filter(|r| r.effect == FaultEffect::Masked).count();
@@ -51,7 +57,13 @@ fn cpu_campaign_identical_across_worker_counts() {
         let mut runs = Vec::new();
         // 0 = all available cores; 1 = fully serial; 2 = minimal pool.
         for workers in [1usize, 2, 0] {
-            let cc = CampaignConfig { n_faults: 30, collect_hvf: true, workers, ..Default::default() };
+            let cc = CampaignConfig {
+                n_faults: 30,
+                collect_hvf: true,
+                workers,
+                ladder_rungs: 0,
+                ..Default::default()
+            };
             runs.push(fingerprint(&run_campaign(&g, target, &cc).records));
         }
         assert_eq!(runs[0], runs[1], "{target:?}: workers=1 vs workers=2");
@@ -66,7 +78,7 @@ fn dsa_campaign_identical_across_worker_counts() {
     let target = d.components[0].target;
     let mut runs = Vec::new();
     for workers in [1usize, 2, 0] {
-        let cc = CampaignConfig { n_faults: 24, workers, ..Default::default() };
+        let cc = CampaignConfig { n_faults: 24, workers, ladder_rungs: 0, ..Default::default() };
         runs.push(fingerprint(&run_dsa_campaign(&g, target, &cc).records));
     }
     assert_eq!(runs[0], runs[1], "workers=1 vs workers=2");
@@ -85,6 +97,7 @@ fn reset_mode_is_a_pure_speed_knob() {
                 collect_hvf: true,
                 workers,
                 reset_mode: mode,
+                ladder_rungs: 0,
                 ..Default::default()
             };
             fingerprint(&run_campaign(&g, target, &cc).records)
@@ -102,7 +115,13 @@ fn dsa_reset_mode_is_a_pure_speed_knob() {
     let g = DsaGolden::prepare((d.make)(FuConfig::default()), 50_000_000);
     let target = d.components[0].target;
     let fp = |mode, workers| {
-        let cc = CampaignConfig { n_faults: 24, workers, reset_mode: mode, ..Default::default() };
+        let cc = CampaignConfig {
+            n_faults: 24,
+            workers,
+            reset_mode: mode,
+            ladder_rungs: 0,
+            ..Default::default()
+        };
         fingerprint(&run_dsa_campaign(&g, target, &cc).records)
     };
     let oracle = fp(ResetMode::Clone, 1);
@@ -125,7 +144,7 @@ fn ref_prepped_campaign_identical_across_worker_counts() {
     assert!(g.ref_prepped);
     let mut runs = Vec::new();
     for workers in [1usize, 2, 0] {
-        let cc = CampaignConfig { n_faults: 24, workers, ..Default::default() };
+        let cc = CampaignConfig { n_faults: 24, workers, ladder_rungs: 0, ..Default::default() };
         runs.push(fingerprint(&run_campaign(&g, Target::PrfInt, &cc).records));
     }
     assert_eq!(runs[0], runs[1]);

@@ -7,8 +7,8 @@
 
 use gem5_marvel::core::{
     attribution_by_structure, attribution_csv, attribution_jsonl, run_dsa_campaign, run_dsa_masks,
-    CampaignConfig, DsaCampaignResult, DsaEngine, DsaGolden, FaultKind, FaultMask, FaultModel,
-    ResetMode, TelemetryConfig,
+    CampaignConfig, CampaignResult, DsaEngine, DsaGolden, FaultKind, FaultMask, FaultModel, ResetMode,
+    TelemetryConfig,
 };
 use gem5_marvel::soc::Target;
 use gem5_marvel::workloads::accel;
@@ -41,7 +41,7 @@ fn config(
 /// Render the full export surface of one campaign: one line per run
 /// (classification, trap tag, cycle count, early-termination and
 /// convergence flags) plus the attribution CSV + JSONL tables.
-fn export(res: &DsaCampaignResult) -> String {
+fn export(res: &CampaignResult) -> String {
     let mut out: String = res
         .records
         .iter()
@@ -103,7 +103,13 @@ fn event_engine_without_taint_matches_cycle_oracle() {
     let g = DsaGolden::prepare((d.make)(FuConfig::default()), 50_000_000);
     let target = Target::Spm { accel: 0, mem: 1 };
     let plain = |engine| {
-        let cc = CampaignConfig { n_faults: 16, workers: 2, dsa_engine: engine, ..Default::default() };
+        let cc = CampaignConfig {
+            n_faults: 16,
+            workers: 2,
+            dsa_engine: engine,
+            ladder_rungs: 0,
+            ..Default::default()
+        };
         let res = run_dsa_campaign(&g, target, &cc);
         assert!(
             res.records.iter().all(|r| r.attribution.is_none()),

@@ -31,7 +31,13 @@ fn golden_output_matches_interpreter() {
 #[test]
 fn classification_partitions_runs() {
     let g = golden("qsort", Isa::Arm);
-    let cc = CampaignConfig { n_faults: 30, collect_hvf: true, workers: 4, ..Default::default() };
+    let cc = CampaignConfig {
+        n_faults: 30,
+        collect_hvf: true,
+        workers: 4,
+        ladder_rungs: 0,
+        ..Default::default()
+    };
     for target in [Target::PrfInt, Target::L1D, Target::StoreQueue] {
         let res = run_campaign(&g, target, &cc);
         assert_eq!(res.n(), 30, "{target:?}");
@@ -46,7 +52,13 @@ fn classification_partitions_runs() {
 #[test]
 fn hvf_corruption_implied_by_any_unmasked_effect() {
     let g = golden("bitcount", Isa::RiscV);
-    let cc = CampaignConfig { n_faults: 40, collect_hvf: true, workers: 4, ..Default::default() };
+    let cc = CampaignConfig {
+        n_faults: 40,
+        collect_hvf: true,
+        workers: 4,
+        ladder_rungs: 0,
+        ..Default::default()
+    };
     let res = run_campaign(&g, Target::L1D, &cc);
     for r in &res.records {
         if r.effect != FaultEffect::Masked {
@@ -76,9 +88,14 @@ fn permanent_faults_bias_toward_unmasked_vs_transient() {
     // A stuck-at bit present for the whole run can only be *more* harmful
     // on average than a single flip of the same bit.
     let g = golden("crc32", Isa::RiscV);
-    let t = CampaignConfig { n_faults: 60, workers: 4, ..Default::default() };
-    let p =
-        CampaignConfig { n_faults: 60, kind: FaultKind::Permanent, workers: 4, ..Default::default() };
+    let t = CampaignConfig { n_faults: 60, workers: 4, ladder_rungs: 0, ..Default::default() };
+    let p = CampaignConfig {
+        n_faults: 60,
+        kind: FaultKind::Permanent,
+        workers: 4,
+        ladder_rungs: 0,
+        ..Default::default()
+    };
     let rt = run_campaign(&g, Target::L1D, &t);
     let rp = run_campaign(&g, Target::L1D, &p);
     assert!(rp.avf() + 0.10 >= rt.avf(), "permanent {} vs transient {}", rp.avf(), rt.avf());
@@ -88,7 +105,7 @@ fn permanent_faults_bias_toward_unmasked_vs_transient() {
 fn dsa_and_cpu_frameworks_share_classification() {
     let d = accel::design("MERGESORT");
     let g = DsaGolden::prepare((d.make)(FuConfig::default()), 50_000_000);
-    let cc = CampaignConfig { n_faults: 30, workers: 4, ..Default::default() };
+    let cc = CampaignConfig { n_faults: 30, workers: 4, ladder_rungs: 0, ..Default::default() };
     let main_res = run_dsa_campaign(&g, Target::Spm { accel: 0, mem: 0 }, &cc);
     let temp_res = run_dsa_campaign(&g, Target::Spm { accel: 0, mem: 1 }, &cc);
     assert_eq!(main_res.records.len(), 30);
@@ -100,9 +117,20 @@ fn dsa_and_cpu_frameworks_share_classification() {
 #[test]
 fn early_termination_changes_speed_not_results() {
     let g = golden("dijkstra", Isa::Arm);
-    let on = CampaignConfig { n_faults: 40, workers: 4, early_termination: true, ..Default::default() };
-    let off =
-        CampaignConfig { n_faults: 40, workers: 4, early_termination: false, ..Default::default() };
+    let on = CampaignConfig {
+        n_faults: 40,
+        workers: 4,
+        early_termination: true,
+        ladder_rungs: 0,
+        ..Default::default()
+    };
+    let off = CampaignConfig {
+        n_faults: 40,
+        workers: 4,
+        early_termination: false,
+        ladder_rungs: 0,
+        ..Default::default()
+    };
     let r_on = run_campaign(&g, Target::PrfInt, &on);
     let r_off = run_campaign(&g, Target::PrfInt, &off);
     assert!((r_on.avf() - r_off.avf()).abs() < 1e-9, "early termination must not change AVF");
@@ -113,7 +141,7 @@ fn early_termination_changes_speed_not_results() {
 #[test]
 fn rename_map_and_rob_targets_injectable() {
     let g = golden("basicmath", Isa::RiscV);
-    let cc = CampaignConfig { n_faults: 15, workers: 4, ..Default::default() };
+    let cc = CampaignConfig { n_faults: 15, workers: 4, ladder_rungs: 0, ..Default::default() };
     for t in [Target::RenameMap, Target::Rob, Target::L2, Target::PrfFp] {
         let res = run_campaign(&g, t, &cc);
         assert_eq!(res.n(), 15, "{t:?}");
@@ -124,7 +152,7 @@ fn rename_map_and_rob_targets_injectable() {
 fn multi_bit_adjacent_faults_at_least_as_harmful() {
     use gem5_marvel::core::MaskGenerator;
     let g = golden("crc32", Isa::Arm);
-    let cc = CampaignConfig { n_faults: 40, workers: 4, ..Default::default() };
+    let cc = CampaignConfig { n_faults: 40, workers: 4, ladder_rungs: 0, ..Default::default() };
     let bit_len = g.ckpt.bit_len(Target::L1D);
     let mut gen1 = MaskGenerator::new(99);
     let singles = gen1.single_bit(Target::L1D, bit_len, FaultKind::Transient, g.injection_window(), 40);

@@ -44,6 +44,7 @@ fn dirty_reset_touches_bounded_bytes_on_early_terminated_runs() {
         reset_mode: ResetMode::Dirty,
         lane_width: 0,
         telemetry: TelemetryConfig { registry: registry.clone(), ..Default::default() },
+        ladder_rungs: 0,
         ..Default::default()
     };
     // PrfInt transients mostly land in dead registers: the campaign is
@@ -303,6 +304,7 @@ fn event_engine_sim_step_p50_beats_cycle_oracle() {
             workers: 2,
             dsa_engine: engine,
             telemetry: TelemetryConfig { spans: spans.clone(), ..Default::default() },
+            ladder_rungs: 0,
             ..Default::default()
         };
         run_dsa_campaign(&g, target, &cc);

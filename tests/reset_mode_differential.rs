@@ -21,6 +21,7 @@ fn config(mode: ResetMode, workers: usize) -> CampaignConfig {
         workers,
         reset_mode: mode,
         telemetry: TelemetryConfig { taint: true, ..Default::default() },
+        ladder_rungs: 0,
         ..Default::default()
     }
 }

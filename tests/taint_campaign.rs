@@ -47,7 +47,13 @@ fn matrix() -> [TelemetryConfig; 4] {
 #[test]
 fn cpu_classifications_invariant_across_taint_matrix() {
     let g = golden("crc32", Isa::RiscV);
-    let base = CampaignConfig { n_faults: 16, workers: 4, collect_hvf: true, ..Default::default() };
+    let base = CampaignConfig {
+        n_faults: 16,
+        workers: 4,
+        collect_hvf: true,
+        ladder_rungs: 0,
+        ..Default::default()
+    };
     let reference = run_campaign(&g, Target::L1D, &base);
     let key = |r: &gem5_marvel::core::CampaignResult| -> Vec<_> {
         r.records.iter().map(|x| (x.effect, x.hvf, x.trap, x.cycles)).collect()
@@ -64,9 +70,9 @@ fn dsa_classifications_invariant_across_taint_matrix() {
     let d = accel::designs().into_iter().find(|d| d.name == "FFT").expect("FFT design");
     let g = DsaGolden::prepare((d.make)(FuConfig::uniform(4)), 100_000_000);
     let target = d.components[0].target;
-    let base = CampaignConfig { n_faults: 12, workers: 4, ..Default::default() };
+    let base = CampaignConfig { n_faults: 12, workers: 4, ladder_rungs: 0, ..Default::default() };
     let reference = run_dsa_campaign(&g, target, &base);
-    let key = |r: &gem5_marvel::core::DsaCampaignResult| -> Vec<_> {
+    let key = |r: &gem5_marvel::core::CampaignResult| -> Vec<_> {
         r.records.iter().map(|x| (x.effect, x.trap, x.cycles)).collect()
     };
     for (i, tel) in matrix().into_iter().enumerate() {
@@ -93,6 +99,7 @@ fn cpu_campaign_attributes_sdc_runs_with_timeline() {
             taint: true,
             ..Default::default()
         },
+        ladder_rungs: 0,
         ..Default::default()
     };
     let res = run_campaign(&g, Target::PrfInt, &cc);

@@ -4,7 +4,8 @@
 //! the same `MaskGenerator` seed and `CampaignConfig`.
 
 use gem5_marvel::core::{
-    run_campaign, run_dsa_campaign, CampaignConfig, DsaGolden, Golden, TelemetryConfig,
+    run_campaign, run_dsa_campaign, CampaignConfig, DsaEngine, DsaGolden, Golden, ResetMode,
+    TelemetryConfig,
 };
 use gem5_marvel::cpu::CoreConfig;
 use gem5_marvel::ir::assemble;
@@ -39,7 +40,13 @@ fn full_telemetry() -> TelemetryConfig {
 fn cpu_campaign_classifications_invariant_under_telemetry() {
     let g = golden("bitcount", Isa::RiscV);
     for target in [Target::PrfInt, Target::L1D] {
-        let plain = CampaignConfig { n_faults: 24, workers: 4, collect_hvf: true, ..Default::default() };
+        let plain = CampaignConfig {
+            n_faults: 24,
+            workers: 4,
+            collect_hvf: true,
+            ladder_rungs: 0,
+            ..Default::default()
+        };
         let instrumented = CampaignConfig { telemetry: full_telemetry(), ..plain.clone() };
 
         let r1 = run_campaign(&g, target, &plain);
@@ -67,10 +74,20 @@ fn repeated_instrumented_campaigns_are_identical() {
     // Same seed + config with telemetry enabled twice: tallies must match
     // run-for-run (worker scheduling must not leak into results).
     let g = golden("crc32", Isa::Arm);
-    let cc1 =
-        CampaignConfig { n_faults: 16, workers: 3, telemetry: full_telemetry(), ..Default::default() };
-    let cc2 =
-        CampaignConfig { n_faults: 16, workers: 3, telemetry: full_telemetry(), ..Default::default() };
+    let cc1 = CampaignConfig {
+        n_faults: 16,
+        workers: 3,
+        telemetry: full_telemetry(),
+        ladder_rungs: 0,
+        ..Default::default()
+    };
+    let cc2 = CampaignConfig {
+        n_faults: 16,
+        workers: 3,
+        telemetry: full_telemetry(),
+        ladder_rungs: 0,
+        ..Default::default()
+    };
     let r1 = run_campaign(&g, Target::L1D, &cc1);
     let r2 = run_campaign(&g, Target::L1D, &cc2);
     let e1: Vec<_> = r1.records.iter().map(|r| (r.effect, r.cycles)).collect();
@@ -95,7 +112,7 @@ fn dsa_campaign_classifications_invariant_under_telemetry() {
     let golden = DsaGolden::prepare((d.make)(FuConfig::uniform(4)), 100_000_000);
     let target = d.components[0].target;
 
-    let plain = CampaignConfig { n_faults: 20, workers: 4, ..Default::default() };
+    let plain = CampaignConfig { n_faults: 20, workers: 4, ladder_rungs: 0, ..Default::default() };
     let instrumented = CampaignConfig { telemetry: full_telemetry(), ..plain.clone() };
     let r1 = run_dsa_campaign(&golden, target, &plain);
     let r2 = run_dsa_campaign(&golden, target, &instrumented);
@@ -107,4 +124,116 @@ fn dsa_campaign_classifications_invariant_under_telemetry() {
     let snap = instrumented.telemetry.registry.snapshot();
     let runs = snap.counters.iter().find(|(n, _)| n == "dsa.runs").unwrap().1;
     assert_eq!(runs, 20);
+}
+
+/// Sorted counter and histogram names a registry holds.
+fn metric_names(reg: &Registry) -> (Vec<String>, Vec<String>) {
+    let snap = reg.snapshot();
+    let mut counters: Vec<String> = snap.counters.into_iter().map(|(n, _)| n).collect();
+    let mut hists: Vec<String> = snap.histograms.into_iter().map(|(n, _)| n).collect();
+    counters.sort();
+    hists.sort();
+    (counters, hists)
+}
+
+/// The registry names one campaign publishes, pinned: perfbench, the
+/// `METRICS`/Prometheus exports and the tallies above read them by name,
+/// so a change to the campaign driver must publish exactly this set.
+/// One worker keeps the lazily registered reset histograms deterministic.
+#[test]
+fn campaign_drives_publish_pinned_metric_names() {
+    let g = golden("crc32", Isa::RiscV);
+    let cc = CampaignConfig {
+        n_faults: 24,
+        workers: 1,
+        ladder_rungs: 8,
+        lane_width: 64,
+        reset_mode: ResetMode::Dirty,
+        telemetry: TelemetryConfig { registry: Registry::new(), ..Default::default() },
+        ..Default::default()
+    };
+    run_campaign(&g, Target::PrfInt, &cc);
+    let (counters, hists) = metric_names(&cc.telemetry.registry);
+    assert_eq!(
+        counters,
+        [
+            "campaign.bit_population",
+            "campaign.convergence_exits",
+            "campaign.crash",
+            "campaign.early_terminated",
+            "campaign.golden_exec_cycles",
+            "campaign.ladder_build_ns",
+            "campaign.ladder_rungs",
+            "campaign.lane_forks",
+            "campaign.lane_passes",
+            "campaign.lane_runs_packed",
+            "campaign.masked",
+            "campaign.runs",
+            "campaign.sdc",
+            "campaign.worker0.runs",
+        ]
+    );
+    assert_eq!(
+        hists,
+        [
+            "campaign.lane_occupancy",
+            "campaign.prefix_cycles",
+            "campaign.prefix_cycles_skipped",
+            "campaign.run_cycles",
+        ]
+    );
+
+    let d = accel::designs().into_iter().find(|d| d.name == "FFT").expect("FFT design");
+    let golden = DsaGolden::prepare((d.make)(FuConfig::uniform(4)), 100_000_000);
+    let cc = CampaignConfig {
+        n_faults: 24,
+        workers: 1,
+        ladder_rungs: 8,
+        dsa_engine: DsaEngine::Event,
+        reset_mode: ResetMode::Dirty,
+        telemetry: TelemetryConfig { registry: Registry::new(), ..Default::default() },
+        ..Default::default()
+    };
+    run_dsa_campaign(&golden, d.components[0].target, &cc);
+    let (counters, hists) = metric_names(&cc.telemetry.registry);
+    assert_eq!(
+        counters,
+        [
+            "dsa.bit_population",
+            "dsa.convergence_exits",
+            "dsa.crash",
+            "dsa.early_terminated",
+            "dsa.golden_accel.blocks_executed",
+            "dsa.golden_accel.compute_cycles",
+            "dsa.golden_accel.cycles",
+            "dsa.golden_accel.mem_reads",
+            "dsa.golden_accel.mem_writes",
+            "dsa.golden_accel.memo_hits",
+            "dsa.golden_accel.node_evals",
+            "dsa.golden_accel.nodes_executed",
+            "dsa.golden_accel.spm0.reads",
+            "dsa.golden_accel.spm0.writes",
+            "dsa.golden_accel.spm1.reads",
+            "dsa.golden_accel.spm1.writes",
+            "dsa.golden_accel.spm2.reads",
+            "dsa.golden_accel.spm2.writes",
+            "dsa.golden_cycles",
+            "dsa.ladder_build_ns",
+            "dsa.ladder_rungs",
+            "dsa.masked",
+            "dsa.runs",
+            "dsa.sdc",
+            "dsa.worker0.runs",
+        ]
+    );
+    assert_eq!(
+        hists,
+        [
+            "dsa.prefix_cycles",
+            "dsa.prefix_cycles_skipped",
+            "dsa.reset_bytes",
+            "dsa.reset_ns",
+            "dsa.run_cycles"
+        ]
+    );
 }
