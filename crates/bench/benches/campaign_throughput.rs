@@ -124,7 +124,7 @@ struct Mode {
     s: Sample,
 }
 
-/// Lane-packed campaign leg: the scalar oracle (`--lane-width 0`) against
+/// Lane-packed campaign leg: the scalar oracle (`lane_width: 0`) against
 /// the 64-wide bit-plane engine on the same masks, dirty reset and worker
 /// count, so the ratio isolates the lane packing itself. Occupancy and
 /// fork counts come from the campaign registry

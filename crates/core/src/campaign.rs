@@ -93,24 +93,13 @@ pub struct TelemetryConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResetMode {
     /// Deep-clone the golden checkpoint for every run. The original path,
-    /// kept selectable as an oracle for the dirty-reset journal.
+    /// kept as the oracle the differential suites hold dirty reset to.
     Clone,
     /// Zero-copy: each worker keeps one reusable [`System`] and undoes
     /// dirty state (journaled RAM pages, cache sets, registers) against
     /// the shared pristine checkpoint between runs.
     #[default]
     Dirty,
-}
-
-impl ResetMode {
-    /// Parse a CLI flag value.
-    pub fn parse(s: &str) -> Option<ResetMode> {
-        match s {
-            "clone" => Some(ResetMode::Clone),
-            "dirty" => Some(ResetMode::Dirty),
-            _ => None,
-        }
-    }
 }
 
 /// Which stepping engine DSA campaigns drive the accelerator with.
@@ -120,8 +109,8 @@ impl ResetMode {
 /// back to Cycle automatically when a design is unschedulable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DsaEngine {
-    /// Tick-every-cycle CDFG execution — the original oracle, kept
-    /// selectable for differential testing.
+    /// Tick-every-cycle CDFG execution — the original oracle, kept for
+    /// the differential suites.
     Cycle,
     /// Event-driven stepping over the precomputed static schedule with
     /// memoized golden-trace replay.
@@ -129,23 +118,16 @@ pub enum DsaEngine {
     Event,
 }
 
-impl DsaEngine {
-    /// Parse a CLI flag value.
-    pub fn parse(s: &str) -> Option<DsaEngine> {
-        match s {
-            "cycle" => Some(DsaEngine::Cycle),
-            "event" => Some(DsaEngine::Event),
-            _ => None,
-        }
-    }
-}
-
 /// Campaign-wide configuration. [`Default`] is the shipped
 /// configuration — the one `marvel campaign`, `marvel dsa`, campaign
 /// specs and the paper-figure harnesses run: an 8-rung ladder, 64-wide
 /// lanes, the event DSA engine and dirty reset. The oracle settings
 /// (`ladder_rungs: 0`, `lane_width: 0`, [`DsaEngine::Cycle`],
-/// [`ResetMode::Clone`]) must be named explicitly.
+/// [`ResetMode::Clone`]) must be named explicitly. Only the ladder is a
+/// user setting (`--ladder-rungs`, spec `ladder_rungs`); `lane_width`,
+/// `dsa_engine` and `reset_mode` are set only by code — the differential
+/// suites and the benchmark's oracle audit — since each merely selects a
+/// slower path to the same records.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     pub n_faults: usize,

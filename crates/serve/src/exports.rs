@@ -7,8 +7,8 @@
 use crate::journal::encode_record;
 use crate::spec::{CampaignSpec, Prepared};
 use marvel_core::{
-    attribution_by_structure, attribution_csv, attribution_jsonl, csv_row, CampaignConfig,
-    CampaignResult, RunRecord, CSV_HEADER,
+    attribution_by_structure, attribution_csv, attribution_jsonl, csv_row, CampaignConfig, RunRecord,
+    CSV_HEADER,
 };
 use marvel_telemetry::SCHEMA_VERSION;
 use std::path::Path;
@@ -45,13 +45,7 @@ pub fn render_records_jsonl(records: &[RunRecord]) -> String {
 
 /// Campaign summary row (the `marvel campaign` report surface as CSV).
 pub fn render_summary_csv(spec: &CampaignSpec, prepared: &Prepared, records: &[RunRecord]) -> String {
-    let res = CampaignResult {
-        target: prepared.target,
-        records: records.to_vec(),
-        bit_population: prepared.bit_population,
-        golden_exec_cycles: prepared.golden_cycles,
-        confidence: CampaignConfig::default().confidence,
-    };
+    let res = prepared.result(records.to_vec(), CampaignConfig::default().confidence);
     let mut out = String::from(CSV_HEADER);
     out.push_str(&csv_row(&spec.id, &res));
     out

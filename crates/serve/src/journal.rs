@@ -22,7 +22,6 @@
 //! loudly — a journal must never be silently reinterpreted.
 
 use crate::json::{parse, Json};
-use crate::spec::SPEC_SCHEMA_VERSION;
 use marvel_core::{FaultEffect, HvfEffect, RunRecord};
 use marvel_telemetry::{json_string, Attribution, Histogram, PhaseId, SpanCollector};
 use std::fs::File;
@@ -30,6 +29,12 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Version of the journal format. Independent of the spec schema: a
+/// journal names its spec only by digest, and a digest changes with the
+/// spec's rendering, so a journal written under an older spec schema is
+/// refused at the digest check instead.
+pub const JOURNAL_SCHEMA_VERSION: u32 = 1;
 
 /// Records between fsync'd watermarks. Small enough that a SIGKILL loses
 /// at most a batch of cheap re-runnable injections, large enough that
@@ -156,7 +161,7 @@ pub fn decode_record(v: &Json) -> Result<(usize, RunRecord), String> {
 
 fn header_line(campaign: &str, digest: &str, runs: usize) -> String {
     format!(
-        "{{\"type\":\"journal\",\"schema_version\":{SPEC_SCHEMA_VERSION},\"campaign\":{},\"spec_digest\":{},\"runs\":{runs}}}",
+        "{{\"type\":\"journal\",\"schema_version\":{JOURNAL_SCHEMA_VERSION},\"campaign\":{},\"spec_digest\":{},\"runs\":{runs}}}",
         json_string(campaign),
         json_string(digest)
     )
@@ -182,9 +187,9 @@ pub fn read_journal(
     }
     let version =
         header.get("schema_version").and_then(Json::as_u64).ok_or("journal has no schema_version")?;
-    if version as u32 != SPEC_SCHEMA_VERSION {
+    if version != u64::from(JOURNAL_SCHEMA_VERSION) {
         return Err(format!(
-            "unknown journal schema_version {version} (this reader understands {SPEC_SCHEMA_VERSION})"
+            "unknown journal schema_version {version} (this reader understands {JOURNAL_SCHEMA_VERSION})"
         ));
     }
     let jc = header.get("campaign").and_then(Json::as_str).unwrap_or("");

@@ -184,8 +184,10 @@ impl Parser<'_> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let lo = self.hex4()?;
-                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(c)
+                                    (0xDC00..0xE000)
+                                        .contains(&lo)
+                                        .then(|| 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -298,6 +300,13 @@ mod tests {
         let v = parse(r#""aé😀b""#).unwrap();
         assert_eq!(v.as_str(), Some("aé😀b"));
         assert_eq!(parse("\"héllo\"").unwrap().as_str(), Some("héllo"));
+    }
+
+    #[test]
+    fn rejects_unpaired_surrogates() {
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap().as_str(), Some("😀"));
+        assert!(parse(r#""\ud83d\u0041""#).unwrap_err().contains("bad \\u escape"));
+        assert!(parse(r#""\ud83d""#).is_err());
     }
 
     #[test]

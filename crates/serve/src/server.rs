@@ -181,6 +181,17 @@ impl Campaign {
         }
     }
 
+    /// The campaign's telemetry: its registry and spans, no progress
+    /// line and no flight recorder (the spec's taint switch rides
+    /// `CampaignSpec::to_config`).
+    fn telemetry(&self) -> TelemetryConfig {
+        TelemetryConfig {
+            registry: self.registry.clone(),
+            spans: self.spans.clone(),
+            ..TelemetryConfig::default()
+        }
+    }
+
     fn status_line(&self) -> String {
         let st = self.state.lock().unwrap();
         format!(
@@ -386,14 +397,7 @@ impl Server {
     /// transition to Running (or straight to Done when the recovered
     /// journal is already complete).
     fn run_prep(&self, c: &Arc<Campaign>) {
-        let telemetry = TelemetryConfig {
-            registry: c.registry.clone(),
-            progress_interval_ms: 0,
-            flight_capacity: 0,
-            taint: c.spec.taint,
-            spans: c.spans.clone(),
-        };
-        let cc = c.spec.to_config(telemetry);
+        let cc = c.spec.to_config(c.telemetry());
         let prepared = match Prepared::new(&c.spec, &cc) {
             Ok(p) => Arc::new(p),
             Err(e) => return self.fail(c, format!("golden prep failed: {e}")),
@@ -451,14 +455,7 @@ impl Server {
     fn run_shard(&self, c: &Arc<Campaign>, idxs: &[usize]) {
         let (prepared, mut cc) = {
             let st = c.state.lock().unwrap();
-            let telemetry = TelemetryConfig {
-                registry: c.registry.clone(),
-                progress_interval_ms: 0,
-                flight_capacity: 0,
-                taint: c.spec.taint,
-                spans: c.spans.clone(),
-            };
-            (st.prepared.clone().expect("shard claimed before prep"), c.spec.to_config(telemetry))
+            (st.prepared.clone().expect("shard claimed before prep"), c.spec.to_config(c.telemetry()))
         };
         cc.workers = 1;
         let mut skip = vec![true; c.total];

@@ -7,13 +7,12 @@
 //! marvel disasm <benchmark> [--isa ...] [--limit N]
 //! marvel campaign <benchmark> [--isa ...] [--target prf|l1i|l1d|l2|lq|sq|rob|rename]
 //!                 [--faults N] [--kind transient|permanent] [--hvf] [--seed S]
-//!                 [--prep ref|cycle] [--reset-mode clone|dirty]
-//!                 [--ladder-rungs N] [--convergence-exit] [--lane-width N]
+//!                 [--prep ref|cycle] [--ladder-rungs N] [--convergence-exit]
 //!                 [--workers N] [--metrics [path]] [--forensics [path]] [--progress [ms]]
 //!                 [--taint] [--attribution [path]] [--trace-pipeline [dir]]
 //!                 [--trace-spans [path]] [--phase-report]
-//! marvel dsa <design> [--faults N] [--fus N] [--reset-mode clone|dirty]
-//!                 [--dsa-engine cycle|event]
+//!                 [--journal path [--resume]] [--campaign-id id]
+//! marvel dsa <design> [--faults N] [--fus N]
 //!                 [--ladder-rungs N] [--convergence-exit] [--workers N]
 //!                 [--metrics [path]] [--forensics [path]] [--progress [ms]]
 //!                 [--taint] [--attribution [path]]
@@ -24,6 +23,13 @@
 //! marvel watch <campaign-id> [--root dir]
 //! ```
 //!
+//! Every command rejects flags it does not know and flag values it
+//! cannot parse, naming the flag, before any work starts.
+//! `marvel campaign` and `marvel dsa` describe their campaign as a
+//! [`CampaignSpec`] — the document `marvel submit` sends — starting from
+//! the defaults every spec starts from, and run the config
+//! [`CampaignSpec::to_config`] derives from it; a spec and a command line
+//! with the same fields run the same campaign.
 //! `--metrics`/`--forensics` export registry snapshots and flight-recorder
 //! timelines (JSONL; default paths under `results/`); `--progress` prints
 //! a live progress line with rate, ETA and the running AVF ± margin.
@@ -37,29 +43,16 @@
 //! `--phase-report` prints the per-phase wall-time attribution table
 //! (calls, total/self µs, p50/p95) with a coverage line. Either flag
 //! enables the collector; with both absent the span hooks stay no-ops.
-//! `--reset-mode` selects how each injection run gets its starting state:
-//! `dirty` (default) reuses one system per worker and undoes journaled
-//! dirty state against the shared checkpoint; `clone` deep-clones the
-//! checkpoint per run (the original path, kept as an oracle — both modes
-//! produce bit-identical reports).
-//! `--dsa-engine` (default `event`) picks the accelerator drive engine:
-//! `event` precomputes the static CDFG schedule at golden prep and jumps
-//! between node-fire events, replaying memoized golden values for
-//! untainted nodes; `cycle` is the original tick-every-cycle oracle.
-//! Both engines produce bit-identical campaign reports — designs the
-//! schedule builder rejects fall back to `cycle` automatically.
 //! `--ladder-rungs` (default 8) snapshots the fault-free run at N evenly
-//! spaced cycles; each injection run then restores the nearest rung below
-//! its injection cycle instead of re-simulating the fault-free prefix.
+//! spaced cycles; each injection run then restores a rung near its
+//! injection cycle instead of re-simulating the fault-free prefix.
 //! `--convergence-exit` additionally diffs each run's journaled dirty
 //! state against the golden rung at every crossing and declares the fault
 //! Masked the moment all of it has converged. Both are pure optimisations:
 //! reports stay bit-identical to `--ladder-rungs 0` (the full-run oracle).
-//! `--lane-width` (default 64) packs up to N single-bit transients on the
-//! same structure into bit-plane lanes of one shared golden execution,
-//! forking a lane out to an ordinary scalar run the moment it diverges;
-//! 0 (or 1) disables packing and restores the scalar oracle. Pure
-//! optimisation: records stay byte-identical at every width.
+//! The engine's other fast paths — dirty reset, 64-wide lane packing and
+//! the event-driven DSA engine — are always on; their oracles are
+//! `CampaignConfig` fields the differential test suites set.
 //! `--lockstep` runs the cycle-level core under the architectural
 //! reference model, checking every committed instruction's effects and
 //! reporting the first divergence; `--prep ref` fast-forwards the golden
@@ -77,93 +70,169 @@
 //! `marvel status`, and stream live progress with `marvel watch`.
 
 use gem5_marvel::core::{
-    attribution_by_structure, attribution_csv, attribution_jsonl, build_campaign_ladder, campaign_masks,
-    drive_masks, render_attribution, run_campaign, run_dsa_campaign, trace_pipeline_pair,
-    CampaignConfig, CampaignResult, DsaEngine, DsaGolden, FaultEffect, FaultKind, Golden, ResetMode,
-    RunRecord, TelemetryConfig,
+    attribution_by_structure, attribution_csv, attribution_jsonl, render_attribution, run_dsa_campaign,
+    trace_pipeline_pair, CampaignConfig, CampaignResult, DsaEngine, DsaGolden, FaultEffect, RunRecord,
+    TelemetryConfig,
 };
 use gem5_marvel::cpu::CoreConfig;
 use gem5_marvel::ir::assemble;
 use gem5_marvel::isa::{disassemble, Isa};
-use gem5_marvel::serve::spec::parse_cpu_target;
+use gem5_marvel::serve::spec::{find_design, parse_cpu_target, parse_isa, parse_kind};
 use gem5_marvel::serve::{
-    install_shutdown_handler, read_addr_file, request, serve, watch, CampaignSpec, Journal, ServeConfig,
-    Workload,
+    install_shutdown_handler, read_addr_file, request, serve, watch, CampaignSpec, Journal, Prepared,
+    ServeConfig, Workload,
 };
-use gem5_marvel::soc::{RunOutcome, System, Target};
+use gem5_marvel::soc::{RunOutcome, System};
 use gem5_marvel::telemetry::{
     append_jsonl_line, json_string, render_chrome_trace, render_phase_table, write_snapshot, PhaseId,
     Registry, SpanCollector,
 };
 use gem5_marvel::workloads::{accel, mibench};
 use marvel_accel::FuConfig;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Mutex;
+
+/// What a flag takes after its name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Takes {
+    /// A switch: `--hvf`.
+    Nothing,
+    /// A required value: `--faults 40`.
+    Value,
+    /// An optional value: `--metrics` or `--metrics out.jsonl`.
+    Optional,
+}
+
+/// Flags `marvel campaign` and `marvel dsa` share: the campaign fields
+/// both commands set on their spec, and the telemetry outputs.
+const CAMPAIGN_FLAGS: &[(&str, Takes)] = &[
+    ("faults", Takes::Value),
+    ("workers", Takes::Value),
+    ("ladder-rungs", Takes::Value),
+    ("convergence-exit", Takes::Nothing),
+    ("taint", Takes::Nothing),
+    ("attribution", Takes::Optional),
+    ("metrics", Takes::Optional),
+    ("forensics", Takes::Optional),
+    ("progress", Takes::Optional),
+    ("trace-spans", Takes::Optional),
+    ("phase-report", Takes::Nothing),
+];
+
+/// The flags `cmd` accepts, or `None` for an unknown command.
+fn command_flags(cmd: &str) -> Option<Vec<(&'static str, Takes)>> {
+    let own: &[(&str, Takes)] = match cmd {
+        "list" => &[],
+        "run" => &[
+            ("isa", Takes::Value),
+            ("lockstep", Takes::Nothing),
+            ("trace-spans", Takes::Optional),
+            ("phase-report", Takes::Nothing),
+        ],
+        "disasm" => &[("isa", Takes::Value), ("limit", Takes::Value)],
+        "campaign" => &[
+            ("isa", Takes::Value),
+            ("target", Takes::Value),
+            ("kind", Takes::Value),
+            ("seed", Takes::Value),
+            ("hvf", Takes::Nothing),
+            ("prep", Takes::Value),
+            ("trace-pipeline", Takes::Optional),
+            ("journal", Takes::Value),
+            ("resume", Takes::Nothing),
+            ("campaign-id", Takes::Value),
+        ],
+        "dsa" => &[("fus", Takes::Value)],
+        "serve" => &[
+            ("root", Takes::Value),
+            ("addr", Takes::Value),
+            ("workers", Takes::Value),
+            ("shard", Takes::Value),
+            ("once", Takes::Nothing),
+        ],
+        "submit" => &[("root", Takes::Value), ("spool", Takes::Nothing)],
+        "status" | "watch" => &[("root", Takes::Value)],
+        _ => return None,
+    };
+    let shared = if matches!(cmd, "campaign" | "dsa") { CAMPAIGN_FLAGS } else { &[] };
+    Some(own.iter().chain(shared).copied().collect())
+}
 
 struct Args {
     positional: Vec<String>,
-    flags: std::collections::HashMap<String, String>,
-    switches: std::collections::HashSet<String>,
+    flags: HashMap<String, String>,
+    switches: HashSet<String>,
 }
 
-fn parse_args(argv: &[String]) -> Args {
-    let mut positional = Vec::new();
-    let mut flags = std::collections::HashMap::new();
-    let mut switches = std::collections::HashSet::new();
-    let mut i = 0;
-    while i < argv.len() {
-        let a = &argv[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                flags.insert(name.to_string(), argv[i + 1].clone());
-                i += 2;
-            } else {
-                switches.insert(name.to_string());
-                i += 1;
+/// Split `argv` into positionals, flag values and switches per the
+/// command's `table`. A flag outside the table, or one that needs a value
+/// and has none, is an error naming the flag.
+fn parse_args(argv: &[String], table: &[(&str, Takes)]) -> Result<Args, String> {
+    let mut args = Args { positional: Vec::new(), flags: HashMap::new(), switches: HashSet::new() };
+    let cmd = argv.first().map_or("", String::as_str);
+    let mut it = argv.iter().peekable();
+    while let Some(a) = it.next() {
+        let Some(name) = a.strip_prefix("--") else {
+            args.positional.push(a.clone());
+            continue;
+        };
+        let takes =
+            table.iter().find(|(n, _)| *n == name).map(|&(_, t)| t).ok_or_else(|| {
+                format!("unknown flag --{name} for `marvel {cmd}` (see `marvel help`)")
+            })?;
+        let value = match takes {
+            Takes::Nothing => None,
+            Takes::Value | Takes::Optional => it.next_if(|v| !v.starts_with("--")),
+        };
+        match value {
+            Some(v) => {
+                args.flags.insert(name.to_string(), v.clone());
             }
-        } else {
-            positional.push(a.clone());
-            i += 1;
+            None if takes == Takes::Value => return Err(format!("--{name} needs a value")),
+            None => {
+                args.switches.insert(name.to_string());
+            }
         }
     }
-    Args { positional, flags, switches }
+    Ok(args)
 }
 
-fn parse_isa(s: &str) -> Result<Isa, String> {
-    match s.to_lowercase().as_str() {
-        "arm" => Ok(Isa::Arm),
-        "x86" => Ok(Isa::X86),
-        "riscv" | "risc-v" | "rv" => Ok(Isa::RiscV),
-        other => Err(format!("unknown ISA '{other}' (arm|x86|riscv)")),
+impl Args {
+    fn value(&self, name: &str) -> Option<&str> {
+        self.flags.get(name).map(String::as_str)
     }
-}
 
-/// Parse `--reset-mode clone|dirty` (default: dirty, the zero-copy path;
-/// `clone` keeps the original deep-clone-per-run oracle selectable).
-fn parse_reset_mode(args: &Args) -> Result<ResetMode, String> {
-    match args.flags.get("reset-mode") {
-        None => Ok(ResetMode::default()),
-        Some(v) => ResetMode::parse(v).ok_or_else(|| format!("unknown reset mode '{v}' (clone|dirty)")),
+    fn switch(&self, name: &str) -> bool {
+        self.switches.contains(name)
     }
-}
 
-/// Parse `--lane-width N` (default 64: pack up to 64 single-bit
-/// transients per lane pass; 0 or 1 restores the scalar oracle; widths
-/// above 64 are clamped by the engine).
-fn parse_lane_width(args: &Args) -> Result<usize, String> {
-    match args.flags.get("lane-width") {
-        None => Ok(CampaignConfig::default().lane_width),
-        Some(v) => v.parse().map_err(|_| format!("bad --lane-width '{v}' (want 0..=64)")),
+    /// The value of `--<name>` parsed as `T`; an unparsable value is an
+    /// error naming the flag and what it `want`s.
+    fn parsed<T: FromStr>(&self, name: &str, want: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| v.parse().map_err(|_| format!("bad --{name} '{v}' (want {want})")))
+            .transpose()
+    }
+
+    /// `--<name> <v>` through `parse`, with errors naming the flag.
+    fn parsed_with<T>(
+        &self,
+        name: &str,
+        parse: fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.value(name).map(|v| parse(v).map_err(|e| format!("--{name}: {e}"))).transpose()
     }
 }
 
 /// Resolve `--<name> <path>` (explicit path) or bare `--<name>` (default
 /// path under `results/`).
 fn path_flag(args: &Args, name: &str, default: &str) -> Option<PathBuf> {
-    if let Some(v) = args.flags.get(name) {
+    if let Some(v) = args.value(name) {
         Some(PathBuf::from(v))
-    } else if args.switches.contains(name) {
+    } else if args.switch(name) {
         Some(PathBuf::from(default))
     } else {
         None
@@ -178,9 +247,6 @@ struct SpanOutputs {
     report: bool,
 }
 
-/// Fault count of `marvel campaign` / `marvel dsa` without `--faults`.
-const DEFAULT_FAULTS: usize = 100;
-
 /// Where a campaign command writes its exports once the campaign is done.
 struct Outputs {
     metrics: Option<PathBuf>,
@@ -188,58 +254,61 @@ struct Outputs {
     spans: SpanOutputs,
 }
 
-/// The config `marvel campaign` and `marvel dsa` share: `--faults`,
-/// `--reset-mode`, `--ladder-rungs` (0 = the full-prefix oracle),
-/// `--convergence-exit`, `--workers` and the telemetry flags
-/// (`--metrics`, `--forensics`, `--progress [ms]`, `--taint`,
-/// `--trace-spans`, `--phase-report`; default paths
-/// `results/<cmd>_*`), over `CampaignConfig::default()`. Each command
-/// sets its own flags on top.
-fn campaign_config(args: &Args, cmd: &str) -> Result<(CampaignConfig, Outputs), String> {
-    let defaults = CampaignConfig::default();
-    let count = |flag: &str, default: usize| match args.flags.get(flag) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("bad --{flag} '{v}' (want a count)")),
-    };
+/// The spec `marvel campaign` and `marvel dsa` share: `workload` with the
+/// defaults of every spec ([`CampaignSpec::new`]), then `--faults`,
+/// `--workers`, `--ladder-rungs` (0 = the full-prefix oracle),
+/// `--convergence-exit` and `--taint`. Each command sets its own flags on
+/// top.
+fn campaign_spec(args: &Args, id: &str, workload: Workload) -> Result<CampaignSpec, String> {
+    let mut spec = CampaignSpec::new(id, workload)?;
+    if let Some(n) = args.parsed("faults", "a count of at least 1")? {
+        spec.n_faults = n;
+    }
+    if spec.n_faults == 0 {
+        return Err("bad --faults '0' (want a count of at least 1)".into());
+    }
+    spec.workers = args.parsed("workers", "a count")?.unwrap_or(spec.workers);
+    spec.ladder_rungs = args.parsed("ladder-rungs", "a count")?.unwrap_or(spec.ladder_rungs);
+    spec.convergence_exit = args.switch("convergence-exit");
+    spec.taint = args.switch("taint");
+    Ok(spec)
+}
+
+/// The config `marvel campaign` and `marvel dsa` run `spec` with:
+/// [`CampaignSpec::to_config`] with the telemetry the output flags ask for
+/// (`--metrics`, `--forensics`, `--progress [ms]`, `--trace-spans`,
+/// `--phase-report`; default paths `results/<cmd>_*`).
+fn campaign_config(
+    args: &Args,
+    cmd: &str,
+    spec: &CampaignSpec,
+) -> Result<(CampaignConfig, Outputs), String> {
     let out = Outputs {
         metrics: path_flag(args, "metrics", &format!("results/{cmd}_metrics.jsonl")),
         forensics: path_flag(args, "forensics", &format!("results/{cmd}_forensics.jsonl")),
         spans: SpanOutputs {
             trace: path_flag(args, "trace-spans", &format!("results/{cmd}_trace.json")),
-            report: args.switches.contains("phase-report"),
+            report: args.switch("phase-report"),
         },
     };
-    let progress_interval_ms = if args.switches.contains("progress") {
+    let progress_interval_ms = if args.switch("progress") {
         500
     } else {
-        args.flags.get("progress").and_then(|v| v.parse().ok()).unwrap_or(0)
+        args.parsed("progress", "milliseconds")?.unwrap_or(0)
     };
-    let taint = args.switches.contains("taint") || args.flags.contains_key("taint");
     let telemetry = TelemetryConfig {
         registry: if out.metrics.is_some() { Registry::new() } else { Registry::disabled() },
         progress_interval_ms,
         // Taint timelines ride the flight recorder, so --taint implies it.
-        flight_capacity: if out.forensics.is_some() || taint { 64 } else { 0 },
-        taint,
+        flight_capacity: if out.forensics.is_some() || spec.taint { 64 } else { 0 },
         spans: if out.spans.trace.is_some() || out.spans.report {
             SpanCollector::enabled()
         } else {
             SpanCollector::disabled()
         },
+        ..TelemetryConfig::default()
     };
-    let cc = CampaignConfig {
-        n_faults: args
-            .flags
-            .get("faults")
-            .map_or(DEFAULT_FAULTS, |v| v.parse().unwrap_or(DEFAULT_FAULTS)),
-        workers: count("workers", defaults.workers)?,
-        reset_mode: parse_reset_mode(args)?,
-        ladder_rungs: count("ladder-rungs", defaults.ladder_rungs)?,
-        convergence_exit: args.switches.contains("convergence-exit"),
-        telemetry,
-        ..defaults
-    };
-    Ok((cc, out))
+    Ok((spec.to_config(telemetry), out))
 }
 
 /// Print the phase attribution table and/or write the Chrome trace JSON.
@@ -312,20 +381,6 @@ fn dump_forensics(path: &std::path::Path, records: &[RunRecord], label: &str) ->
     Ok(n)
 }
 
-fn golden_for(bench: &str, isa: Isa, fast: bool) -> Result<Golden, String> {
-    if !mibench::NAMES.contains(&bench) {
-        return Err(format!("unknown benchmark '{bench}' (try `marvel list`)"));
-    }
-    let bin = assemble(&mibench::build(bench), isa).map_err(|e| e.to_string())?;
-    let mut sys = System::new(CoreConfig::table2(isa));
-    sys.load_binary(&bin);
-    if fast {
-        Golden::prepare_fast(sys, 200_000_000).map_err(|e| e.to_string())
-    } else {
-        Golden::prepare(sys, 200_000_000).map_err(|e| e.to_string())
-    }
-}
-
 fn cmd_list() -> Result<(), String> {
     println!("CPU benchmarks (MiBench-style):");
     for n in mibench::NAMES {
@@ -342,17 +397,17 @@ fn cmd_list() -> Result<(), String> {
 
 fn cmd_run(args: &Args) -> Result<(), String> {
     let bench = args.positional.get(1).ok_or("usage: marvel run <benchmark>")?;
-    let isa = parse_isa(args.flags.get("isa").map(String::as_str).unwrap_or("riscv"))?;
+    let isa = args.parsed_with("isa", parse_isa)?.unwrap_or(Isa::RiscV);
     let bin = assemble(&mibench::build(bench), isa).map_err(|e| e.to_string())?;
     let mut sys = System::new(CoreConfig::table2(isa));
     sys.load_binary(&bin);
-    let lockstep = args.switches.contains("lockstep");
+    let lockstep = args.switch("lockstep");
     if lockstep {
         sys.enable_lockstep();
     }
     let spans_out = SpanOutputs {
         trace: path_flag(args, "trace-spans", "results/run_trace.json"),
-        report: args.switches.contains("phase-report"),
+        report: args.switch("phase-report"),
     };
     let spans = if spans_out.trace.is_some() || spans_out.report {
         SpanCollector::enabled()
@@ -409,8 +464,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 
 fn cmd_disasm(args: &Args) -> Result<(), String> {
     let bench = args.positional.get(1).ok_or("usage: marvel disasm <benchmark>")?;
-    let isa = parse_isa(args.flags.get("isa").map(String::as_str).unwrap_or("riscv"))?;
-    let limit: usize = args.flags.get("limit").map(|v| v.parse().unwrap_or(40)).unwrap_or(40);
+    let isa = args.parsed_with("isa", parse_isa)?.unwrap_or(Isa::RiscV);
+    let limit = args.parsed("limit", "a count")?.unwrap_or(40);
     let bin = assemble(&mibench::build(bench), isa).map_err(|e| e.to_string())?;
     for line in disassemble(isa, bin.entry, &bin.image[..bin.code_len]).iter().take(limit) {
         println!("{line}");
@@ -421,77 +476,48 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
 
 fn cmd_campaign(args: &Args) -> Result<(), String> {
     let bench = args.positional.get(1).ok_or("usage: marvel campaign <benchmark>")?;
-    let isa = parse_isa(args.flags.get("isa").map(String::as_str).unwrap_or("riscv"))?;
-    let target = parse_cpu_target(&args.flags.get("target").map_or("prf".into(), |t| t.to_lowercase()))?;
-    let fast_prep = match args.flags.get("prep").map(String::as_str).unwrap_or("cycle") {
+    let isa = args.parsed_with("isa", parse_isa)?.unwrap_or(Isa::RiscV);
+    let target_flag = args.value("target").unwrap_or("prf");
+    let target = parse_cpu_target(target_flag).map_err(|e| format!("--target: {e}"))?;
+    let id = match args.value("campaign-id") {
+        Some(id) => id.to_string(),
+        None => format!("{bench}-{target_flag}"),
+    };
+    let mut spec = campaign_spec(args, &id, Workload::cpu(bench, isa)?)?;
+    spec.cpu_target = target;
+    spec.kind = args.parsed_with("kind", parse_kind)?.unwrap_or(spec.kind);
+    spec.seed = args.parsed("seed", "an unsigned integer")?.unwrap_or(spec.seed);
+    spec.collect_hvf = args.switch("hvf");
+    spec.fast_prep = match args.value("prep").unwrap_or("cycle") {
         "ref" | "fast" => true,
         "cycle" | "o3" => false,
         other => return Err(format!("unknown prep mode '{other}' (ref|cycle)")),
     };
-    let (mut cc, out) = campaign_config(args, "campaign")?;
-    cc.kind = match args.flags.get("kind").map(String::as_str).unwrap_or("transient") {
-        "permanent" => FaultKind::Permanent,
-        _ => FaultKind::Transient,
-    };
-    cc.seed = args.flags.get("seed").map_or(cc.seed, |v| v.parse().unwrap_or(cc.seed));
-    cc.collect_hvf = args.switches.contains("hvf");
-    cc.lane_width = parse_lane_width(args)?;
-    let (n_faults, kind, seed) = (cc.n_faults, cc.kind, cc.seed);
+    let journal = args.value("journal").map(Path::new);
+    if journal.is_none() && args.switch("resume") {
+        return Err("--resume requires --journal <path>".into());
+    }
+    let (cc, out) = campaign_config(args, "campaign", &spec)?;
     eprintln!(
         "preparing golden run for {bench}/{isa} ({} prep) ...",
-        if fast_prep { "reference fast-forward" } else { "cycle-level" }
+        if spec.fast_prep { "reference fast-forward" } else { "cycle-level" }
     );
-    let golden = cc.telemetry.spans.time(PhaseId::GoldenPrep, || golden_for(bench, isa, fast_prep))?;
-    golden.publish_metrics(&cc.telemetry.registry);
+    let prepared = Prepared::new(&spec, &cc)?;
     eprintln!(
         "golden: {} cycles, injecting {} {:?} faults into {} ...",
-        golden.exec_cycles,
-        n_faults,
-        kind,
+        prepared.golden_cycles,
+        spec.n_faults,
+        spec.kind,
         target.name()
     );
-    let res = match args.flags.get("journal").map(PathBuf::from) {
-        Some(jpath) => {
-            // Journal identity = the service's spec digest, so a CLI
-            // journal and a service journal are interchangeable.
-            let spec = CampaignSpec {
-                id: args.flags.get("campaign-id").cloned().unwrap_or_else(|| {
-                    format!("{bench}-{}", args.flags.get("target").map(String::as_str).unwrap_or("prf"))
-                }),
-                workload: Workload::Cpu { bench: bench.clone(), isa },
-                cpu_target: target,
-                n_faults,
-                kind,
-                seed,
-                // Records do not depend on the worker count, so it stays
-                // out of the journal identity: a journal resumes at any
-                // --workers.
-                workers: 0,
-                reset_mode: cc.reset_mode,
-                ladder_rungs: cc.ladder_rungs,
-                convergence_exit: cc.convergence_exit,
-                collect_hvf: cc.collect_hvf,
-                taint: cc.telemetry.taint,
-                fast_prep,
-            };
-            let resume = args.switches.contains("resume");
-            match run_campaign_journaled(&golden, target, &cc, &spec, &jpath, resume)? {
-                Some(res) => res,
-                // Interrupted: the journal holds the progress and the
-                // resume hint is already printed.
-                None => return Ok(()),
-            }
-        }
-        None => {
-            if args.switches.contains("resume") {
-                return Err("--resume requires --journal <path>".into());
-            }
-            run_campaign(&golden, target, &cc)
-        }
+    let Some(res) = drive_campaign(&prepared, &spec, &cc, journal, args.switch("resume"))? else {
+        // Interrupted: the journal holds the progress and the resume
+        // hint is already printed.
+        return Ok(());
     };
     println!("benchmark : {bench} ({isa})");
     println!("target    : {}", target.name());
-    println!("faults    : {} ({kind:?}, seed {seed:#x})", res.n());
+    println!("faults    : {} ({:?}, seed {:#x})", res.n(), spec.kind, spec.seed);
     println!("AVF       : {:.2}% (±{:.2}% at 95%)", res.avf() * 100.0, res.margin() * 100.0);
     println!("  SDC     : {:.2}%", res.sdc_avf() * 100.0);
     println!("  Crash   : {:.2}%", res.crash_avf() * 100.0);
@@ -523,14 +549,15 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     if let Some(dir) = path_flag(args, "trace-pipeline", "results/pipeview") {
         // Trace the first non-masked fault of the campaign (fall back to
         // run 0 when everything was masked) against its fault-free twin.
-        let masks = campaign_masks(&golden, target, &cc);
+        let masks = &prepared.masks;
         let idx = res
             .records
             .iter()
             .position(|r| r.effect != FaultEffect::Masked)
             .unwrap_or(0)
             .min(masks.len().saturating_sub(1));
-        let (gtrace, ftrace) = trace_pipeline_pair(&golden, &masks[idx], &cc);
+        let golden = prepared.cpu_golden().expect("a CPU campaign has a CPU golden run");
+        let (gtrace, ftrace) = trace_pipeline_pair(golden, &masks[idx], &cc);
         std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
         let gp = dir.join(format!("{bench}_golden.kanata"));
         let fp = dir.join(format!("{bench}_run{idx}_faulty.kanata"));
@@ -547,89 +574,82 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The `--journal` campaign path: drive the same masks through the same
-/// engine, but journal every record as it lands (service journal format)
-/// and honour SIGINT/SIGTERM by flushing and printing a resume hint.
-/// Returns `None` when interrupted, `Some(result)` when complete — and
-/// because per-mask records are deterministic, a resumed campaign's
-/// result is bit-identical to an uninterrupted one.
-fn run_campaign_journaled(
-    golden: &Golden,
-    target: Target,
-    cc: &CampaignConfig,
+/// Drive every mask of `prepared` and collect the records in mask order.
+/// With a `journal` path, each record is also appended to that file as it
+/// lands (the service's journal format, keyed by the spec digest), the
+/// runs it already holds are skipped when `resume` is set, and
+/// SIGINT/SIGTERM stop the drive: the journal is flushed, a resume hint
+/// printed and `None` returned. Per-mask records are deterministic, so a
+/// resumed campaign's result is bit-identical to an uninterrupted one.
+fn drive_campaign(
+    prepared: &Prepared,
     spec: &CampaignSpec,
-    path: &Path,
+    cc: &CampaignConfig,
+    journal: Option<&Path>,
     resume: bool,
 ) -> Result<Option<CampaignResult>, String> {
-    let (journal, recovered) = Journal::open(path, &spec.id, &spec.digest(), cc.n_faults)?;
-    let prior = recovered.iter().filter(|r| r.is_some()).count();
-    if prior > 0 && !resume {
-        return Err(format!(
-            "journal {} already holds {prior}/{} runs; pass --resume to continue it \
-             or delete the file to restart",
-            path.display(),
-            cc.n_faults
-        ));
-    }
-    if prior > 0 {
-        eprintln!("resuming from {}: {prior}/{} runs already journaled", path.display(), cc.n_faults);
-    }
-    let ladder = build_campaign_ladder(golden, cc);
-    let masks = campaign_masks(golden, target, cc);
-    let bit_len = golden.ckpt.bit_len(target);
-    let population = bit_len.saturating_mul(golden.exec_cycles.max(1));
-    let reg = &cc.telemetry.registry;
-    reg.publish("campaign.bit_population", bit_len);
-    reg.publish("campaign.golden_exec_cycles", golden.exec_cycles);
-    let skip: Vec<bool> = recovered.iter().map(|r| r.is_some()).collect();
-    let state = Mutex::new((journal, recovered));
-    let cancel = install_shutdown_handler();
-    let outcome =
-        drive_masks(golden, ladder.as_ref(), &masks, cc, population, &skip, Some(cancel), &|i, rec| {
-            let mut g = state.lock().unwrap();
-            if let Err(e) = g.0.append(i, &rec) {
+    let n = prepared.masks.len();
+    let (journal, slots) = match journal {
+        None => (None, (0..n).map(|_| None).collect()),
+        Some(path) => {
+            // Records do not depend on the worker count, so it stays out
+            // of the journal identity: a journal resumes at any --workers.
+            let digest = CampaignSpec { workers: 0, ..spec.clone() }.digest();
+            let (journal, recovered) = Journal::open(path, &spec.id, &digest, n)?;
+            let prior = recovered.iter().filter(|r| r.is_some()).count();
+            if prior > 0 && !resume {
+                return Err(format!(
+                    "journal {} already holds {prior}/{n} runs; pass --resume to continue it \
+                     or delete the file to restart",
+                    path.display()
+                ));
+            }
+            if prior > 0 {
+                eprintln!("resuming from {}: {prior}/{n} runs already journaled", path.display());
+            }
+            (Some((journal, path)), recovered)
+        }
+    };
+    let skip: Vec<bool> = slots.iter().map(Option::is_some).collect();
+    let cancel = journal.is_some().then(install_shutdown_handler);
+    let state = Mutex::new((journal, slots));
+    let outcome = prepared.drive(cc, &skip, cancel, &|i, rec| {
+        let mut g = state.lock().unwrap();
+        if let Some((journal, _)) = g.0.as_mut() {
+            if let Err(e) = journal.append(i, &rec) {
                 eprintln!("journal: {e}");
             }
-            g.1[i] = Some(rec);
-        });
-    let (mut journal, recovered) = state.into_inner().unwrap();
-    journal.flush()?;
-    if outcome.cancelled {
-        eprintln!(
-            "interrupted — {}/{} runs journaled to {}; re-run with --journal {} --resume to finish",
-            journal.done(),
-            cc.n_faults,
-            path.display(),
-            path.display()
-        );
-        return Ok(None);
+        }
+        g.1[i] = Some(rec);
+    });
+    let (journal, slots) = state.into_inner().unwrap();
+    if let Some((mut journal, path)) = journal {
+        journal.flush()?;
+        if outcome.cancelled {
+            eprintln!(
+                "interrupted — {}/{n} runs journaled to {}; re-run with --journal {} --resume to finish",
+                journal.done(),
+                path.display(),
+                path.display()
+            );
+            return Ok(None);
+        }
     }
-    let records: Vec<RunRecord> = recovered.into_iter().map(|r| r.expect("complete journal")).collect();
-    Ok(Some(CampaignResult {
-        target,
-        records,
-        bit_population: bit_len,
-        golden_exec_cycles: golden.exec_cycles,
-        confidence: cc.confidence,
-    }))
+    let records = slots.into_iter().map(|r| r.expect("every mask driven")).collect();
+    Ok(Some(prepared.result(records, cc.confidence)))
 }
 
 fn cmd_dsa(args: &Args) -> Result<(), String> {
-    let name = args.positional.get(1).ok_or("usage: marvel dsa <design>")?.to_uppercase();
-    let fus: usize = args.flags.get("fus").map(|v| v.parse().unwrap_or(4)).unwrap_or(4);
-    let d = accel::designs()
-        .into_iter()
-        .find(|d| d.name == name)
-        .ok_or_else(|| format!("unknown design '{name}' (try `marvel list`)"))?;
-    let (mut cc, out) = campaign_config(args, "dsa")?;
-    if let Some(s) = args.flags.get("dsa-engine") {
-        cc.dsa_engine =
-            DsaEngine::parse(s).ok_or_else(|| format!("unknown --dsa-engine '{s}' (cycle|event)"))?;
-    }
+    let name = args.positional.get(1).ok_or("usage: marvel dsa <design>")?;
+    let workload = Workload::dsa(name, None, args.parsed("fus", "a count")?)?;
+    let spec = campaign_spec(args, &name.to_lowercase(), workload)?;
+    let (cc, out) = campaign_config(args, "dsa", &spec)?;
+    let Workload::Dsa { design: name, fus, .. } = &spec.workload else { unreachable!("a DSA workload") };
+    let d = find_design(name)?;
     // prepare_spanned splits the cycle-oracle run (GoldenPrep) from the
     // static-schedule build + trace recording (ScheduleBuild).
     let golden =
-        DsaGolden::prepare_spanned((d.make)(FuConfig::uniform(fus)), 100_000_000, &cc.telemetry.spans);
+        DsaGolden::prepare_spanned((d.make)(FuConfig::uniform(*fus)), 100_000_000, &cc.telemetry.spans);
     println!(
         "{name}: {} cycles fault-free, area {:.1} a.u., {} FUs/class, {} engine",
         golden.cycles,
@@ -684,27 +704,23 @@ fn cmd_dsa(args: &Args) -> Result<(), String> {
 /// SIGINT/SIGTERM (or, with `--once`, until every campaign settles).
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let mut cfg = ServeConfig::default();
-    if let Some(root) = args.flags.get("root") {
+    if let Some(root) = args.value("root") {
         cfg.root = PathBuf::from(root);
     }
-    if let Some(addr) = args.flags.get("addr") {
-        cfg.addr = addr.clone();
+    if let Some(addr) = args.value("addr") {
+        cfg.addr = addr.to_string();
     }
-    if let Some(w) = args.flags.get("workers") {
-        cfg.workers = w.parse().map_err(|_| format!("bad --workers '{w}'"))?;
+    cfg.workers = args.parsed("workers", "a count")?.unwrap_or(cfg.workers);
+    cfg.shard = args.parsed("shard", "a count")?.unwrap_or(cfg.shard);
+    if cfg.shard == 0 {
+        return Err("--shard must be at least 1".into());
     }
-    if let Some(s) = args.flags.get("shard") {
-        cfg.shard = s.parse().map_err(|_| format!("bad --shard '{s}'"))?;
-        if cfg.shard == 0 {
-            return Err("--shard must be at least 1".into());
-        }
-    }
-    cfg.once = args.switches.contains("once");
+    cfg.once = args.switch("once");
     serve(cfg)
 }
 
 fn service_root(args: &Args) -> PathBuf {
-    args.flags.get("root").map(PathBuf::from).unwrap_or_else(|| PathBuf::from("results"))
+    PathBuf::from(args.value("root").unwrap_or("results"))
 }
 
 /// `marvel submit <spec.json>` — validate a spec locally, then hand it to
@@ -717,7 +733,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     // error rather than a one-line service rejection.
     let spec = CampaignSpec::parse(text.trim())?;
     let root = service_root(args);
-    if args.switches.contains("spool") {
+    if args.switch("spool") {
         let spooled = gem5_marvel::serve::spool_spec(&root, &spec)?;
         println!("spooled {} for pickup at {}", spec.id, spooled.display());
         return Ok(());
@@ -757,9 +773,31 @@ fn cmd_watch(args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv);
-    let cmd = args.positional.first().map(String::as_str).unwrap_or("help");
-    let r = match cmd {
+    let cmd = argv.first().map_or("help", String::as_str);
+    let Some(flags) = command_flags(cmd) else {
+        eprintln!(
+            "marvel — microarchitecture-level fault injection\n\n\
+             usage:\n  marvel list\n  marvel run <benchmark> [--isa arm|x86|riscv] [--lockstep]\n  \
+             marvel disasm <benchmark> [--isa ...] [--limit N]\n  \
+             marvel campaign <benchmark> [--isa ...] [--target prf|l1i|l1d|l2|lq|sq|rob|rename]\n            \
+             [--faults N] [--kind transient|permanent] [--hvf] [--seed S] [--prep ref|cycle]\n            \
+             [--ladder-rungs N] [--convergence-exit]\n            \
+             [--workers N] [--metrics [path]] [--forensics [path]] [--progress [ms]]\n            \
+             [--taint] [--attribution [path]] [--trace-pipeline [dir]]\n            \
+             [--trace-spans [path]] [--phase-report]\n  \
+             marvel dsa <design> [--faults N] [--fus N]\n            \
+             [--ladder-rungs N] [--convergence-exit] [--workers N]\n            \
+             [--metrics [path]] [--forensics [path]] [--progress [ms]]\n            \
+             [--taint] [--attribution [path]] [--trace-spans [path]] [--phase-report]\n  \
+             marvel campaign ... [--journal path [--resume]] [--campaign-id id]\n  \
+             marvel serve [--root dir] [--addr host:port] [--workers N] [--shard N] [--once]\n  \
+             marvel submit <spec.json> [--root dir] [--spool]\n  \
+             marvel status [campaign-id] [--root dir]\n  \
+             marvel watch <campaign-id> [--root dir]"
+        );
+        return ExitCode::from(2);
+    };
+    let r = parse_args(&argv, &flags).and_then(|args| match cmd {
         "list" => cmd_list(),
         "run" => cmd_run(&args),
         "disasm" => cmd_disasm(&args),
@@ -769,30 +807,8 @@ fn main() -> ExitCode {
         "submit" => cmd_submit(&args),
         "status" => cmd_status(&args),
         "watch" => cmd_watch(&args),
-        _ => {
-            eprintln!(
-                "marvel — microarchitecture-level fault injection\n\n\
-                 usage:\n  marvel list\n  marvel run <benchmark> [--isa arm|x86|riscv] [--lockstep]\n  \
-                 marvel disasm <benchmark> [--isa ...] [--limit N]\n  \
-                 marvel campaign <benchmark> [--isa ...] [--target prf|l1i|l1d|l2|lq|sq|rob|rename]\n            \
-                 [--faults N] [--kind transient|permanent] [--hvf] [--seed S] [--prep ref|cycle]\n            \
-                 [--reset-mode clone|dirty] [--ladder-rungs N] [--convergence-exit] [--lane-width N]\n            \
-                 [--workers N] [--metrics [path]] [--forensics [path]] [--progress [ms]]\n            \
-                 [--taint] [--attribution [path]] [--trace-pipeline [dir]]\n            \
-                 [--trace-spans [path]] [--phase-report]\n  \
-                 marvel dsa <design> [--faults N] [--fus N] [--reset-mode clone|dirty]\n            \
-                 [--dsa-engine cycle|event] [--ladder-rungs N] [--convergence-exit] [--workers N]\n            \
-                 [--metrics [path]] [--forensics [path]] [--progress [ms]]\n            \
-                 [--taint] [--attribution [path]] [--trace-spans [path]] [--phase-report]\n  \
-                 marvel campaign ... [--journal path [--resume]] [--campaign-id id]\n  \
-                 marvel serve [--root dir] [--addr host:port] [--workers N] [--shard N] [--once]\n  \
-                 marvel submit <spec.json> [--root dir] [--spool]\n  \
-                 marvel status [campaign-id] [--root dir]\n  \
-                 marvel watch <campaign-id> [--root dir]"
-            );
-            return ExitCode::from(2);
-        }
-    };
+        _ => unreachable!("command_flags knows every command"),
+    });
     match r {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
