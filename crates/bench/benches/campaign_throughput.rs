@@ -306,7 +306,7 @@ fn dsa_scenario(name: &'static str, golden: &DsaGolden, kind: FaultKind, n: usiz
     let bit_len = golden.harness.accel.spms[0].bit_len();
     let mut gen = MaskGenerator::new(0xC0FFEE ^ 0xD5A);
     let masks = gen.single_bit(target, bit_len, kind, 1..golden.cycles.max(2), n);
-    let watchdog = golden.cycles * 3 + 10_000;
+    let watchdog = golden.watchdog();
 
     let mut reusable: Box<DsaHarness> = Box::new(golden.harness.clone());
     let mut it = masks.iter().cycle();

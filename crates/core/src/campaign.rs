@@ -3,9 +3,11 @@
 //! and AVF/HVF classification.
 
 use crate::fault::{FaultKind, FaultMask, FaultModel, MaskGenerator};
+pub use crate::ladder::Ladder;
+use crate::ladder::{build_timed, record_prefix, select_base, RunState};
 use crate::stats::error_margin;
 use marvel_cpu::{CoreStats, FaultFate, LaneEvent, TraceMode, MAX_LANES};
-use marvel_soc::{RunOutcome, SysDirtyMarks, SysEvent, System, Target};
+use marvel_soc::{RunOutcome, SysEvent, System, Target};
 use marvel_telemetry::{
     Attribution, Event, FlightDump, FlightRecorder, PhaseId, ProgressMeter, Registry, Scope,
     SpanCollector, SpanLane, TaintReport,
@@ -118,6 +120,11 @@ pub enum DsaEngine {
     Event,
 }
 
+/// A run is declared hung (Crash, trap tag `watchdog`) once it has run
+/// this many times the golden run's length, plus a fixed slack
+/// ([`Golden::watchdog`], [`crate::dsa::DsaGolden::watchdog`]).
+pub(crate) const WATCHDOG_FACTOR: u64 = 3;
+
 /// Campaign-wide configuration. [`Default`] is the shipped
 /// configuration — the one `marvel campaign`, `marvel dsa`, campaign
 /// specs and the paper-figure harnesses run: an 8-rung ladder, 64-wide
@@ -137,8 +144,6 @@ pub struct CampaignConfig {
     pub collect_hvf: bool,
     /// Worker threads (0 = all available cores).
     pub workers: usize,
-    /// Watchdog = checkpoint + `watchdog_factor` × golden exec cycles.
-    pub watchdog_factor: u64,
     /// Enable the fault-overwritten/invalid-entry early termination.
     pub early_termination: bool,
     pub confidence: f64,
@@ -178,7 +183,6 @@ impl Default for CampaignConfig {
             seed: 0xC0FFEE,
             collect_hvf: false,
             workers: 0,
-            watchdog_factor: 3,
             early_termination: true,
             confidence: 0.95,
             reset_mode: ResetMode::default(),
@@ -387,6 +391,12 @@ impl Golden {
         self.ckpt.publish_metrics(reg, &scope.child("soc"));
     }
 
+    /// Cycle at which an injection run is declared hung: the checkpoint
+    /// plus [`WATCHDOG_FACTOR`] golden run lengths, plus slack.
+    pub(crate) fn watchdog(&self) -> u64 {
+        self.ckpt_cycle + self.exec_cycles.saturating_mul(WATCHDOG_FACTOR) + 50_000
+    }
+
     /// Build a checkpoint ladder: `n_rungs` evenly spaced snapshots of the
     /// golden run across the injection window, each carrying the dirty
     /// marks of the golden segment since the previous rung.
@@ -394,76 +404,16 @@ impl Golden {
     /// The builder replays the golden run once with dirty tracking on;
     /// `collect_hvf` must match the campaign's setting so rung snapshots
     /// carry the same trace-checking state as the faulty runs they are
-    /// compared against. Rung cycles are strictly inside the window and
-    /// deduplicated, so a short window simply yields fewer rungs.
+    /// compared against.
     pub fn build_ladder(&self, n_rungs: usize, collect_hvf: bool) -> Ladder {
-        if n_rungs == 0 || self.exec_cycles < 2 {
-            return Ladder::default();
-        }
-        let span = self.exec_cycles;
-        let mut cycles: Vec<u64> = (1..=n_rungs as u64)
-            .map(|i| self.ckpt_cycle + i * span / (n_rungs as u64 + 1))
-            .filter(|&c| c > self.ckpt_cycle && c < self.ckpt_cycle + span)
-            .collect();
-        cycles.dedup();
-        let mut sys = Box::new(self.ckpt.clone());
-        sys.enable_dirty_tracking();
-        if collect_hvf {
-            sys.core.trace_mode = TraceMode::Check(self.trace.clone());
-        }
-        let mut rungs = Vec::with_capacity(cycles.len());
-        for &c in &cycles {
-            while sys.cycle < c {
-                match sys.tick() {
-                    // The golden run completing inside the window would
-                    // contradict `exec_cycles`; stop laddering defensively.
-                    SysEvent::Halted | SysEvent::Trapped(_) => return Ladder { rungs },
-                    _ => {}
-                }
+        Ladder::build(n_rungs, self.ckpt_cycle, self.exec_cycles, || {
+            let mut sys = self.ckpt.clone();
+            sys.enable_dirty_tracking();
+            if collect_hvf {
+                sys.core.trace_mode = TraceMode::Check(self.trace.clone());
             }
-            let seg = sys.take_dirty_marks();
-            rungs.push(LadderRung { cycle: c, sys: (*sys).clone(), seg });
-        }
-        Ladder { rungs }
-    }
-}
-
-/// One ladder rung: the golden system snapshot at `cycle` plus the dirty
-/// marks of the golden segment `(previous rung, cycle]`.
-#[derive(Debug, Clone)]
-pub struct LadderRung {
-    pub cycle: u64,
-    sys: System,
-    seg: SysDirtyMarks,
-}
-
-/// A checkpoint ladder shared read-only across campaign workers: evenly
-/// spaced golden-run snapshots that let transient injection runs skip the
-/// fault-free prefix below their injection cycle, and serve as comparison
-/// points for the dirty-diff convergence exit.
-#[derive(Debug, Clone, Default)]
-pub struct Ladder {
-    rungs: Vec<LadderRung>,
-}
-
-impl Ladder {
-    pub fn is_empty(&self) -> bool {
-        self.rungs.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.rungs.len()
-    }
-
-    /// Rung cycles, ascending.
-    pub fn cycles(&self) -> Vec<u64> {
-        self.rungs.iter().map(|r| r.cycle).collect()
-    }
-
-    /// Index of the first rung strictly above `cycle` (also the count of
-    /// rungs usable as a starting point for an injection at `cycle`).
-    fn partition_at(&self, cycle: u64) -> usize {
-        self.rungs.partition_point(|r| r.cycle <= cycle)
+            sys
+        })
     }
 }
 
@@ -514,33 +464,6 @@ pub(crate) fn taint_finish(rep: Option<TaintReport>, fr: &mut FlightRecorder) ->
         }
     }
     Some(rep.attribution())
-}
-
-/// Run state a campaign worker keeps alive across runs: the CPU
-/// [`System`] or the accelerator [`crate::dsa::DsaHarness`]. Both rewind
-/// to the pristine base they were cloned from through `reset_from`.
-pub(crate) trait RunState: Clone {
-    /// Histograms a dirty reset records its wall time and bytes into.
-    const RESET_NS: &'static str;
-    const RESET_BYTES: &'static str;
-    /// Histogram a context-less run records its deep-clone time into.
-    const RESTORE_NS: Option<&'static str> = None;
-    /// Undo every write since `pristine`; returns state bytes copied.
-    fn reset_from(&mut self, pristine: &Self) -> u64;
-    /// Arm the write journals of a fresh clone for later resets.
-    fn track_writes(&mut self) {}
-}
-
-impl RunState for System {
-    const RESET_NS: &'static str = "campaign.reset_ns";
-    const RESET_BYTES: &'static str = "campaign.reset_bytes";
-    const RESTORE_NS: Option<&'static str> = Some("campaign.ckpt_restore_ns");
-    fn reset_from(&mut self, pristine: &System) -> u64 {
-        System::reset_from(self, pristine)
-    }
-    fn track_writes(&mut self) {
-        self.enable_dirty_tracking();
-    }
 }
 
 /// Reusable per-worker run state for [`ResetMode::Dirty`]: one `S` (a
@@ -630,6 +553,9 @@ pub(crate) fn acquire<'a, S: RunState>(
             // same-base reset. (Claim order is rung-monotone, so each
             // worker pays at most one reclone per rung.)
             lane.enter(PhaseId::RungRestore);
+            // Drop the old state first: holding both through the clone
+            // would double this worker's peak memory.
+            *slot = None;
             let mut s = Box::new(base.clone());
             s.track_writes();
             lane.exit(PhaseId::RungRestore);
@@ -667,36 +593,22 @@ pub fn run_one_spanned(
     let mut fate_seen = false;
 
     // Base selection: permanents apply at the checkpoint; transients start
-    // from the nearest rung at or below their injection cycle. `next_rung`
-    // is the first rung the run will cross after injection.
+    // from the nearest rung at or below their injection cycle. `ahead`
+    // holds the rungs the run will cross after its base.
     let inject_cycle = match mask.model {
         FaultModel::Transient { cycle } => Some(cycle),
         FaultModel::Permanent { .. } => None,
     };
-    let (base_sys, base_cycle, mut next_rung) = match (ladder, inject_cycle) {
-        (Some(l), Some(c)) if !l.is_empty() => match l.partition_at(c) {
-            0 => (&golden.ckpt, golden.ckpt_cycle, 0),
-            k => (&l.rungs[k - 1].sys, l.rungs[k - 1].cycle, k),
-        },
-        _ => (&golden.ckpt, golden.ckpt_cycle, 0),
-    };
-    if tel.registry.is_enabled() {
-        if let Some(h) = tel.registry.histogram("campaign.prefix_cycles_skipped") {
-            h.record(base_cycle - golden.ckpt_cycle);
-        }
-        if let Some(c) = inject_cycle {
-            if let Some(h) = tel.registry.histogram("campaign.prefix_cycles") {
-                h.record(c.saturating_sub(base_cycle));
-            }
-        }
-    }
+    let (base_sys, base_cycle, mut ahead) =
+        select_base(&golden.ckpt, golden.ckpt_cycle, ladder, inject_cycle);
+    record_prefix::<System>(&tel.registry, golden.ckpt_cycle, base_cycle, inject_cycle);
 
     let mut owned: Option<Box<System>> = None;
     let sys: &mut System = acquire(base_sys, base_cycle, tel, ctx, &mut owned, lane);
     if cc.collect_hvf {
         sys.core.trace_mode = TraceMode::Check(golden.trace.clone());
     }
-    let watchdog = golden.ckpt_cycle + golden.exec_cycles.saturating_mul(cc.watchdog_factor) + 50_000;
+    let watchdog = golden.watchdog();
 
     // Arm the fault.
     let model_tag = match mask.model {
@@ -783,27 +695,24 @@ pub fn run_one_spanned(
         // Ladder-rung crossing: merge the golden segment's dirty marks so
         // the journals cover everything *either* run wrote since the base
         // rung, then (optionally) try the dirty-diff convergence exit.
-        if let Some(l) = ladder {
-            if next_rung < l.rungs.len() && sys.cycle == l.rungs[next_rung].cycle {
-                let rung = &l.rungs[next_rung];
-                sys.merge_dirty_marks(&rung.seg);
-                next_rung += 1;
-                if cc.convergence_exit && mask.model.is_transient() && sys.core.divergence.is_none() {
-                    // Fate split: when the fate monitor already knows the
-                    // fault is dead and early termination is on, leave the
-                    // exit to the fate poll — it reports the same cycle
-                    // count the ladder-less oracle would. Otherwise a
-                    // converged run is Masked with the golden run length.
-                    let skip = cc.early_termination
-                        && sys.fault_fate(mask.target).is_some_and(|f| f.is_masked_early());
-                    lane.enter(PhaseId::ConvergenceDiff);
-                    let converged =
-                        !skip && (!tel.taint || sys.taint_quiescent()) && sys.state_converged(&rung.sys);
-                    lane.exit(PhaseId::ConvergenceDiff);
-                    if converged {
-                        fr.record(sys.cycle, Event::Converged);
-                        break LoopEnd::Converged;
-                    }
+        if let Some(rung) = ahead.first().filter(|r| r.cycle == sys.cycle) {
+            ahead = &ahead[1..];
+            sys.merge_dirty_marks(&rung.seg);
+            if cc.convergence_exit && mask.model.is_transient() && sys.core.divergence.is_none() {
+                // Fate split: when the fate monitor already knows the
+                // fault is dead and early termination is on, leave the
+                // exit to the fate poll — it reports the same cycle
+                // count the ladder-less oracle would. Otherwise a
+                // converged run is Masked with the golden run length.
+                let skip = cc.early_termination
+                    && sys.fault_fate(mask.target).is_some_and(|f| f.is_masked_early());
+                lane.enter(PhaseId::ConvergenceDiff);
+                let converged =
+                    !skip && (!tel.taint || sys.taint_quiescent()) && sys.state_converged(&rung.state);
+                lane.exit(PhaseId::ConvergenceDiff);
+                if converged {
+                    fr.record(sys.cycle, Event::Converged);
+                    break LoopEnd::Converged;
                 }
             }
         }
@@ -983,9 +892,10 @@ pub fn campaign_masks(golden: &Golden, target: Target, cc: &CampaignConfig) -> V
 /// Re-run one fault as a golden/faulty pair with Konata pipeline tracing
 /// enabled, returning the two trace texts. The faulty run also enables
 /// taint tracking so corrupted commits are flagged (flushed in red /
-/// tainted label in Konata-compatible viewers).
-pub fn trace_pipeline_pair(golden: &Golden, mask: &FaultMask, cc: &CampaignConfig) -> (String, String) {
-    let watchdog = golden.ckpt_cycle + golden.exec_cycles.saturating_mul(cc.watchdog_factor) + 50_000;
+/// tainted label in Konata-compatible viewers). Both runs stop at the
+/// campaign watchdog; the campaign config does not affect them.
+pub fn trace_pipeline_pair(golden: &Golden, mask: &FaultMask, _cc: &CampaignConfig) -> (String, String) {
+    let watchdog = golden.watchdog();
 
     let mut gsys = golden.ckpt.clone();
     gsys.enable_pipe_trace();
@@ -1224,22 +1134,10 @@ fn run_lane_pass(
 
     // Base selection: identical to the scalar path; every pack member
     // shares the segment, so the first mask picks the rung for all.
-    let (base_sys, base_cycle, mut next_rung) = match ladder {
-        Some(l) if !l.is_empty() => match l.partition_at(inject_of(pack[0])) {
-            0 => (&golden.ckpt, golden.ckpt_cycle, 0),
-            k => (&l.rungs[k - 1].sys, l.rungs[k - 1].cycle, k),
-        },
-        _ => (&golden.ckpt, golden.ckpt_cycle, 0),
-    };
-    if tel.registry.is_enabled() {
-        for &i in pack {
-            if let Some(h) = tel.registry.histogram("campaign.prefix_cycles_skipped") {
-                h.record(base_cycle - golden.ckpt_cycle);
-            }
-            if let Some(h) = tel.registry.histogram("campaign.prefix_cycles") {
-                h.record(inject_of(i).saturating_sub(base_cycle));
-            }
-        }
+    let (base_sys, base_cycle, mut ahead) =
+        select_base(&golden.ckpt, golden.ckpt_cycle, ladder, Some(inject_of(pack[0])));
+    for &i in pack {
+        record_prefix::<System>(&tel.registry, golden.ckpt_cycle, base_cycle, Some(inject_of(i)));
     }
 
     let mut owned: Option<Box<System>> = None;
@@ -1247,7 +1145,7 @@ fn run_lane_pass(
     if cc.collect_hvf {
         sys.core.trace_mode = TraceMode::Check(golden.trace.clone());
     }
-    let watchdog = golden.ckpt_cycle + golden.exec_cycles.saturating_mul(cc.watchdog_factor) + 50_000;
+    let watchdog = golden.watchdog();
     let cache_target = matches!(target, Target::L1I | Target::L1D | Target::L2);
 
     let mut lanes: Vec<LaneRun> = pack
@@ -1336,49 +1234,43 @@ fn run_lane_pass(
         // covers everything either side wrote), then retire every lane
         // whose diffs are provably dead — exactly the lanes whose scalar
         // run would pass the dirty-diff convergence check here.
-        if let Some(l) = ladder {
-            if next_rung < l.rungs.len() && sys.cycle == l.rungs[next_rung].cycle {
-                let rung = &l.rungs[next_rung];
-                sys.merge_dirty_marks(&rung.seg);
-                next_rung += 1;
-                if cc.convergence_exit {
-                    let eng = sys.lane_engine().expect("pass engine armed");
-                    let diffs = eng.diffs_live();
-                    let mut cand: Vec<usize> = Vec::new();
-                    for (li, lr) in lanes.iter().enumerate() {
-                        if lr.done || !lr.armed || eng.live & (1u64 << li) == 0 {
-                            continue;
-                        }
-                        let fate = eng.fates[li];
-                        // Fate split (scalar parity): a dead fault with
-                        // early termination on exits at the fate poll,
-                        // which reports the shorter cycle count.
-                        if cc.early_termination && fate.is_masked_early() {
-                            continue;
-                        }
-                        if cc.collect_hvf && diverged & (1u64 << li) != 0 {
-                            continue;
-                        }
-                        let diff_alive =
-                            diffs & (1u64 << li) != 0 || (cache_target && fate == FaultFate::Pending);
-                        if !diff_alive {
-                            cand.push(li);
-                        }
+        if let Some(rung) = ahead.first().filter(|r| r.cycle == sys.cycle) {
+            ahead = &ahead[1..];
+            sys.merge_dirty_marks(&rung.seg);
+            if cc.convergence_exit {
+                let eng = sys.lane_engine().expect("pass engine armed");
+                let diffs = eng.diffs_live();
+                let mut cand: Vec<usize> = Vec::new();
+                for (li, lr) in lanes.iter().enumerate() {
+                    if lr.done || !lr.armed || eng.live & (1u64 << li) == 0 {
+                        continue;
                     }
-                    if !cand.is_empty() {
-                        lane.enter(PhaseId::ConvergenceDiff);
-                        let golden_matches = sys.state_converged(&rung.sys);
-                        lane.exit(PhaseId::ConvergenceDiff);
-                        if golden_matches {
-                            for li in cand {
-                                let lr = &mut lanes[li];
-                                lr.done = true;
-                                remaining -= 1;
-                                out.push((
-                                    lr.idx,
-                                    lane_record(cc, golden.exec_cycles, false, true, false),
-                                ));
-                            }
+                    let fate = eng.fates[li];
+                    // Fate split (scalar parity): a dead fault with early
+                    // termination on exits at the fate poll, which reports
+                    // the shorter cycle count.
+                    if cc.early_termination && fate.is_masked_early() {
+                        continue;
+                    }
+                    if cc.collect_hvf && diverged & (1u64 << li) != 0 {
+                        continue;
+                    }
+                    let diff_alive =
+                        diffs & (1u64 << li) != 0 || (cache_target && fate == FaultFate::Pending);
+                    if !diff_alive {
+                        cand.push(li);
+                    }
+                }
+                if !cand.is_empty() {
+                    lane.enter(PhaseId::ConvergenceDiff);
+                    let golden_matches = sys.state_converged(&rung.state);
+                    lane.exit(PhaseId::ConvergenceDiff);
+                    if golden_matches {
+                        for li in cand {
+                            let lr = &mut lanes[li];
+                            lr.done = true;
+                            remaining -= 1;
+                            out.push((lr.idx, lane_record(cc, golden.exec_cycles, false, true, false)));
                         }
                     }
                 }
@@ -1468,17 +1360,7 @@ pub struct DriveOutcome {
 /// campaign service, journaled CLI runs) can build the ladder once and
 /// reuse it across many incremental [`drive_masks`] calls.
 pub fn build_campaign_ladder(golden: &Golden, cc: &CampaignConfig) -> Option<Ladder> {
-    if cc.ladder_rungs == 0 {
-        return None;
-    }
-    cc.telemetry.spans.time(PhaseId::LadderBuild, || {
-        let t0 = std::time::Instant::now();
-        let l = golden.build_ladder(cc.ladder_rungs, cc.collect_hvf);
-        let reg = &cc.telemetry.registry;
-        reg.publish("campaign.ladder_rungs", l.len() as u64);
-        reg.publish("campaign.ladder_build_ns", t0.elapsed().as_nanos() as u64);
-        Some(l)
-    })
+    build_timed(cc, |n| golden.build_ladder(n, cc.collect_hvf))
 }
 
 /// One worker's effect tallies and cycle samples since its last flush to

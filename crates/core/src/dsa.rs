@@ -8,17 +8,24 @@
 
 use crate::campaign::{
     acquire, claim_order, collect_records, drive_pool, effect_tag, taint_finish, CampaignConfig,
-    CampaignResult, DriveOutcome, DsaEngine, FaultEffect, ResetMode, RunRecord, RunState, WorkerCtx,
+    CampaignResult, DriveOutcome, DsaEngine, FaultEffect, ResetMode, RunRecord, WorkerCtx,
+    WATCHDOG_FACTOR,
 };
 use crate::fault::{FaultMask, FaultModel, MaskGenerator};
+use crate::ladder::{build_timed, record_prefix, select_base, Ladder, RunState, Rung};
 use marvel_accel::{AccelState, Accelerator, DmaEngine, DmaJob, SramFate};
 use marvel_soc::Target;
-use marvel_telemetry::{Event, FlightRecorder, PhaseId, Scope, SpanCollector, SpanLane};
+use marvel_telemetry::{Event, FlightRecorder, PhaseId, Registry, Scope, SpanCollector, SpanLane};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// A self-contained accelerator experiment: the accelerator, a private RAM
-/// buffer, DMA plans and entry arguments.
+/// buffer, DMA plans and entry arguments — plus the state of the run in
+/// flight (DMA engine, phase, cycle, RAM taint shadow), so a harness
+/// cloned mid-run is a checkpoint-ladder rung, as a cloned [`System`] is
+/// on the CPU side.
+///
+/// [`System`]: marvel_soc::System
 #[derive(Debug, Clone)]
 pub struct DsaHarness {
     pub accel: Accelerator,
@@ -28,6 +35,23 @@ pub struct DsaHarness {
     pub args: Vec<u64>,
     /// Byte range of `ram` holding the result after DMA-out.
     pub output: std::ops::Range<usize>,
+    dma: DmaEngine,
+    phase: Phase,
+    /// Cycles since the run started.
+    cycle: u64,
+    /// RAM taint shadow (marvel-taint): allocated only when the
+    /// accelerator's shadow planes are on, so plain runs pay nothing.
+    ram_shadow: Vec<u8>,
+}
+
+/// Where a harness run stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// The start handshake has not run yet.
+    Idle,
+    DmaIn,
+    Compute,
+    DmaOut,
 }
 
 /// Outcome of one harness run.
@@ -44,7 +68,46 @@ pub enum DsaOutcome {
     Timeout,
 }
 
+/// How a run of the DSA run loop ended.
+enum DsaRunEnd {
+    /// Ran to a terminal outcome (done / error / timeout).
+    Finished(DsaOutcome),
+    /// The fate poll saw the armed bit overwritten before any read — the
+    /// fault is architecturally dead, the run is definitively Masked.
+    MaskedEarly { cycles: u64 },
+    /// Post-injection state matched the golden rung frozen at the same
+    /// cycle — the rest of the run is bit-identical to the fault-free
+    /// one, so the record is Masked with the golden cycle count.
+    Converged,
+}
+
 impl DsaHarness {
+    /// A harness that has not started its run: `accel` computes over
+    /// `ram` after the `jobs_in` DMA plan, is started with entry
+    /// arguments `args`, and leaves its result in `ram[output]` through
+    /// `jobs_out`.
+    pub fn new(
+        accel: Accelerator,
+        ram: Vec<u8>,
+        jobs_in: Vec<DmaJob>,
+        jobs_out: Vec<DmaJob>,
+        args: Vec<u64>,
+        output: std::ops::Range<usize>,
+    ) -> DsaHarness {
+        DsaHarness {
+            accel,
+            ram,
+            jobs_in,
+            jobs_out,
+            args,
+            output,
+            dma: DmaEngine::new(8),
+            phase: Phase::Idle,
+            cycle: 0,
+            ram_shadow: Vec::new(),
+        }
+    }
+
     /// Apply a fault mask to this harness's accelerator.
     fn apply(&mut self, mask: &FaultMask, permanent_value: Option<bool>) {
         for &bit in &mask.bits {
@@ -66,7 +129,8 @@ impl DsaHarness {
         }
     }
 
-    fn bit_len(&self, target: Target) -> u64 {
+    /// Injectable bits of `target`.
+    pub fn bit_len(&self, target: Target) -> u64 {
         match target {
             Target::Spm { mem, .. } => self.accel.spms[mem].bit_len(),
             Target::RegBank { mem, .. } => self.accel.regbanks[mem].bit_len(),
@@ -85,15 +149,19 @@ impl DsaHarness {
         }
     }
 
-    /// Restore this harness to the pristine golden copy it was cloned
-    /// from (zero-copy campaign reset). The accelerator resets through
-    /// its SPM write watermarks; the private RAM buffer is copied
-    /// wholesale — DSA RAM is a few hundred bytes, not the SoC's
-    /// megabytes. Returns state bytes copied.
+    /// Restore this harness, run state included, to the pristine copy it
+    /// was cloned from (zero-copy campaign reset). The accelerator resets
+    /// through its SPM write watermarks; the private RAM buffer (32–256
+    /// KiB on the Table IV designs) and, when the base has one, its taint
+    /// shadow are copied wholesale. Returns state bytes copied.
     pub fn reset_from(&mut self, pristine: &DsaHarness) -> u64 {
         let mut bytes = self.accel.reset_from(&pristine.accel);
         self.ram.clone_from(&pristine.ram);
-        bytes += self.ram.len() as u64;
+        self.ram_shadow.clone_from(&pristine.ram_shadow);
+        bytes += (self.ram.len() + self.ram_shadow.len()) as u64;
+        bytes += self.dma.reset_from(&pristine.dma);
+        self.phase = pristine.phase;
+        self.cycle = pristine.cycle;
         self.jobs_in.clone_from(&pristine.jobs_in);
         self.jobs_out.clone_from(&pristine.jobs_out);
         self.args.clone_from(&pristine.args);
@@ -102,234 +170,280 @@ impl DsaHarness {
     }
 
     /// Run the full DMA-in → compute → DMA-out sequence, optionally
-    /// injecting `mask` at its transient cycle (permanent faults are
-    /// applied before the run).
+    /// injecting `mask`: a transient at its cycle, a permanent right
+    /// after the start handshake.
     pub fn run(&mut self, mask: Option<&FaultMask>, watchdog: u64) -> DsaOutcome {
-        self.run_recorded(mask, watchdog, &mut FlightRecorder::disabled())
+        let fr = &mut FlightRecorder::disabled();
+        match self.drive(mask, watchdog, None, fr, &mut SpanLane::disabled()) {
+            DsaRunEnd::Finished(o) => o,
+            DsaRunEnd::MaskedEarly { .. } | DsaRunEnd::Converged => {
+                unreachable!("only campaign runs take the early exits")
+            }
+        }
     }
 
-    /// [`DsaHarness::run`] with a flight recorder capturing the phase
-    /// timeline and fault lifecycle. Recording is observational only — the
-    /// run is cycle-identical to an unrecorded one.
-    pub fn run_recorded(
+    /// The start handshake, once per run: queue the DMA-in plan and start
+    /// the accelerator. Also gives the RAM a zeroed taint shadow when the
+    /// accelerator's shadow planes are on (the fault-free prefix carries
+    /// no taint, so a shadow added at a rung matches one from cycle 0).
+    fn begin(&mut self) {
+        if self.phase == Phase::Idle {
+            for j in &self.jobs_in {
+                self.dma.push(*j);
+            }
+            self.accel.start(&self.args);
+            self.phase = Phase::DmaIn;
+        }
+        if self.accel.taint_enabled() && self.ram_shadow.is_empty() {
+            self.ram_shadow.resize(self.ram.len(), 0);
+        }
+    }
+
+    /// The DSA run loop, behind [`DsaHarness::run`] and every campaign
+    /// run: start the run unless it has started (a ladder rung has), arm
+    /// `mask` — a permanent right after the start handshake, a transient
+    /// at the top of its cycle — and step to an end. `campaign` carries
+    /// the config and the ladder rungs above the run's base, enabling the
+    /// campaign exits: the fate poll and the convergence exit at rung
+    /// crossings. Without it the run goes to a terminal outcome.
+    fn drive(
         &mut self,
         mask: Option<&FaultMask>,
         watchdog: u64,
+        campaign: Option<(&CampaignConfig, &[Rung<DsaHarness>])>,
         fr: &mut FlightRecorder,
-    ) -> DsaOutcome {
-        // Permanent faults apply immediately.
-        if let Some(m) = mask {
-            if let FaultModel::Permanent { value } = m.model {
-                self.apply(&{ m.clone() }, Some(value));
-                fr.record(
-                    0,
-                    Event::FaultArmed {
-                        target: m.target.name(),
-                        bit: m.bits.first().copied().unwrap_or(0),
-                        model: "permanent",
-                    },
-                );
-            }
-        }
+        lane: &mut SpanLane,
+    ) -> DsaRunEnd {
+        self.begin();
         let inject_at = mask.and_then(|m| match m.model {
             FaultModel::Transient { cycle } => Some(cycle),
-            _ => None,
+            FaultModel::Permanent { .. } => None,
         });
-
-        let mut st = DsaSimState::start(self);
-        let mut armed = inject_at.is_none();
-        loop {
-            // Bulk-advance to the next special cycle; every special cycle
-            // itself goes through the single-cycle path below so event
-            // ordering matches the historical per-cycle loop exactly.
+        let armed_event = |m: &FaultMask, model| Event::FaultArmed {
+            target: m.target.name(),
+            bit: m.bits.first().copied().unwrap_or(0),
+            model,
+        };
+        if let Some(m) = mask {
+            if let FaultModel::Permanent { value } = m.model {
+                lane.enter(PhaseId::Inject);
+                self.apply(m, Some(value));
+                lane.exit(PhaseId::Inject);
+                fr.record(self.cycle, armed_event(m, "permanent"));
+            }
+        }
+        let (cc, mut ahead) = campaign.map_or((None, &[][..]), |(cc, ahead)| (Some(cc), ahead));
+        let transient = inject_at.is_some();
+        let early = transient && cc.is_some_and(|c| c.early_termination);
+        let converge = transient && cc.is_some_and(|c| c.convergence_exit);
+        let taint = cc.is_some_and(|c| c.telemetry.taint);
+        let overwritten =
+            |h: &DsaHarness| mask.is_some_and(|m| h.fault_fate(m.target) == Some(SramFate::Overwritten));
+        let mut armed = !transient;
+        lane.enter(PhaseId::SimStepDsa);
+        let event = self.accel.event_engine();
+        if event {
+            // Sub-attribute event-driven stepping (schedule jumps + golden
+            // replay) under the sim-step lane so the span report separates
+            // the two drive paths.
+            lane.enter(PhaseId::TraceReplay);
+        }
+        let end = loop {
+            // Bulk-advance to the next special cycle (injection, ladder rung,
+            // fate poll, watchdog); each special cycle then goes through the
+            // single-cycle path so check ordering matches the historical
+            // per-cycle loop exactly.
             let mut stop = watchdog;
             if !armed {
                 if let Some(c) = inject_at {
                     stop = stop.min(c.saturating_sub(1));
                 }
             }
-            if stop > st.cycle {
-                if let Some(o) = self.advance_sim(&mut st, stop, fr) {
-                    return o;
+            if let Some(r) = ahead.first() {
+                stop = stop.min(r.cycle.saturating_sub(1));
+            }
+            if early && armed {
+                stop = stop.min((self.cycle / 1024 + 1) * 1024 - 1);
+            }
+            if stop > self.cycle {
+                if let Some(o) = self.advance(stop, fr) {
+                    break DsaRunEnd::Finished(o);
                 }
             }
-            if st.cycle + 1 > watchdog {
-                st.cycle += 1;
-                fr.record(st.cycle, Event::Trap { tag: "watchdog" });
-                return DsaOutcome::Timeout;
+            if self.cycle + 1 > watchdog {
+                self.cycle += 1;
+                fr.record(self.cycle, Event::Trap { tag: "watchdog" });
+                break DsaRunEnd::Finished(DsaOutcome::Timeout);
             }
-            if !armed && inject_at == Some(st.cycle + 1) {
-                let m = mask.unwrap().clone();
-                self.apply(&m, None);
-                fr.record(
-                    st.cycle + 1,
-                    Event::FaultArmed {
-                        target: m.target.name(),
-                        bit: m.bits.first().copied().unwrap_or(0),
-                        model: "transient",
-                    },
-                );
+            if !armed && inject_at == Some(self.cycle + 1) {
+                let m = mask.expect("a transient injection has a mask");
+                lane.enter(PhaseId::Inject);
+                self.apply(m, None);
+                lane.exit(PhaseId::Inject);
                 armed = true;
+                fr.record(self.cycle + 1, armed_event(m, "transient"));
             }
-            let one = st.cycle + 1;
-            if let Some(o) = self.advance_sim(&mut st, one, fr) {
-                return o;
+            let one = self.cycle + 1;
+            if let Some(o) = self.advance(one, fr) {
+                break DsaRunEnd::Finished(o);
             }
+            // Ladder-rung crossing: dirty-diff convergence exit. The harness
+            // keeps no dirty journals, so the "diff" is a wholesale
+            // functional compare.
+            if let Some(rung) = ahead.first().filter(|r| r.cycle == self.cycle) {
+                ahead = &ahead[1..];
+                if converge && armed {
+                    // Fate split: if the early-termination poll would also
+                    // catch this run (bit overwritten before any read),
+                    // defer to it — the poll fires at the same absolute
+                    // cycles with or without the ladder, keeping records
+                    // bit-identical across configurations.
+                    let skip = early && overwritten(self);
+                    lane.enter(PhaseId::ConvergenceDiff);
+                    let converged =
+                        !skip && (!taint || self.taint_quiescent()) && self.state_eq(&rung.state);
+                    lane.exit(PhaseId::ConvergenceDiff);
+                    if converged {
+                        fr.record(self.cycle, Event::Converged);
+                        break DsaRunEnd::Converged;
+                    }
+                }
+            }
+            // Early termination: poll the armed bit's fate on a coarse,
+            // absolute-cycle cadence (deterministic across reset modes,
+            // worker counts and ladder bases). Overwritten-before-read is
+            // definitively Masked.
+            if early && armed && self.cycle.is_multiple_of(1024) && overwritten(self) {
+                fr.record(self.cycle, Event::EarlyTerminated);
+                break DsaRunEnd::MaskedEarly { cycles: self.cycle };
+            }
+        };
+        if event {
+            lane.exit(PhaseId::TraceReplay);
+        }
+        lane.exit(PhaseId::SimStepDsa);
+        end
+    }
+
+    /// Advance the run one cycle (the phase action for `self.cycle`, which
+    /// the caller has already incremented); returns the outcome once the
+    /// run finishes.
+    fn step(&mut self, fr: &mut FlightRecorder) -> Option<DsaOutcome> {
+        match self.phase {
+            Phase::Idle => unreachable!("a run steps only after its start handshake"),
+            Phase::DmaIn | Phase::DmaOut if self.dma.busy() => {
+                let shadow = (!self.ram_shadow.is_empty()).then_some(&mut self.ram_shadow[..]);
+                if !self.dma.tick_tainted(&mut self.ram, shadow, &mut self.accel) {
+                    fr.record(self.cycle, Event::Trap { tag: "dma-error" });
+                    return Some(DsaOutcome::Error { cycles: self.cycle });
+                }
+                None
+            }
+            Phase::DmaIn => {
+                fr.record(
+                    self.cycle,
+                    Event::Note { label: "dma_in_bytes", value: self.dma.bytes_moved },
+                );
+                self.phase = Phase::Compute;
+                None
+            }
+            Phase::Compute => {
+                let state = self.accel.tick();
+                self.computed(state, fr)
+            }
+            Phase::DmaOut => Some(DsaOutcome::Done {
+                output: self.ram[self.output.clone()].to_vec(),
+                cycles: self.cycle,
+            }),
         }
     }
 
-    /// Advance the run one cycle (the phase action for `st.cycle`, which
-    /// the caller has already incremented); returns the outcome once the
-    /// run finishes. Split from [`run_recorded`](Self::run_recorded) so
-    /// campaign drivers can snapshot/resume mid-run state for the
-    /// checkpoint ladder.
-    fn step_sim(&mut self, st: &mut DsaSimState, fr: &mut FlightRecorder) -> Option<DsaOutcome> {
-        let shadow = (!st.ram_shadow.is_empty()).then_some(&mut st.ram_shadow[..]);
-        match st.phase {
-            0 => {
-                if st.dma.busy() {
-                    if !st.dma.tick_tainted(&mut self.ram, shadow, &mut self.accel) {
-                        fr.record(st.cycle, Event::Trap { tag: "dma-error" });
-                        return Some(DsaOutcome::Error { cycles: st.cycle });
-                    }
-                } else {
-                    fr.record(
-                        st.cycle,
-                        Event::Note { label: "dma_in_bytes", value: st.dma.bytes_moved },
-                    );
-                    st.phase = 1;
+    /// Act on the accelerator's state after compute progressed: queue the
+    /// DMA-out plan once it is done, end the run on a datapath error.
+    fn computed(&mut self, state: AccelState, fr: &mut FlightRecorder) -> Option<DsaOutcome> {
+        match state {
+            AccelState::Done => {
+                fr.record(
+                    self.cycle,
+                    Event::Note { label: "compute_cycles", value: self.accel.stats.compute_cycles },
+                );
+                for j in &self.jobs_out {
+                    self.dma.push(*j);
                 }
+                self.phase = Phase::DmaOut;
+                None
             }
-            1 => match self.accel.tick() {
-                AccelState::Done => {
-                    fr.record(
-                        st.cycle,
-                        Event::Note { label: "compute_cycles", value: self.accel.stats.compute_cycles },
-                    );
-                    for j in &self.jobs_out {
-                        st.dma.push(*j);
-                    }
-                    st.phase = 2;
-                }
-                AccelState::Error(_) => {
-                    fr.record(st.cycle, Event::Trap { tag: "accel-error" });
-                    return Some(DsaOutcome::Error { cycles: st.cycle });
-                }
-                _ => {}
-            },
-            _ => {
-                if st.dma.busy() {
-                    if !st.dma.tick_tainted(&mut self.ram, shadow, &mut self.accel) {
-                        fr.record(st.cycle, Event::Trap { tag: "dma-error" });
-                        return Some(DsaOutcome::Error { cycles: st.cycle });
-                    }
-                } else {
-                    return Some(DsaOutcome::Done {
-                        output: self.ram[self.output.clone()].to_vec(),
-                        cycles: st.cycle,
-                    });
-                }
+            AccelState::Error(_) => {
+                fr.record(self.cycle, Event::Trap { tag: "accel-error" });
+                Some(DsaOutcome::Error { cycles: self.cycle })
             }
+            _ => None,
         }
-        None
     }
 
     /// Advance the run up to absolute cycle `limit` (or a terminal
     /// outcome, whichever comes first). Semantically identical to calling
-    /// [`step_sim`](Self::step_sim) once per cycle; when the accelerator
-    /// is on the event engine, the compute phase instead jumps between
-    /// schedule events via [`Accelerator::advance`], bulk-charging the
-    /// skipped cycles. DMA phases move bytes every cycle and stay
-    /// cycle-stepped either way.
-    fn advance_sim(
-        &mut self,
-        st: &mut DsaSimState,
-        limit: u64,
-        fr: &mut FlightRecorder,
-    ) -> Option<DsaOutcome> {
-        if !self.accel.event_engine() {
-            while st.cycle < limit {
-                st.cycle += 1;
-                if let Some(o) = self.step_sim(st, fr) {
-                    return Some(o);
-                }
-            }
-            return None;
-        }
-        while st.cycle < limit {
-            if st.phase != 1 {
-                st.cycle += 1;
-                if let Some(o) = self.step_sim(st, fr) {
-                    return Some(o);
-                }
-                continue;
-            }
-            let (state, used) = self.accel.advance(limit - st.cycle);
-            st.cycle += used;
-            match state {
-                AccelState::Done => {
-                    fr.record(
-                        st.cycle,
-                        Event::Note { label: "compute_cycles", value: self.accel.stats.compute_cycles },
-                    );
-                    for j in &self.jobs_out {
-                        st.dma.push(*j);
-                    }
-                    st.phase = 2;
-                }
-                AccelState::Error(_) => {
-                    fr.record(st.cycle, Event::Trap { tag: "accel-error" });
-                    return Some(DsaOutcome::Error { cycles: st.cycle });
-                }
-                _ => {}
+    /// [`step`](Self::step) once per cycle; when the accelerator is on the
+    /// event engine, the compute phase instead jumps between schedule
+    /// events via [`Accelerator::advance`], bulk-charging the skipped
+    /// cycles. DMA phases move bytes every cycle and stay cycle-stepped
+    /// either way.
+    fn advance(&mut self, limit: u64, fr: &mut FlightRecorder) -> Option<DsaOutcome> {
+        let event = self.accel.event_engine();
+        while self.cycle < limit {
+            let end = if event && self.phase == Phase::Compute {
+                let (state, used) = self.accel.advance(limit - self.cycle);
+                self.cycle += used;
+                self.computed(state, fr)
+            } else {
+                self.cycle += 1;
+                self.step(fr)
+            };
+            if end.is_some() {
+                return end;
             }
         }
         None
     }
+
+    /// True when no taint is latched in the accelerator or the RAM shadow.
+    fn taint_quiescent(&self) -> bool {
+        self.accel.taint_quiescent() && self.ram_shadow.iter().all(|&b| b == 0)
+    }
+
+    /// Functional-state equality against a golden rung at the same cycle,
+    /// for the convergence exit.
+    fn state_eq(&self, golden: &DsaHarness) -> bool {
+        self.phase == golden.phase
+            && self.dma.state_eq(&golden.dma)
+            && self.ram == golden.ram
+            && self.accel.state_eq(&golden.accel)
+    }
 }
 
 impl RunState for DsaHarness {
+    const SCOPE: &'static str = "dsa";
     const RESET_NS: &'static str = "dsa.reset_ns";
     const RESET_BYTES: &'static str = "dsa.reset_bytes";
+    const PREFIX_CYCLES: &'static str = "dsa.prefix_cycles";
+    const PREFIX_SKIPPED: &'static str = "dsa.prefix_cycles_skipped";
+    const RUNG_AT_INJECTION: bool = false;
+    type Marks = ();
     fn reset_from(&mut self, pristine: &DsaHarness) -> u64 {
         DsaHarness::reset_from(self, pristine)
     }
-}
-
-/// Mid-run simulation state of a harness run — the DMA engine, phase
-/// machine, cycle count and RAM taint shadow that used to live on
-/// `run_recorded`'s stack. Split out so checkpoint-ladder rungs can
-/// snapshot a fault-free run in flight and campaign workers can resume
-/// from it.
-#[derive(Debug, Clone)]
-pub struct DsaSimState {
-    dma: DmaEngine,
-    /// 0 = dma-in, 1 = compute, 2 = dma-out.
-    phase: u8,
-    cycle: u64,
-    /// RAM taint shadow (marvel-taint): allocated only when the
-    /// accelerator's shadow planes are on, so plain runs pay nothing.
-    ram_shadow: Vec<u8>,
-}
-
-impl DsaSimState {
-    /// Queue the DMA-in plan and start the accelerator: the cycle-0 state
-    /// of a run on `h`.
-    fn start(h: &mut DsaHarness) -> DsaSimState {
-        let mut dma = DmaEngine::new(8);
-        for j in &h.jobs_in {
-            dma.push(*j);
-        }
-        let ram_shadow = if h.accel.taint_enabled() { vec![0u8; h.ram.len()] } else { Vec::new() };
-        h.accel.start(&h.args.clone());
-        DsaSimState { dma, phase: 0, cycle: 0, ram_shadow }
+    fn advance_to(&mut self, cycle: u64) -> bool {
+        self.begin();
+        self.advance(cycle, &mut FlightRecorder::disabled()).is_none()
     }
-
-    /// True when no taint is latched in the run-local state.
-    fn taint_quiescent(&self) -> bool {
-        self.ram_shadow.iter().all(|&b| b == 0)
-    }
+    fn take_marks(&mut self) {}
 }
+
+/// Checkpoint ladder for DSA campaigns: harness snapshots of the
+/// fault-free run. A rung is frozen right after the step for its cycle,
+/// so a run injecting at cycle `c` starts from the deepest rung strictly
+/// below `c`.
+pub type DsaLadder = Ladder<DsaHarness>;
 
 /// Golden reference for a DSA campaign.
 #[derive(Debug, Clone)]
@@ -337,6 +451,10 @@ pub struct DsaGolden {
     pub harness: DsaHarness,
     pub output: Vec<u8>,
     pub cycles: u64,
+    /// The accelerator's structure counters (SPM/RegBank traffic,
+    /// node/block execution) after the fault-free cycle-oracle run, as
+    /// `dsa.golden_accel.*` metrics.
+    accel_counters: Vec<(String, u64)>,
 }
 
 impl DsaGolden {
@@ -359,10 +477,14 @@ impl DsaGolden {
     /// lands in [`PhaseId::GoldenPrep`], the schedule build plus trace
     /// recording in [`PhaseId::ScheduleBuild`].
     pub fn prepare_spanned(mut harness: DsaHarness, watchdog: u64, spans: &SpanCollector) -> DsaGolden {
-        let (output, cycles) = spans.time(PhaseId::GoldenPrep, || {
+        let (output, cycles, accel_counters) = spans.time(PhaseId::GoldenPrep, || {
             let mut h = harness.clone();
             match h.run(None, watchdog) {
-                DsaOutcome::Done { output, cycles } => (output, cycles),
+                DsaOutcome::Done { output, cycles } => {
+                    let counters = Registry::new();
+                    h.accel.publish_metrics(&counters, &Scope::new("dsa").child("golden_accel"));
+                    (output, cycles, counters.snapshot().counters)
+                }
                 o => panic!("fault-free DSA run failed: {o:?}"),
             }
         });
@@ -385,11 +507,25 @@ impl DsaGolden {
                 }
             }
         });
-        DsaGolden { harness, output, cycles }
+        DsaGolden { harness, output, cycles, accel_counters }
+    }
+
+    /// Cycle at which an injection run is declared hung: three golden
+    /// run lengths plus slack.
+    pub fn watchdog(&self) -> u64 {
+        self.cycles * WATCHDOG_FACTOR + 10_000
+    }
+
+    /// Export the accelerator's structure counters from the fault-free run
+    /// under `dsa.golden_accel.*`.
+    pub fn publish_metrics(&self, reg: &Registry) {
+        for (name, value) in &self.accel_counters {
+            reg.publish(name, *value);
+        }
     }
 
     /// Replay the fault-free run once more, freezing `n_rungs` evenly
-    /// spaced [`DsaLadderRung`]s strictly inside the injection window.
+    /// spaced harness snapshots strictly inside the injection window.
     /// Built once per campaign and shared read-only across workers.
     pub fn build_ladder(&self, n_rungs: usize) -> DsaLadder {
         self.build_ladder_engine(n_rungs, false)
@@ -403,217 +539,14 @@ impl DsaGolden {
     /// The event ladder also enables the taint shadow planes, which event
     /// runs need for replay memoization.
     pub fn build_ladder_engine(&self, n_rungs: usize, event: bool) -> DsaLadder {
-        let mut ladder = DsaLadder::default();
-        if n_rungs == 0 || self.cycles < 2 {
-            return ladder;
-        }
-        let mut cycles: Vec<u64> = (1..=n_rungs as u64)
-            .map(|i| i * self.cycles / (n_rungs as u64 + 1))
-            .filter(|&c| c > 0 && c < self.cycles)
-            .collect();
-        cycles.dedup();
-        let mut h = self.harness.clone();
-        if event && h.accel.set_engine_event() {
-            h.accel.enable_taint("ladder");
-        }
-        let mut st = DsaSimState::start(&mut h);
-        let mut fr = FlightRecorder::disabled();
-        for &c in &cycles {
-            if h.advance_sim(&mut st, c, &mut fr).is_some() {
-                // Fault-free run ended before the window did (cannot
-                // happen for rungs < self.cycles); stop defensively.
-                return ladder;
+        Ladder::build(n_rungs, 0, self.cycles, || {
+            let mut h = self.harness.clone();
+            if event && h.accel.set_engine_event() {
+                h.accel.enable_taint("ladder");
             }
-            ladder.rungs.push(DsaLadderRung { cycle: c, harness: h.clone(), sim: st.clone() });
-        }
-        ladder
+            h
+        })
     }
-}
-
-/// One rung of a [`DsaLadder`]: the harness plus run-local state of the
-/// fault-free run, frozen right after the step for `cycle` completed. A
-/// run injecting at cycle `c` may start from the deepest rung with
-/// `cycle < c` — the injection applies at the top of cycle `c`, before
-/// that cycle's step, so a rung at exactly `c` is already past it.
-#[derive(Debug, Clone)]
-pub struct DsaLadderRung {
-    pub cycle: u64,
-    harness: DsaHarness,
-    sim: DsaSimState,
-}
-
-/// Checkpoint ladder for DSA campaigns: intermediate snapshots of the
-/// fault-free run at evenly spaced cycles. Workers restore the nearest
-/// rung below each injection cycle instead of re-simulating the
-/// fault-free prefix from cycle 0, and the convergence exit compares
-/// post-injection state against the rung frozen at the same cycle.
-#[derive(Debug, Clone, Default)]
-pub struct DsaLadder {
-    rungs: Vec<DsaLadderRung>,
-}
-
-impl DsaLadder {
-    pub fn len(&self) -> usize {
-        self.rungs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rungs.is_empty()
-    }
-
-    /// Rung cycles, ascending.
-    pub fn cycles(&self) -> Vec<u64> {
-        self.rungs.iter().map(|r| r.cycle).collect()
-    }
-}
-
-/// How a campaign-driven DSA run ended.
-enum DsaRunEnd {
-    /// Ran to a terminal outcome (done / error / timeout).
-    Finished(DsaOutcome),
-    /// The fate poll saw the armed bit overwritten before any read — the
-    /// fault is architecturally dead, the run is definitively Masked.
-    MaskedEarly { cycles: u64 },
-    /// Post-injection state matched the golden rung frozen at the same
-    /// cycle — the rest of the run is bit-identical to the fault-free
-    /// one, so the record is Masked with the golden cycle count.
-    Converged,
-}
-
-/// Drive one masked campaign run on `h`/`st` (already positioned at the
-/// base cycle, fault-free) to an end. `next_rung` indexes the first
-/// ladder rung strictly above the base cycle.
-#[allow(clippy::too_many_arguments)]
-fn drive_run(
-    h: &mut DsaHarness,
-    st: &mut DsaSimState,
-    mask: &FaultMask,
-    inject_at: Option<u64>,
-    ladder: Option<&DsaLadder>,
-    mut next_rung: usize,
-    cc: &CampaignConfig,
-    watchdog: u64,
-    taint: bool,
-    fr: &mut FlightRecorder,
-    lane: &mut SpanLane,
-) -> DsaRunEnd {
-    if let FaultModel::Permanent { value } = mask.model {
-        lane.enter(PhaseId::Inject);
-        h.apply(mask, Some(value));
-        lane.exit(PhaseId::Inject);
-        fr.record(
-            0,
-            Event::FaultArmed {
-                target: mask.target.name(),
-                bit: mask.bits.first().copied().unwrap_or(0),
-                model: "permanent",
-            },
-        );
-    }
-    let mut armed = inject_at.is_none();
-    lane.enter(PhaseId::SimStepDsa);
-    let event = h.accel.event_engine();
-    if event {
-        // Sub-attribute event-driven stepping (schedule jumps + golden
-        // replay) under the sim-step lane so the span report separates
-        // the two drive paths.
-        lane.enter(PhaseId::TraceReplay);
-    }
-    let end = loop {
-        // Bulk-advance to the next special cycle (injection, ladder rung,
-        // fate poll, watchdog); each special cycle then goes through the
-        // single-cycle path so check ordering matches the historical
-        // per-cycle loop exactly.
-        let mut stop = watchdog;
-        if !armed {
-            if let Some(c) = inject_at {
-                stop = stop.min(c.saturating_sub(1));
-            }
-        }
-        if let Some(l) = ladder {
-            if next_rung < l.rungs.len() {
-                stop = stop.min(l.rungs[next_rung].cycle.saturating_sub(1));
-            }
-        }
-        if cc.early_termination && armed && mask.model.is_transient() {
-            stop = stop.min((st.cycle / 1024 + 1) * 1024 - 1);
-        }
-        if stop > st.cycle {
-            if let Some(o) = h.advance_sim(st, stop, fr) {
-                break DsaRunEnd::Finished(o);
-            }
-        }
-        if st.cycle + 1 > watchdog {
-            st.cycle += 1;
-            fr.record(st.cycle, Event::Trap { tag: "watchdog" });
-            break DsaRunEnd::Finished(DsaOutcome::Timeout);
-        }
-        if !armed && inject_at == Some(st.cycle + 1) {
-            lane.enter(PhaseId::Inject);
-            h.apply(mask, None);
-            lane.exit(PhaseId::Inject);
-            armed = true;
-            fr.record(
-                st.cycle + 1,
-                Event::FaultArmed {
-                    target: mask.target.name(),
-                    bit: mask.bits.first().copied().unwrap_or(0),
-                    model: "transient",
-                },
-            );
-        }
-        let one = st.cycle + 1;
-        if let Some(o) = h.advance_sim(st, one, fr) {
-            break DsaRunEnd::Finished(o);
-        }
-        // Ladder-rung crossing: dirty-diff convergence exit. DSA state is
-        // a few KiB, so the "diff" is a wholesale functional compare.
-        if let Some(l) = ladder {
-            if next_rung < l.rungs.len() && st.cycle == l.rungs[next_rung].cycle {
-                let rung = &l.rungs[next_rung];
-                next_rung += 1;
-                if cc.convergence_exit && armed && mask.model.is_transient() {
-                    // Fate split: if the early-termination poll would also
-                    // catch this run (bit overwritten before any read),
-                    // defer to it — the poll fires at the same absolute
-                    // cycles with or without the ladder, keeping records
-                    // bit-identical across configurations.
-                    let skip =
-                        cc.early_termination && h.fault_fate(mask.target) == Some(SramFate::Overwritten);
-                    lane.enter(PhaseId::ConvergenceDiff);
-                    let converged = !skip
-                        && (!taint || (h.accel.taint_quiescent() && st.taint_quiescent()))
-                        && st.phase == rung.sim.phase
-                        && st.dma.state_eq(&rung.sim.dma)
-                        && h.ram == rung.harness.ram
-                        && h.accel.state_eq(&rung.harness.accel);
-                    lane.exit(PhaseId::ConvergenceDiff);
-                    if converged {
-                        fr.record(st.cycle, Event::Converged);
-                        break DsaRunEnd::Converged;
-                    }
-                }
-            }
-        }
-        // Early termination: poll the armed bit's fate on a coarse,
-        // absolute-cycle cadence (deterministic across reset modes,
-        // worker counts and ladder bases). Overwritten-before-read is
-        // definitively Masked.
-        if cc.early_termination
-            && armed
-            && mask.model.is_transient()
-            && st.cycle.is_multiple_of(1024)
-            && h.fault_fate(mask.target) == Some(SramFate::Overwritten)
-        {
-            fr.record(st.cycle, Event::EarlyTerminated);
-            break DsaRunEnd::MaskedEarly { cycles: st.cycle };
-        }
-    };
-    if event {
-        lane.exit(PhaseId::TraceReplay);
-    }
-    lane.exit(PhaseId::SimStepDsa);
-    end
 }
 
 /// Run a statistical campaign on one DSA memory target. AVF == HVF for
@@ -638,22 +571,10 @@ pub fn dsa_campaign_masks(golden: &DsaGolden, target: Target, cc: &CampaignConfi
 /// [`crate::campaign::build_campaign_ladder`]) so long-lived drivers can
 /// build once and reuse across many incremental [`drive_dsa_masks`] calls.
 pub fn build_dsa_ladder(golden: &DsaGolden, cc: &CampaignConfig) -> DsaLadder {
-    if cc.ladder_rungs == 0 {
-        return DsaLadder::default();
-    }
-    cc.telemetry.spans.time(PhaseId::LadderBuild, || {
-        let t0 = std::time::Instant::now();
-        // Rungs must be frozen by the engine that will drive runs from
-        // them — see `build_ladder_engine`.
-        let ladder = golden.build_ladder_engine(cc.ladder_rungs, dsa_event_engine(golden, cc));
-        if !ladder.is_empty() {
-            let reg = &cc.telemetry.registry;
-            let scope = Scope::new("dsa");
-            reg.publish_scoped(&scope, "ladder_rungs", ladder.len() as u64);
-            reg.publish_scoped(&scope, "ladder_build_ns", t0.elapsed().as_nanos() as u64);
-        }
-        ladder
-    })
+    // Rungs must be frozen by the engine that will drive runs from them —
+    // see `build_ladder_engine`.
+    let event = dsa_event_engine(golden, cc);
+    build_timed(cc, |n| golden.build_ladder_engine(n, event)).unwrap_or_default()
 }
 
 /// Run one injection per caller-supplied mask. `run_dsa_campaign` is this
@@ -671,16 +592,7 @@ pub fn run_dsa_masks(
     let records = collect_records(masks.len(), |skip, sink| {
         drive_dsa_masks(golden, target, ladder_ref, masks, cc, skip, None, sink)
     });
-
-    let tel = &cc.telemetry;
-    if tel.registry.is_enabled() {
-        // One extra fault-free run to export the accelerator's structure
-        // counters (SPM/RegBank traffic, node/block execution).
-        let mut h = golden.harness.clone();
-        let _ = h.run(None, dsa_watchdog(golden, cc));
-        h.accel.publish_metrics(&tel.registry, &Scope::new("dsa").child("golden_accel"));
-    }
-
+    golden.publish_metrics(&cc.telemetry.registry);
     CampaignResult {
         target,
         records,
@@ -699,11 +611,6 @@ fn dsa_event_engine(golden: &DsaGolden, cc: &CampaignConfig) -> bool {
     cc.dsa_engine == DsaEngine::Event && golden.harness.accel.replay_armed()
 }
 
-/// Cycle budget of one DSA injection run.
-fn dsa_watchdog(golden: &DsaGolden, cc: &CampaignConfig) -> u64 {
-    golden.cycles * cc.watchdog_factor + 10_000
-}
-
 /// Execute one DSA injection run into `target`: start from the deepest
 /// ladder rung strictly below the injection cycle (the cycle-0 harness
 /// for permanents and early injections), dirty-reset the worker's
@@ -719,7 +626,7 @@ fn run_dsa_one(
     lane: &mut SpanLane,
 ) -> RunRecord {
     let tel = &cc.telemetry;
-    let watchdog = dsa_watchdog(golden, cc);
+    let watchdog = golden.watchdog();
     let mut fr = if tel.flight_capacity > 0 {
         FlightRecorder::new(tel.flight_capacity)
     } else {
@@ -729,16 +636,10 @@ fn run_dsa_one(
         FaultModel::Transient { cycle } => Some(cycle),
         _ => None,
     };
-    let (base, next_rung) = match (ladder, inject_at) {
-        (Some(l), Some(c)) => {
-            let r = l.rungs.partition_point(|r| r.cycle < c);
-            (r.checked_sub(1).map(|r| &l.rungs[r]), r)
-        }
-        _ => (None, 0),
-    };
-    let (base_h, base_cycle) = base.map_or((&golden.harness, 0), |r| (&r.harness, r.cycle));
+    let (base, base_cycle, ahead) = select_base(&golden.harness, 0, ladder, inject_at);
+    record_prefix::<DsaHarness>(&tel.registry, 0, base_cycle, inject_at);
     let mut owned: Option<Box<DsaHarness>> = None;
-    let h = acquire(base_h, base_cycle, tel, ctx, &mut owned, lane);
+    let h = acquire(base, base_cycle, tel, ctx, &mut owned, lane);
     // Pin the drive engine after positioning — resets copy the base's
     // engine, and the pristine golden harness stays on the cycle oracle.
     let event = dsa_event_engine(golden, cc);
@@ -749,34 +650,13 @@ fn run_dsa_one(
     }
     // The event engine needs the shadow planes even in non-taint
     // campaigns: replay memoization is gated on untainted inputs.
-    let planes = tel.taint || event;
-    if planes {
+    if tel.taint || event {
         // Before arming: the injection seeds the shadow planes. The
         // fault-free prefix carries no taint, so enabling at a rung
         // matches enabling at cycle 0.
         h.accel.enable_taint(&target.name());
     }
-    let mut st = match base {
-        Some(r) => {
-            let mut st = r.sim.clone();
-            if planes && st.ram_shadow.is_empty() {
-                st.ram_shadow = vec![0u8; h.ram.len()];
-            }
-            st
-        }
-        None => DsaSimState::start(h),
-    };
-    if let Some(c) = inject_at {
-        if let Some(hist) = tel.registry.histogram("dsa.prefix_cycles") {
-            hist.record(c - base_cycle);
-        }
-        if let Some(hist) = tel.registry.histogram("dsa.prefix_cycles_skipped") {
-            hist.record(base_cycle);
-        }
-    }
-    let end = drive_run(
-        h, &mut st, mask, inject_at, ladder, next_rung, cc, watchdog, tel.taint, &mut fr, lane,
-    );
+    let end = h.drive(Some(mask), watchdog, Some((cc, ahead)), &mut fr, lane);
     let (effect, trap, cycles, early_terminated, converged) = match end {
         DsaRunEnd::Finished(outcome) => {
             let (effect, trap) = match &outcome {
@@ -836,8 +716,8 @@ pub fn drive_dsa_masks(
     reg.publish_scoped(&scope, "bit_population", bit_len);
     reg.publish_scoped(&scope, "golden_cycles", golden.cycles);
     // Registered up front, so permanent-only drives export them too.
-    reg.histogram("dsa.prefix_cycles");
-    reg.histogram("dsa.prefix_cycles_skipped");
+    reg.histogram(DsaHarness::PREFIX_CYCLES);
+    reg.histogram(DsaHarness::PREFIX_SKIPPED);
     let dirty = cc.reset_mode == ResetMode::Dirty;
     let run_unit = |&i: &usize,
                     ctx: &mut WorkerCtx<DsaHarness>,
@@ -896,26 +776,14 @@ mod tests {
         for i in 0..8u64 {
             ram[(i * 8) as usize..(i * 8 + 8) as usize].copy_from_slice(&(i + 1).to_le_bytes());
         }
-        DsaHarness {
+        DsaHarness::new(
             accel,
             ram,
-            jobs_in: vec![DmaJob {
-                dir: DmaDir::ToSram,
-                ram_off: 0,
-                mem: MemRef::Spm(0),
-                mem_off: 0,
-                len: 64,
-            }],
-            jobs_out: vec![DmaJob {
-                dir: DmaDir::ToRam,
-                ram_off: 128,
-                mem: MemRef::Spm(1),
-                mem_off: 0,
-                len: 64,
-            }],
-            args: vec![],
-            output: 128..192,
-        }
+            vec![DmaJob { dir: DmaDir::ToSram, ram_off: 0, mem: MemRef::Spm(0), mem_off: 0, len: 64 }],
+            vec![DmaJob { dir: DmaDir::ToRam, ram_off: 128, mem: MemRef::Spm(1), mem_off: 0, len: 64 }],
+            vec![],
+            128..192,
+        )
     }
 
     #[test]

@@ -25,18 +25,19 @@ pub mod campaign;
 pub mod dsa;
 pub mod fault;
 pub mod features;
+mod ladder;
 pub mod report;
 pub mod stats;
 
 pub use campaign::{
     build_campaign_ladder, campaign_masks, drive_masks, run_campaign, run_masks, run_one,
     run_one_spanned, trace_pipeline_pair, CampaignConfig, CampaignResult, DriveOutcome, DsaEngine,
-    FaultEffect, Golden, GoldenError, HvfEffect, Ladder, LadderRung, ResetMode, RunRecord,
-    TelemetryConfig, WorkerCtx,
+    FaultEffect, Golden, GoldenError, HvfEffect, Ladder, ResetMode, RunRecord, TelemetryConfig,
+    WorkerCtx,
 };
 pub use dsa::{
     build_dsa_ladder, drive_dsa_masks, dsa_campaign_masks, run_dsa_campaign, run_dsa_masks, DsaGolden,
-    DsaHarness, DsaLadder, DsaLadderRung, DsaOutcome, DsaSimState,
+    DsaHarness, DsaLadder, DsaOutcome,
 };
 pub use fault::{FaultKind, FaultMask, FaultModel, MaskGenerator};
 pub use marvel_soc::Target;

@@ -507,18 +507,13 @@ impl Prepared {
                     100_000_000,
                     &cc.telemetry.spans,
                 );
+                golden.publish_metrics(reg);
                 let ladder = build_dsa_ladder(&golden, cc);
                 let masks = dsa_campaign_masks(&golden, target, cc);
-                let bit_population = match target {
-                    Target::Spm { .. } | Target::RegBank { .. } | Target::Mmr { .. } => {
-                        (comp.bytes as u64) * 8
-                    }
-                    _ => 0,
-                };
                 Ok(Prepared {
                     target,
                     masks,
-                    bit_population,
+                    bit_population: golden.harness.bit_len(target),
                     golden_cycles: golden.cycles,
                     golden: PreparedGolden::Dsa { golden: Box::new(golden), ladder },
                 })
@@ -583,7 +578,7 @@ impl Prepared {
 mod tests {
     use super::*;
     use marvel_core::ResetMode;
-    use marvel_telemetry::SpanCollector;
+    use marvel_telemetry::{Registry, SpanCollector};
 
     fn dsa_spec_text() -> &'static str {
         r#"{"type":"campaign_spec","schema_version":1,"id":"fft-a",
@@ -774,6 +769,20 @@ mod tests {
         assert!(!spec.to_config(TelemetryConfig::default()).telemetry.taint);
         spec.taint = true;
         assert!(spec.to_config(TelemetryConfig::default()).telemetry.taint);
+    }
+
+    #[test]
+    fn dsa_prep_publishes_golden_counters() {
+        let spec = CampaignSpec::parse(dsa_spec_text()).unwrap();
+        let registry = Registry::new();
+        let cc =
+            spec.to_config(TelemetryConfig { registry: registry.clone(), ..TelemetryConfig::default() });
+        let prepared = Prepared::new(&spec, &cc).unwrap();
+        let counters = registry.snapshot().counters;
+        let cycles = counters.iter().find(|(n, _)| n == "dsa.golden_accel.cycles");
+        assert!(cycles.is_some_and(|&(_, v)| v > 0), "{counters:?}");
+        // FFT's IMG scratchpad: the harness's own bit count.
+        assert_eq!(prepared.bit_population, 8_192 * 8);
     }
 
     #[test]

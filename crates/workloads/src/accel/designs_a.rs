@@ -135,10 +135,10 @@ pub fn bfs(fu: FuConfig) -> DsaHarness {
     ram[0..16_384].copy_from_slice(&u64s_to_bytes(&edges));
     ram[16_384..18_432].copy_from_slice(&u64s_to_bytes(&nodes));
     ram[18_432..20_480].copy_from_slice(&u64s_to_bytes(&levels));
-    DsaHarness {
+    DsaHarness::new(
         accel,
         ram,
-        jobs_in: vec![
+        vec![
             DmaJob { dir: DmaDir::ToSram, ram_off: 0, mem: MemRef::RegBank(0), mem_off: 0, len: 16_384 },
             DmaJob {
                 dir: DmaDir::ToSram,
@@ -149,16 +149,16 @@ pub fn bfs(fu: FuConfig) -> DsaHarness {
             },
             DmaJob { dir: DmaDir::ToSram, ram_off: 18_432, mem: MemRef::Spm(0), mem_off: 0, len: 2_048 },
         ],
-        jobs_out: vec![DmaJob {
+        vec![DmaJob {
             dir: DmaDir::ToRam,
             ram_off: 32_768,
             mem: MemRef::Spm(0),
             mem_off: 0,
             len: 2_048,
         }],
-        args: vec![],
-        output: 32_768..34_816,
-    }
+        vec![],
+        32_768..34_816,
+    )
 }
 
 /// 1024-point strided (DIF) FFT over the REAL/IMG scratchpads; twiddles
@@ -276,21 +276,21 @@ pub fn fft(fu: FuConfig) -> DsaHarness {
     ram[0..8_192].copy_from_slice(&f64s_to_bytes(&re));
     ram[8_192..16_384].copy_from_slice(&f64s_to_bytes(&im));
     ram[16_384..24_576].copy_from_slice(&f64s_to_bytes(&tw));
-    DsaHarness {
+    DsaHarness::new(
         accel,
         ram,
-        jobs_in: vec![
+        vec![
             DmaJob { dir: DmaDir::ToSram, ram_off: 0, mem: MemRef::Spm(1), mem_off: 0, len: 8_192 },
             DmaJob { dir: DmaDir::ToSram, ram_off: 8_192, mem: MemRef::Spm(0), mem_off: 0, len: 8_192 },
             DmaJob { dir: DmaDir::ToSram, ram_off: 16_384, mem: MemRef::Spm(2), mem_off: 0, len: 8_192 },
         ],
-        jobs_out: vec![
+        vec![
             DmaJob { dir: DmaDir::ToRam, ram_off: 32_768, mem: MemRef::Spm(1), mem_off: 0, len: 8_192 },
             DmaJob { dir: DmaDir::ToRam, ram_off: 40_960, mem: MemRef::Spm(0), mem_off: 0, len: 8_192 },
         ],
-        args: vec![],
-        output: 32_768..49_152,
-    }
+        vec![],
+        32_768..49_152,
+    )
 }
 
 /// 64×64 f64 matrix multiply, inner (k) loop unrolled ×8 so the FU count
@@ -405,10 +405,10 @@ pub fn gemm(fu: FuConfig) -> DsaHarness {
     let mut ram = vec![0u8; 128 * 1024];
     ram[0..32_768].copy_from_slice(&f64s_to_bytes(&a));
     ram[32_768..65_536].copy_from_slice(&f64s_to_bytes(&bmat));
-    DsaHarness {
+    DsaHarness::new(
         accel,
         ram,
-        jobs_in: vec![
+        vec![
             DmaJob { dir: DmaDir::ToSram, ram_off: 0, mem: MemRef::Spm(0), mem_off: 0, len: 32_768 },
             DmaJob {
                 dir: DmaDir::ToSram,
@@ -418,16 +418,16 @@ pub fn gemm(fu: FuConfig) -> DsaHarness {
                 len: 32_768,
             },
         ],
-        jobs_out: vec![DmaJob {
+        vec![DmaJob {
             dir: DmaDir::ToRam,
             ram_off: 65_536,
             mem: MemRef::Spm(2),
             mem_off: 0,
             len: 32_768,
         }],
-        args: vec![],
-        output: 65_536..98_304,
-    }
+        vec![],
+        65_536..98_304,
+    )
 }
 
 /// MD-KNN: Lennard-Jones x-force accumulation over 8-neighbour lists
@@ -542,23 +542,23 @@ pub fn md_knn(fu: FuConfig) -> DsaHarness {
     ram[16_384..18_432].copy_from_slice(&f64s_to_bytes(&posx));
     ram[18_432..20_480].copy_from_slice(&f64s_to_bytes(&posy));
     ram[20_480..22_528].copy_from_slice(&f64s_to_bytes(&posz));
-    DsaHarness {
+    DsaHarness::new(
         accel,
         ram,
-        jobs_in: vec![
+        vec![
             DmaJob { dir: DmaDir::ToSram, ram_off: 0, mem: MemRef::Spm(0), mem_off: 0, len: 16_384 },
             DmaJob { dir: DmaDir::ToSram, ram_off: 16_384, mem: MemRef::Spm(2), mem_off: 0, len: 2_048 },
             DmaJob { dir: DmaDir::ToSram, ram_off: 18_432, mem: MemRef::Spm(3), mem_off: 0, len: 2_048 },
             DmaJob { dir: DmaDir::ToSram, ram_off: 20_480, mem: MemRef::Spm(4), mem_off: 0, len: 2_048 },
         ],
-        jobs_out: vec![DmaJob {
+        vec![DmaJob {
             dir: DmaDir::ToRam,
             ram_off: 32_768,
             mem: MemRef::Spm(1),
             mem_off: 0,
             len: 2_048,
         }],
-        args: vec![],
-        output: 32_768..34_816,
-    }
+        vec![],
+        32_768..34_816,
+    )
 }

@@ -147,26 +147,20 @@ pub fn mergesort(fu: FuConfig) -> DsaHarness {
     );
     let mut ram = vec![0u8; 32 * 1024];
     ram[0..8_192].copy_from_slice(&u64s_to_bytes(&vals));
-    DsaHarness {
+    DsaHarness::new(
         accel,
         ram,
-        jobs_in: vec![DmaJob {
-            dir: DmaDir::ToSram,
-            ram_off: 0,
-            mem: MemRef::Spm(0),
-            mem_off: 0,
-            len: 8_192,
-        }],
-        jobs_out: vec![DmaJob {
+        vec![DmaJob { dir: DmaDir::ToSram, ram_off: 0, mem: MemRef::Spm(0), mem_off: 0, len: 8_192 }],
+        vec![DmaJob {
             dir: DmaDir::ToRam,
             ram_off: 16_384,
             mem: MemRef::Spm(0),
             mem_off: 0,
             len: 8_192,
         }],
-        args: vec![],
-        output: 16_384..24_576,
-    }
+        vec![],
+        16_384..24_576,
+    )
 }
 
 /// SPMV (ELLPACK-like CRS): `y[r] = Σ val[k] · x[cols[k]]` with the
@@ -268,25 +262,25 @@ pub fn spmv(fu: FuConfig) -> DsaHarness {
     ram[16_384..16_384 + 6_664].copy_from_slice(&u32s_to_bytes(&cols));
     ram[24_576..24_576 + 1_028].copy_from_slice(&u32s_to_bytes(&rowptr));
     ram[28_672..30_720].copy_from_slice(&f64s_to_bytes(&x));
-    DsaHarness {
+    DsaHarness::new(
         accel,
         ram,
-        jobs_in: vec![
+        vec![
             DmaJob { dir: DmaDir::ToSram, ram_off: 0, mem: MemRef::Spm(0), mem_off: 0, len: 13_328 },
             DmaJob { dir: DmaDir::ToSram, ram_off: 16_384, mem: MemRef::Spm(1), mem_off: 0, len: 6_664 },
             DmaJob { dir: DmaDir::ToSram, ram_off: 24_576, mem: MemRef::Spm(2), mem_off: 0, len: 1_028 },
             DmaJob { dir: DmaDir::ToSram, ram_off: 28_672, mem: MemRef::Spm(3), mem_off: 0, len: 2_048 },
         ],
-        jobs_out: vec![DmaJob {
+        vec![DmaJob {
             dir: DmaDir::ToRam,
             ram_off: 40_960,
             mem: MemRef::Spm(4),
             mem_off: 0,
             len: 2_048,
         }],
-        args: vec![],
-        output: 40_960..43_008,
-    }
+        vec![],
+        40_960..43_008,
+    )
 }
 
 /// 2-D 3×3 convolution over a 64×64 f64 grid; the 360-byte FILTER
@@ -373,10 +367,10 @@ pub fn stencil2d(fu: FuConfig) -> DsaHarness {
     let mut ram = vec![0u8; 128 * 1024];
     ram[0..32_768].copy_from_slice(&f64s_to_bytes(&orig));
     ram[32_768..32_768 + 360].copy_from_slice(&f64s_to_bytes(&filter));
-    DsaHarness {
+    DsaHarness::new(
         accel,
         ram,
-        jobs_in: vec![
+        vec![
             DmaJob { dir: DmaDir::ToSram, ram_off: 0, mem: MemRef::Spm(0), mem_off: 0, len: 32_768 },
             DmaJob {
                 dir: DmaDir::ToSram,
@@ -386,16 +380,16 @@ pub fn stencil2d(fu: FuConfig) -> DsaHarness {
                 len: 360,
             },
         ],
-        jobs_out: vec![DmaJob {
+        vec![DmaJob {
             dir: DmaDir::ToRam,
             ram_off: 65_536,
             mem: MemRef::Spm(1),
             mem_off: 0,
             len: 32_768,
         }],
-        args: vec![],
-        output: 65_536..98_304,
-    }
+        vec![],
+        65_536..98_304,
+    )
 }
 
 /// 3-D 7-point stencil over a 32×16×16 grid with a single scalar
@@ -502,21 +496,21 @@ pub fn stencil3d(fu: FuConfig) -> DsaHarness {
     let mut ram = vec![0u8; 256 * 1024];
     ram[0..65_536].copy_from_slice(&f64s_to_bytes(&orig));
     ram[65_536..65_544].copy_from_slice(&f64s_to_bytes(&cvar));
-    DsaHarness {
+    DsaHarness::new(
         accel,
         ram,
-        jobs_in: vec![
+        vec![
             DmaJob { dir: DmaDir::ToSram, ram_off: 0, mem: MemRef::Spm(0), mem_off: 0, len: 65_536 },
             DmaJob { dir: DmaDir::ToSram, ram_off: 65_536, mem: MemRef::RegBank(0), mem_off: 0, len: 8 },
         ],
-        jobs_out: vec![DmaJob {
+        vec![DmaJob {
             dir: DmaDir::ToRam,
             ram_off: 131_072,
             mem: MemRef::Spm(1),
             mem_off: 0,
             len: 65_536,
         }],
-        args: vec![],
-        output: 131_072..196_608,
-    }
+        vec![],
+        131_072..196_608,
+    )
 }

@@ -3,6 +3,7 @@
 
 use marvel_accel::FuConfig;
 use marvel_core::{DsaGolden, DsaOutcome};
+use marvel_telemetry::{Registry, Scope};
 use marvel_workloads::accel::{design, designs};
 use marvel_workloads::util::Lcg;
 
@@ -22,6 +23,24 @@ fn all_designs_complete_fault_free() {
             }
             o => panic!("{}: fault-free run failed: {o:?}", d.name),
         }
+    }
+}
+
+/// The `dsa.golden_accel.*` counters golden prep keeps are the ones a
+/// fresh fault-free run of the pristine harness (cycle engine) yields.
+#[test]
+fn golden_counters_match_a_fresh_cycle_run() {
+    for d in designs() {
+        let g = DsaGolden::prepare((d.make)(FuConfig::default()), WATCHDOG);
+        let kept = Registry::new();
+        g.publish_metrics(&kept);
+        let fresh = Registry::new();
+        let mut h = g.harness.clone();
+        assert!(matches!(h.run(None, g.watchdog()), DsaOutcome::Done { .. }), "{}", d.name);
+        h.accel.publish_metrics(&fresh, &Scope::new("dsa").child("golden_accel"));
+        let (kept, fresh) = (kept.snapshot().counters, fresh.snapshot().counters);
+        assert!(kept.iter().any(|(n, _)| n == "dsa.golden_accel.cycles"), "{}", d.name);
+        assert_eq!(kept, fresh, "{}", d.name);
     }
 }
 

@@ -7,8 +7,8 @@
 
 use gem5_marvel::core::{
     attribution_by_structure, attribution_csv, attribution_jsonl, run_dsa_campaign, run_dsa_masks,
-    CampaignConfig, CampaignResult, DsaEngine, DsaGolden, FaultKind, FaultMask, FaultModel, ResetMode,
-    TelemetryConfig,
+    CampaignConfig, CampaignResult, DsaEngine, DsaGolden, DsaOutcome, FaultEffect, FaultKind, FaultMask,
+    FaultModel, ResetMode, TelemetryConfig,
 };
 use gem5_marvel::soc::Target;
 use gem5_marvel::workloads::accel;
@@ -159,25 +159,52 @@ fn triple_harness(n: u64) -> DsaHarness {
     for (k, b) in ram.iter_mut().take(bytes).enumerate() {
         *b = (k as u8).wrapping_mul(13).wrapping_add(7);
     }
-    DsaHarness {
+    DsaHarness::new(
         accel,
         ram,
-        jobs_in: vec![DmaJob {
-            dir: DmaDir::ToSram,
-            ram_off: 0,
-            mem: MemRef::Spm(0),
-            mem_off: 0,
-            len: bytes,
-        }],
-        jobs_out: vec![DmaJob {
-            dir: DmaDir::ToRam,
-            ram_off: bytes,
-            mem: MemRef::Spm(1),
-            mem_off: 0,
-            len: bytes,
-        }],
-        args: vec![],
-        output: bytes..bytes * 2,
+        vec![DmaJob { dir: DmaDir::ToSram, ram_off: 0, mem: MemRef::Spm(0), mem_off: 0, len: bytes }],
+        vec![DmaJob { dir: DmaDir::ToRam, ram_off: bytes, mem: MemRef::Spm(1), mem_off: 0, len: bytes }],
+        vec![],
+        bytes..bytes * 2,
+    )
+}
+
+/// `DsaHarness::run` and campaign runs share one run loop and one arm
+/// order (start handshake, then the permanent mask), so every MMR bit
+/// stuck at either value classifies the same both ways, to the cycle.
+/// CTRL's start bit stuck at 0 is the case that once differed: the
+/// handshake overwrote the stuck bit in `run` (Masked) but not in a
+/// campaign (Crash at the watchdog).
+#[test]
+fn harness_run_matches_campaign_on_every_stuck_mmr_bit() {
+    let g = DsaGolden::prepare(triple_harness(8), 1_000_000);
+    let target = Target::Mmr { accel: 0 };
+    let masks: Vec<FaultMask> = (0..g.harness.bit_len(target))
+        .flat_map(|bit| {
+            [false, true].map(|value| FaultMask {
+                target,
+                bits: vec![bit],
+                model: FaultModel::Permanent { value },
+            })
+        })
+        .collect();
+    assert_eq!(masks.len(), 256);
+    let cc = CampaignConfig {
+        workers: 2,
+        ladder_rungs: 0,
+        dsa_engine: DsaEngine::Cycle,
+        ..Default::default()
+    };
+    let campaign = run_dsa_masks(&g, target, &masks, &cc);
+    let watchdog = g.watchdog();
+    for (mask, rec) in masks.iter().zip(&campaign.records) {
+        let run = match g.harness.clone().run(Some(mask), watchdog) {
+            DsaOutcome::Done { output, cycles } if output == g.output => (FaultEffect::Masked, cycles),
+            DsaOutcome::Done { cycles, .. } => (FaultEffect::Sdc, cycles),
+            DsaOutcome::Error { cycles } => (FaultEffect::Crash, cycles),
+            DsaOutcome::Timeout => (FaultEffect::Crash, watchdog),
+        };
+        assert_eq!(run, (rec.effect, rec.cycles), "{mask:?}");
     }
 }
 

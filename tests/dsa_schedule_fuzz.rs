@@ -222,14 +222,7 @@ proptest! {
             mem_off: 0,
             len: in_bytes,
         }];
-        let mut harness = DsaHarness {
-            accel,
-            ram,
-            jobs_in,
-            jobs_out,
-            args: vec![],
-            output: in_bytes..in_bytes * 2,
-        };
+        let mut harness = DsaHarness::new(accel, ram, jobs_in, jobs_out, vec![], in_bytes..in_bytes * 2);
         for k in 0..MAX_WIDTH {
             harness.accel.regbanks[0].write(k as u64 * 8, 8, rng.gen_range(1..1000u64)).unwrap();
         }

@@ -214,26 +214,14 @@ fn triple_harness(n: u64) -> DsaHarness {
     for (k, b) in ram.iter_mut().take(bytes).enumerate() {
         *b = (k as u8).wrapping_mul(13).wrapping_add(7);
     }
-    DsaHarness {
+    DsaHarness::new(
         accel,
         ram,
-        jobs_in: vec![DmaJob {
-            dir: DmaDir::ToSram,
-            ram_off: 0,
-            mem: MemRef::Spm(0),
-            mem_off: 0,
-            len: bytes,
-        }],
-        jobs_out: vec![DmaJob {
-            dir: DmaDir::ToRam,
-            ram_off: bytes,
-            mem: MemRef::Spm(1),
-            mem_off: 0,
-            len: bytes,
-        }],
-        args: vec![],
-        output: bytes..bytes * 2,
-    }
+        vec![DmaJob { dir: DmaDir::ToSram, ram_off: 0, mem: MemRef::Spm(0), mem_off: 0, len: bytes }],
+        vec![DmaJob { dir: DmaDir::ToRam, ram_off: bytes, mem: MemRef::Spm(1), mem_off: 0, len: bytes }],
+        vec![],
+        bytes..bytes * 2,
+    )
 }
 
 /// Node evaluations per faulty replay run must be proportional to the
