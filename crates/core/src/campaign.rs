@@ -5,7 +5,7 @@
 use crate::fault::{FaultKind, FaultMask, FaultModel, MaskGenerator};
 pub use crate::ladder::Ladder;
 use crate::ladder::{build_timed, record_prefix, select_base, RunState};
-use crate::stats::error_margin;
+use crate::stats::{error_margin, CONFIDENCE};
 use marvel_cpu::{CoreStats, FaultFate, LaneEvent, TraceMode, MAX_LANES};
 use marvel_soc::{RunOutcome, SysEvent, System, Target};
 use marvel_telemetry::{
@@ -125,6 +125,10 @@ pub enum DsaEngine {
 /// ([`Golden::watchdog`], [`crate::dsa::DsaGolden::watchdog`]).
 pub(crate) const WATCHDOG_FACTOR: u64 = 3;
 
+/// Cycle budget of a CPU golden run ([`Golden::prepare`]), the one
+/// `marvel campaign`, campaign specs and the paper-figure harnesses use.
+pub const CPU_GOLDEN_BUDGET: u64 = 200_000_000;
+
 /// Campaign-wide configuration. [`Default`] is the shipped
 /// configuration — the one `marvel campaign`, `marvel dsa`, campaign
 /// specs and the paper-figure harnesses run: an 8-rung ladder, 64-wide
@@ -146,7 +150,6 @@ pub struct CampaignConfig {
     pub workers: usize,
     /// Enable the fault-overwritten/invalid-entry early termination.
     pub early_termination: bool,
-    pub confidence: f64,
     /// Run-state reset strategy (zero-copy dirty reset vs. deep clone).
     pub reset_mode: ResetMode,
     /// Intermediate checkpoint-ladder rungs snapshotted across the
@@ -184,7 +187,6 @@ impl Default for CampaignConfig {
             collect_hvf: false,
             workers: 0,
             early_termination: true,
-            confidence: 0.95,
             reset_mode: ResetMode::default(),
             ladder_rungs: 8,
             convergence_exit: false,
@@ -814,7 +816,6 @@ pub struct CampaignResult {
     /// Injectable-bit population (for margin reporting).
     pub bit_population: u64,
     pub golden_exec_cycles: u64,
-    pub confidence: f64,
 }
 
 impl CampaignResult {
@@ -870,12 +871,12 @@ impl CampaignResult {
         self.records.iter().filter(|r| r.converged).count() as f64 / self.records.len() as f64
     }
 
-    /// Statistical error margin of the AVF estimate.
+    /// Statistical error margin of the AVF estimate at [`CONFIDENCE`].
     pub fn margin(&self) -> f64 {
         error_margin(
             self.records.len().max(1),
             self.bit_population.saturating_mul(self.golden_exec_cycles.max(1)),
-            self.confidence,
+            CONFIDENCE,
         )
     }
 }
@@ -941,13 +942,7 @@ pub fn run_campaign(golden: &Golden, target: Target, cc: &CampaignConfig) -> Cam
     reg.publish("campaign.bit_population", bit_len);
     reg.publish("campaign.golden_exec_cycles", golden.exec_cycles);
     let records = run_masks_with_population(golden, &masks, cc, population);
-    CampaignResult {
-        target,
-        records,
-        bit_population: bit_len,
-        golden_exec_cycles: golden.exec_cycles,
-        confidence: cc.confidence,
-    }
+    CampaignResult { target, records, bit_population: bit_len, golden_exec_cycles: golden.exec_cycles }
 }
 
 /// Run an explicit mask list (directed experiments, multi-bit studies).
@@ -1507,7 +1502,6 @@ where
             let (done, sdc_n, crash_n, early_n) = (&done, &sdc_n, &crash_n, &early_n);
             let finish_wake = &finish_wake;
             let interval = std::time::Duration::from_millis(tel.progress_interval_ms);
-            let confidence = cc.confidence;
             let scope = &scope;
             s.spawn(move |_| {
                 let meter = ProgressMeter::new(scope.as_str(), runs);
@@ -1515,7 +1509,7 @@ where
                 let mut finished = lock.lock().unwrap();
                 loop {
                     let d = done.load(Ordering::Relaxed);
-                    let margin = error_margin(d.max(1) as usize, population, confidence);
+                    let margin = error_margin(d.max(1) as usize, population, CONFIDENCE);
                     eprintln!(
                         "{}",
                         meter.line(

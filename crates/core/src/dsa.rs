@@ -445,6 +445,10 @@ impl RunState for DsaHarness {
 /// below `c`.
 pub type DsaLadder = Ladder<DsaHarness>;
 
+/// Cycle budget of a DSA golden run ([`DsaGolden::prepare`]), the one
+/// `marvel dsa`, campaign specs and the paper-figure harnesses use.
+pub const DSA_GOLDEN_BUDGET: u64 = 100_000_000;
+
 /// Golden reference for a DSA campaign.
 #[derive(Debug, Clone)]
 pub struct DsaGolden {
@@ -598,7 +602,6 @@ pub fn run_dsa_masks(
         records,
         bit_population: golden.harness.bit_len(target),
         golden_exec_cycles: golden.cycles,
-        confidence: cc.confidence,
     }
 }
 

@@ -33,16 +33,16 @@ pub use campaign::{
     build_campaign_ladder, campaign_masks, drive_masks, run_campaign, run_masks, run_one,
     run_one_spanned, trace_pipeline_pair, CampaignConfig, CampaignResult, DriveOutcome, DsaEngine,
     FaultEffect, Golden, GoldenError, HvfEffect, Ladder, ResetMode, RunRecord, TelemetryConfig,
-    WorkerCtx,
+    WorkerCtx, CPU_GOLDEN_BUDGET,
 };
 pub use dsa::{
     build_dsa_ladder, drive_dsa_masks, dsa_campaign_masks, run_dsa_campaign, run_dsa_masks, DsaGolden,
-    DsaHarness, DsaLadder, DsaOutcome,
+    DsaHarness, DsaLadder, DsaOutcome, DSA_GOLDEN_BUDGET,
 };
 pub use fault::{FaultKind, FaultMask, FaultModel, MaskGenerator};
 pub use marvel_soc::Target;
 pub use report::{
     attribution_by_structure, attribution_csv, attribution_jsonl, crash_breakdown, csv_row,
-    render_attribution, render_campaign, PropagationMatrix, StructureAttribution, CSV_HEADER,
+    render_attribution, PropagationMatrix, StructureAttribution, CSV_HEADER,
 };
-pub use stats::{error_margin, opf, required_samples, weighted_avf};
+pub use stats::{error_margin, opf, required_samples, weighted_avf, CONFIDENCE};

@@ -221,39 +221,6 @@ pub fn crash_breakdown(records: &[RunRecord]) -> BTreeMap<&'static str, usize> {
     out
 }
 
-/// Full text report for one campaign.
-pub fn render_campaign(res: &CampaignResult) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("target      : {}\n", res.target.name()));
-    s.push_str(&format!("faults      : {}\n", res.n()));
-    s.push_str(&format!(
-        "AVF         : {:.2}%  (SDC {:.2}%, Crash {:.2}%)  ±{:.2}% @{:.0}%\n",
-        res.avf() * 100.0,
-        res.sdc_avf() * 100.0,
-        res.crash_avf() * 100.0,
-        res.margin() * 100.0,
-        res.confidence * 100.0
-    ));
-    if let Some(h) = res.hvf() {
-        s.push_str(&format!("HVF         : {:.2}%\n", h * 100.0));
-    }
-    s.push_str(&format!("early-term  : {:.1}%\n", res.early_termination_rate() * 100.0));
-    let crashes = crash_breakdown(&res.records);
-    if !crashes.is_empty() {
-        s.push_str("crash causes:\n");
-        for (tag, n) in crashes {
-            s.push_str(&format!("  {tag:<22}{n}\n"));
-        }
-    }
-    if let Some(m) = PropagationMatrix::from_records(&res.records) {
-        s.push_str(&m.render());
-    }
-    if let Some(attr) = attribution_by_structure(&res.records) {
-        s.push_str(&render_attribution(&attr));
-    }
-    s
-}
-
 /// CSV line (plus header) for aggregating campaigns across scripts.
 pub fn csv_row(label: &str, res: &CampaignResult) -> String {
     format!(

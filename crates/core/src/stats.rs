@@ -1,6 +1,9 @@
 //! Statistical machinery: Leveugle-style sampling error margins, weighted
 //! AVF aggregation (Section V-A) and the OPF metric (Section V-G).
 
+/// Confidence level of every reported error margin (the paper's 95 %).
+pub const CONFIDENCE: f64 = 0.95;
+
 /// Two-sided normal quantile for common confidence levels.
 fn z_for_confidence(confidence: f64) -> f64 {
     if (confidence - 0.90).abs() < 1e-9 {

@@ -1,178 +1,14 @@
-//! Combined runner for the CPU-side figures (Fig. 4–13): one golden run
+//! Combined runner for the CPU-side figures (Figs. 4–13): one golden run
 //! per (benchmark × ISA) reused across all five transient structure
-//! campaigns and both permanent-fault campaigns. Writes each figure's
-//! series into `results/` and a cache under `results/.cache/` that the
-//! individual per-figure harnesses reuse (delete the cache to force a
-//! figure to recompute on its own).
-//!
-//! Figs. 9–11 are by construction the SDC-only view of the same campaign
-//! records as Figs. 4–6, so they come for free — exactly as in the paper,
-//! where each run is classified once into Masked/SDC/Crash.
+//! campaigns and both permanent-fault campaigns, with Figs. 9–11 read
+//! from the records of Figs. 4–6. Each figure's per-figure harness reuses
+//! the CSV written here while its `#` line matches the harness's own.
 
-use marvel_core::{run_campaign, weighted_avf, CampaignConfig, CampaignResult, FaultKind};
-use marvel_experiments::{banner, benches, config, cpu_golden, results_dir, FigTable, Metric};
-use marvel_isa::Isa;
-use marvel_soc::Target;
-
-struct FigSpec {
-    file: &'static str,
-    title: &'static str,
-    target: Target,
-    kind: FaultKind,
-    metric: Metric,
-}
-
-const SPECS: [FigSpec; 10] = [
-    FigSpec {
-        file: "fig04_rf_avf",
-        title: "Fig. 4 (RF AVF)",
-        target: Target::PrfInt,
-        kind: FaultKind::Transient,
-        metric: Metric::TotalAvf,
-    },
-    FigSpec {
-        file: "fig05_l1i_avf",
-        title: "Fig. 5 (L1I AVF)",
-        target: Target::L1I,
-        kind: FaultKind::Transient,
-        metric: Metric::TotalAvf,
-    },
-    FigSpec {
-        file: "fig06_l1d_avf",
-        title: "Fig. 6 (L1D AVF)",
-        target: Target::L1D,
-        kind: FaultKind::Transient,
-        metric: Metric::TotalAvf,
-    },
-    FigSpec {
-        file: "fig07_lq_avf",
-        title: "Fig. 7 (LQ AVF)",
-        target: Target::LoadQueue,
-        kind: FaultKind::Transient,
-        metric: Metric::TotalAvf,
-    },
-    FigSpec {
-        file: "fig08_sq_avf",
-        title: "Fig. 8 (SQ AVF)",
-        target: Target::StoreQueue,
-        kind: FaultKind::Transient,
-        metric: Metric::TotalAvf,
-    },
-    FigSpec {
-        file: "fig09_rf_sdc",
-        title: "Fig. 9 (RF SDC AVF)",
-        target: Target::PrfInt,
-        kind: FaultKind::Transient,
-        metric: Metric::SdcAvf,
-    },
-    FigSpec {
-        file: "fig10_l1i_sdc",
-        title: "Fig. 10 (L1I SDC AVF)",
-        target: Target::L1I,
-        kind: FaultKind::Transient,
-        metric: Metric::SdcAvf,
-    },
-    FigSpec {
-        file: "fig11_l1d_sdc",
-        title: "Fig. 11 (L1D SDC AVF)",
-        target: Target::L1D,
-        kind: FaultKind::Transient,
-        metric: Metric::SdcAvf,
-    },
-    FigSpec {
-        file: "fig12_l1i_perm",
-        title: "Fig. 12 (L1I permanent SDC)",
-        target: Target::L1I,
-        kind: FaultKind::Permanent,
-        metric: Metric::SdcAvf,
-    },
-    FigSpec {
-        file: "fig13_l1d_perm",
-        title: "Fig. 13 (L1D permanent SDC)",
-        target: Target::L1D,
-        kind: FaultKind::Permanent,
-        metric: Metric::SdcAvf,
-    },
-];
-
-/// Unique (target, kind) campaigns behind the ten figures.
-const CAMPAIGNS: [(Target, FaultKind); 7] = [
-    (Target::PrfInt, FaultKind::Transient),
-    (Target::L1I, FaultKind::Transient),
-    (Target::L1D, FaultKind::Transient),
-    (Target::LoadQueue, FaultKind::Transient),
-    (Target::StoreQueue, FaultKind::Transient),
-    (Target::L1I, FaultKind::Permanent),
-    (Target::L1D, FaultKind::Permanent),
-];
-
-fn campaign_idx(t: Target, k: FaultKind) -> usize {
-    CAMPAIGNS.iter().position(|&(ct, ck)| ct == t && ck == k).expect("known campaign")
-}
+use marvel_experiments::{banner, cpu_figures, CPU_FIGURES};
 
 fn main() {
     banner("Figs. 4-13", "combined CPU-structure campaigns (shared goldens + records)");
-    let base = config();
-    let names = benches();
-    let isas = Isa::ALL;
-
-    // results[bench][isa][campaign]
-    let mut results: Vec<Vec<Vec<CampaignResult>>> = Vec::new();
-    let mut weights: Vec<Vec<f64>> = Vec::new();
-    for bench in &names {
-        let mut per_isa = Vec::new();
-        let mut w_isa = Vec::new();
-        for &isa in &isas {
-            let golden = cpu_golden(bench, isa, None);
-            w_isa.push(golden.exec_cycles as f64);
-            let mut per_campaign = Vec::new();
-            for &(target, kind) in &CAMPAIGNS {
-                let cc = CampaignConfig { kind, ..base.clone() };
-                let res = run_campaign(&golden, target, &cc);
-                eprintln!(
-                    "  [{bench}/{isa}] {} {:?}: avf={:.1}% sdc={:.1}%",
-                    target.name(),
-                    kind,
-                    res.avf() * 100.0,
-                    res.sdc_avf() * 100.0
-                );
-                per_campaign.push(res);
-            }
-            per_isa.push(per_campaign);
-        }
-        results.push(per_isa);
-        weights.push(w_isa);
+    for table in cpu_figures(&CPU_FIGURES) {
+        table.print_and_save();
     }
-
-    let cache = results_dir().join(".cache");
-    std::fs::create_dir_all(&cache).expect("cache dir");
-    let margin_pct = marvel_core::error_margin(base.n_faults, u64::MAX, base.confidence) * 100.0;
-
-    for spec in &SPECS {
-        let ci = campaign_idx(spec.target, spec.kind);
-        let mut rows = Vec::new();
-        let mut per_isa_pairs: Vec<Vec<(f64, f64)>> = vec![Vec::new(); isas.len()];
-        for (bi, bench) in names.iter().enumerate() {
-            let mut vals = Vec::new();
-            for (ii, _) in isas.iter().enumerate() {
-                let v = spec.metric.of(&results[bi][ii][ci]);
-                vals.push(v * 100.0);
-                per_isa_pairs[ii].push((v, weights[bi][ii]));
-            }
-            rows.push((bench.to_string(), vals));
-        }
-        let table = FigTable {
-            title: spec.title.to_string(),
-            isas: isas.to_vec(),
-            rows,
-            wavf: per_isa_pairs.iter().map(|p| weighted_avf(p) * 100.0).collect(),
-            margin_pct,
-        };
-        print!("{}", table.render());
-        table.save_csv(&format!("{}.csv", spec.file));
-        // Mirror into the cache the per-figure harnesses consult.
-        let src = results_dir().join(format!("{}.csv", spec.file));
-        let _ = std::fs::copy(&src, cache.join(format!("{}.csv", spec.file)));
-    }
-    println!("cached per-figure series under results/.cache/");
 }

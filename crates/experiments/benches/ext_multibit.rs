@@ -2,18 +2,19 @@
 //! multi-bit adjacent-burst faults in the L1D — the spatial MBU scenario
 //! the paper's framework supports (Section IV-A1) but does not plot.
 
-use marvel_core::{run_masks, CampaignConfig, FaultEffect, FaultKind, MaskGenerator};
-use marvel_experiments::{banner, config, cpu_golden, results_dir};
+use marvel_core::{run_masks, FaultEffect, FaultKind, MaskGenerator};
+use marvel_experiments::{banner, config, cpu_golden, FigTable, Unit::Frac};
 use marvel_isa::Isa;
 use marvel_soc::Target;
+use marvel_workloads::mibench;
 
 fn main() {
     banner("Extension", "multi-bit adjacent bursts in the L1D (qsort, RISC-V)");
-    let cc: CampaignConfig = config();
-    let golden = cpu_golden("qsort", Isa::RiscV, None);
+    let cc = config();
+    let golden = cpu_golden(&mibench::build("qsort"), Isa::RiscV, None);
     let bit_len = golden.ckpt.bit_len(Target::L1D);
-    let mut out = format!("{:<8}{:>8}{:>8}{:>8}\n", "burst", "AVF%", "SDC%", "Crash%");
-    let mut csv = String::from("burst,avf,sdc,crash\n");
+    let values = [("avf", Frac), ("sdc", Frac), ("crash", Frac)];
+    let mut t = FigTable::new("ext_multibit", "Extension (L1D bursts)", &["qsort"], &["burst"], &values);
     for burst in [1u64, 2, 4, 8, 16] {
         let mut gen = MaskGenerator::new(cc.seed ^ burst);
         let masks = gen.adjacent_multi_bit(
@@ -26,20 +27,11 @@ fn main() {
         );
         let records = run_masks(&golden, &masks, &cc);
         let n = records.len() as f64;
-        let sdc = records.iter().filter(|r| r.effect == FaultEffect::Sdc).count() as f64 / n;
-        let crash = records.iter().filter(|r| r.effect == FaultEffect::Crash).count() as f64 / n;
-        out.push_str(&format!(
-            "{:<8}{:>7.1}%{:>7.1}%{:>7.1}%\n",
-            burst,
-            (sdc + crash) * 100.0,
-            sdc * 100.0,
-            crash * 100.0
-        ));
-        csv.push_str(&format!("{burst},{:.4},{sdc:.4},{crash:.4}\n", sdc + crash));
+        let share = |e| records.iter().filter(|r| r.effect == e).count() as f64 / n;
+        let (sdc, crash) = (share(FaultEffect::Sdc), share(FaultEffect::Crash));
+        t.push(&[burst.to_string().as_str()], &[sdc + crash, sdc, crash]);
         eprintln!("  [burst={burst}] done");
     }
-    out.push_str("expected: AVF non-decreasing with burst size (more corrupted bits\nper event, same spatial locality).\n");
-    print!("{out}");
-    std::fs::write(results_dir().join("ext_multibit.csv"), csv).unwrap();
-    println!("[saved results/ext_multibit.csv]");
+    t.note = "expected: AVF non-decreasing with burst size (more corrupted bits\nper event, same spatial locality).\n".into();
+    t.print_and_save();
 }

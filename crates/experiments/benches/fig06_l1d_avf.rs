@@ -1,20 +1,4 @@
-//! AVF of the L1 data cache (transient, single-bit)
-use marvel_core::FaultKind;
-use marvel_experiments::{avf_figure, banner, results_dir, Metric};
-use marvel_soc::Target;
+//! Fig. 6: AVF of the L1 data cache (transient, single-bit).
 fn main() {
-    banner("Fig. 6", "AVF of the L1 data cache (transient, single-bit)");
-    // The combined runner (all_cpu_figures) computes the Fig. 4-13
-    // campaigns in one pass and caches each series; reuse it when present
-    // (delete results/.cache to recompute this figure standalone).
-    let cached = results_dir().join(".cache/fig06_l1d_avf.csv");
-    if let Ok(csv) = std::fs::read_to_string(&cached) {
-        println!("[reusing combined-run series from {cached:?}]");
-        print!("{csv}");
-        std::fs::write(results_dir().join("fig06_l1d_avf.csv"), csv).unwrap();
-        return;
-    }
-    let t = avf_figure("Fig. 6", Target::L1D, FaultKind::Transient, Metric::TotalAvf);
-    print!("{}", t.render());
-    t.save_csv("fig06_l1d_avf.csv");
+    marvel_experiments::cpu_figure_main("fig06_l1d_avf");
 }

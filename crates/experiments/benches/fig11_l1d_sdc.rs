@@ -1,20 +1,4 @@
-//! SDC-only AVF of the L1 data cache
-use marvel_core::FaultKind;
-use marvel_experiments::{avf_figure, banner, results_dir, Metric};
-use marvel_soc::Target;
+//! Fig. 11: SDC-only AVF of the L1 data cache.
 fn main() {
-    banner("Fig. 11", "SDC-only AVF of the L1 data cache");
-    // The combined runner (all_cpu_figures) computes the Fig. 4-13
-    // campaigns in one pass and caches each series; reuse it when present
-    // (delete results/.cache to recompute this figure standalone).
-    let cached = results_dir().join(".cache/fig11_l1d_sdc.csv");
-    if let Ok(csv) = std::fs::read_to_string(&cached) {
-        println!("[reusing combined-run series from {cached:?}]");
-        print!("{csv}");
-        std::fs::write(results_dir().join("fig11_l1d_sdc.csv"), csv).unwrap();
-        return;
-    }
-    let t = avf_figure("Fig. 11", Target::L1D, FaultKind::Transient, Metric::SdcAvf);
-    print!("{}", t.render());
-    t.save_csv("fig11_l1d_sdc.csv");
+    marvel_experiments::cpu_figure_main("fig11_l1d_sdc");
 }

@@ -1,20 +1,4 @@
-//! SDC probability of permanent faults in the L1 instruction cache
-use marvel_core::FaultKind;
-use marvel_experiments::{avf_figure, banner, results_dir, Metric};
-use marvel_soc::Target;
+//! Fig. 12: SDC probability of permanent faults in the L1 instruction cache.
 fn main() {
-    banner("Fig. 12", "SDC probability of permanent faults in the L1 instruction cache");
-    // The combined runner (all_cpu_figures) computes the Fig. 4-13
-    // campaigns in one pass and caches each series; reuse it when present
-    // (delete results/.cache to recompute this figure standalone).
-    let cached = results_dir().join(".cache/fig12_l1i_perm.csv");
-    if let Ok(csv) = std::fs::read_to_string(&cached) {
-        println!("[reusing combined-run series from {cached:?}]");
-        print!("{csv}");
-        std::fs::write(results_dir().join("fig12_l1i_perm.csv"), csv).unwrap();
-        return;
-    }
-    let t = avf_figure("Fig. 12", Target::L1I, FaultKind::Permanent, Metric::SdcAvf);
-    print!("{}", t.render());
-    t.save_csv("fig12_l1i_perm.csv");
+    marvel_experiments::cpu_figure_main("fig12_l1i_perm");
 }

@@ -1,20 +1,4 @@
-//! SDC probability of permanent faults in the L1 data cache
-use marvel_core::FaultKind;
-use marvel_experiments::{avf_figure, banner, results_dir, Metric};
-use marvel_soc::Target;
+//! Fig. 13: SDC probability of permanent faults in the L1 data cache.
 fn main() {
-    banner("Fig. 13", "SDC probability of permanent faults in the L1 data cache");
-    // The combined runner (all_cpu_figures) computes the Fig. 4-13
-    // campaigns in one pass and caches each series; reuse it when present
-    // (delete results/.cache to recompute this figure standalone).
-    let cached = results_dir().join(".cache/fig13_l1d_perm.csv");
-    if let Ok(csv) = std::fs::read_to_string(&cached) {
-        println!("[reusing combined-run series from {cached:?}]");
-        print!("{csv}");
-        std::fs::write(results_dir().join("fig13_l1d_perm.csv"), csv).unwrap();
-        return;
-    }
-    let t = avf_figure("Fig. 13", Target::L1D, FaultKind::Permanent, Metric::SdcAvf);
-    print!("{}", t.render());
-    t.save_csv("fig13_l1d_perm.csv");
+    marvel_experiments::cpu_figure_main("fig13_l1d_perm");
 }

@@ -2,40 +2,24 @@
 //! designs, per Table IV injection component.
 
 use marvel_accel::FuConfig;
-use marvel_core::{run_dsa_campaign, DsaGolden};
-use marvel_experiments::{banner, config, results_dir};
+use marvel_core::run_dsa_campaign;
+use marvel_experiments::{banner, config, dsa_golden, FigTable, Unit::Frac};
 use marvel_workloads::accel::designs;
 
 fn main() {
     banner("Fig. 14", "DSA AVF breakdown (SDC + Crash) per injection component");
     let cc = config();
-    let mut out =
-        format!("{:<12}{:<10}{:>8}{:>8}{:>8}\n", "design", "component", "SDC%", "Crash%", "AVF%");
-    let mut csv = String::from("design,component,sdc,crash,avf\n");
-    for d in designs() {
-        let golden = DsaGolden::prepare((d.make)(FuConfig::default()), 50_000_000);
+    let designs = designs();
+    let names: Vec<_> = designs.iter().map(|d| d.name).collect();
+    let values = [("sdc", Frac), ("crash", Frac), ("avf", Frac)];
+    let mut t = FigTable::new("fig14_dsa_avf", "Fig. 14", &names, &["design", "component"], &values);
+    for d in &designs {
+        let golden = dsa_golden(d, FuConfig::default());
         for c in &d.components {
             let res = run_dsa_campaign(&golden, c.target, &cc);
-            out.push_str(&format!(
-                "{:<12}{:<10}{:>7.1}%{:>7.1}%{:>7.1}%\n",
-                d.name,
-                c.name,
-                res.sdc_avf() * 100.0,
-                res.crash_avf() * 100.0,
-                res.avf() * 100.0
-            ));
-            csv.push_str(&format!(
-                "{},{},{:.3},{:.3},{:.3}\n",
-                d.name,
-                c.name,
-                res.sdc_avf(),
-                res.crash_avf(),
-                res.avf()
-            ));
+            t.push(&[d.name, c.name], &[res.sdc_avf(), res.crash_avf(), res.avf()]);
             eprintln!("  [{}] {} done", d.name, c.name);
         }
     }
-    print!("{out}");
-    std::fs::write(results_dir().join("fig14_dsa_avf.csv"), csv).unwrap();
-    println!("[saved results/fig14_dsa_avf.csv]");
+    t.print_and_save();
 }

@@ -8,93 +8,52 @@
 //! cycle counts stand in for time.
 
 use marvel_accel::FuConfig;
-use marvel_core::{opf, run_campaign, run_dsa_campaign, DsaGolden, Golden};
-use marvel_experiments::{banner, config, results_dir, GOLDEN_BUDGET};
-use marvel_ir::assemble;
+use marvel_core::{opf, run_campaign, run_dsa_campaign, CampaignResult};
+use marvel_experiments::{banner, config, cpu_golden, dsa_golden, FigTable, Unit};
 use marvel_isa::Isa;
-use marvel_soc::{System, Target};
+use marvel_soc::Target;
 use marvel_workloads::{accel, cpu_ports, mibench};
 
 const CLOCK_HZ: f64 = 2.0e9;
 
-struct Row {
-    label: String,
-    sdc: f64,
-    crash: f64,
-    cycles: u64,
-    ops: f64,
-}
-
-fn cpu_row(label: &str, module: marvel_ir::Module, ops: f64) -> Row {
-    let cc = config();
-    let bin = assemble(&module, Isa::RiscV).unwrap();
-    let mut sys = System::new(marvel_cpu::CoreConfig::table2(Isa::RiscV));
-    sys.load_binary(&bin);
-    let golden = Golden::prepare(sys, GOLDEN_BUDGET).unwrap();
-    let mut sdc = 0.0;
-    let mut crash = 0.0;
-    for t in [Target::PrfInt, Target::L1D] {
-        let r = run_campaign(&golden, t, &cc);
-        sdc += r.sdc_avf() / 2.0;
-        crash += r.crash_avf() / 2.0;
-    }
-    eprintln!("  [cpu/{label}] done ({} cycles)", golden.exec_cycles);
-    Row { label: format!("{label}-CPU"), sdc, crash, cycles: golden.exec_cycles, ops }
-}
-
-fn dsa_row(label: &str, design_name: &str, ops: f64) -> Row {
-    let cc = config();
-    let d = accel::design(design_name);
-    let golden = DsaGolden::prepare((d.make)(FuConfig::default()), 80_000_000);
-    let mut sdc = 0.0;
-    let mut crash = 0.0;
-    let n = d.components.len() as f64;
-    for c in &d.components {
-        let r = run_dsa_campaign(&golden, c.target, &cc);
-        sdc += r.sdc_avf() / n;
-        crash += r.crash_avf() / n;
-    }
-    eprintln!("  [dsa/{label}] done ({} cycles)", golden.cycles);
-    Row { label: format!("{label}-DSA"), sdc, crash, cycles: golden.cycles, ops }
+/// Append the platform's row: SDC and crash averaged over `results`.
+fn push(t: &mut FigTable, platform: &str, results: &[CampaignResult], cycles: u64, ops: f64) {
+    let n = results.len() as f64;
+    let sdc = results.iter().map(|r| r.sdc_avf() / n).sum::<f64>();
+    let crash = results.iter().map(|r| r.crash_avf() / n).sum::<f64>();
+    let o = opf(ops, cycles as f64 / CLOCK_HZ, sdc + crash);
+    t.push(&[platform], &[sdc, crash, sdc + crash, cycles as f64, o]);
+    eprintln!("  [{platform}] done ({cycles} cycles)");
 }
 
 fn main() {
     banner("Fig. 16", "CPU vs DSA: AVF breakdown and Operations-per-Failure");
-    let rows = vec![
-        cpu_row("GEMM", cpu_ports::gemm_cpu(), cpu_ports::ops_per_run("gemm")),
-        dsa_row("GEMM", "GEMM", cpu_ports::ops_per_run("gemm_dsa")),
-        cpu_row("BFS", cpu_ports::bfs_cpu(), cpu_ports::ops_per_run("bfs")),
-        dsa_row("BFS", "BFS", cpu_ports::ops_per_run("bfs")),
-        cpu_row("FFT", mibench::build("fft"), cpu_ports::ops_per_run("fft")),
-        dsa_row("FFT", "FFT", cpu_ports::ops_per_run("fft_dsa")),
-        cpu_row("KNN", cpu_ports::knn_cpu(), cpu_ports::ops_per_run("knn")),
-        dsa_row("KNN", "MD_KNN", cpu_ports::ops_per_run("knn")),
+    let cc = config();
+    let kernels = [
+        ("GEMM", cpu_ports::gemm_cpu(), "gemm", "GEMM", "gemm_dsa"),
+        ("BFS", cpu_ports::bfs_cpu(), "bfs", "BFS", "bfs"),
+        ("FFT", mibench::build("fft"), "fft", "FFT", "fft_dsa"),
+        ("KNN", cpu_ports::knn_cpu(), "knn", "MD_KNN", "knn"),
     ];
-
-    let mut out = format!(
-        "{:<12}{:>8}{:>8}{:>8}{:>14}{:>16}\n",
-        "platform", "SDC%", "Crash%", "AVF%", "exec cycles", "OPF (ops/fail)"
-    );
-    let mut csv = String::from("platform,sdc,crash,avf,cycles,opf\n");
-    for r in &rows {
-        let avf = r.sdc + r.crash;
-        let secs = r.cycles as f64 / CLOCK_HZ;
-        let o = opf(r.ops, secs, avf);
-        out.push_str(&format!(
-            "{:<12}{:>7.1}%{:>7.1}%{:>7.1}%{:>14}{:>16.3e}\n",
-            r.label,
-            r.sdc * 100.0,
-            r.crash * 100.0,
-            avf * 100.0,
-            r.cycles,
-            o
-        ));
-        csv.push_str(&format!(
-            "{},{:.4},{:.4},{:.4},{},{:.4e}\n",
-            r.label, r.sdc, r.crash, avf, r.cycles, o
-        ));
+    let names: Vec<_> = kernels.iter().map(|k| k.0).collect();
+    let values = [
+        ("sdc", Unit::Frac),
+        ("crash", Unit::Frac),
+        ("avf", Unit::Frac),
+        ("cycles", Unit::Count),
+        ("opf", Unit::Sci),
+    ];
+    let mut t = FigTable::new("fig16_cpu_vs_dsa_opf", "Fig. 16", &names, &["platform"], &values);
+    for (label, program, cpu_ops, design, dsa_ops) in &kernels {
+        let golden = cpu_golden(program, Isa::RiscV, None);
+        let results = [Target::PrfInt, Target::L1D].map(|target| run_campaign(&golden, target, &cc));
+        let ops = cpu_ports::ops_per_run(cpu_ops);
+        push(&mut t, &format!("{label}-CPU"), &results, golden.exec_cycles, ops);
+        let d = accel::design(design);
+        let golden = dsa_golden(&d, FuConfig::default());
+        let results: Vec<_> =
+            d.components.iter().map(|c| run_dsa_campaign(&golden, c.target, &cc)).collect();
+        push(&mut t, &format!("{label}-DSA"), &results, golden.cycles, cpu_ports::ops_per_run(dsa_ops));
     }
-    print!("{out}");
-    std::fs::write(results_dir().join("fig16_cpu_vs_dsa_opf.csv"), csv).unwrap();
-    println!("[saved results/fig16_cpu_vs_dsa_opf.csv]");
+    t.print_and_save();
 }

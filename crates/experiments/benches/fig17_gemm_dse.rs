@@ -3,34 +3,22 @@
 //! configurations.
 
 use marvel_accel::FuConfig;
-use marvel_core::{run_dsa_campaign, DsaGolden};
-use marvel_experiments::{banner, config, results_dir};
+use marvel_core::run_dsa_campaign;
+use marvel_experiments::{banner, config, dsa_golden, FigTable, Unit};
 use marvel_soc::Target;
 use marvel_workloads::accel::design;
 
 fn main() {
     banner("Fig. 17", "GEMM DSE: MATRIX1 AVF / performance / area vs parallel FUs");
     let cc = config();
-    let configs = [16usize, 8, 4, 2, 1];
     let d = design("GEMM");
-    let mut out = format!("{:<8}{:>10}{:>14}{:>12}\n", "FUs", "AVF%", "exec cycles", "area (a.u.)");
-    let mut csv = String::from("fus,avf,cycles,area\n");
-    for &n in &configs {
-        let fu = FuConfig::uniform(n);
-        let golden = DsaGolden::prepare((d.make)(fu), 80_000_000);
-        let area = golden.harness.accel.area();
-        let res = run_dsa_campaign(&golden, Target::Spm { accel: 0, mem: 0 }, &cc);
-        out.push_str(&format!(
-            "{:<8}{:>9.1}%{:>14}{:>12.1}\n",
-            n,
-            res.avf() * 100.0,
-            golden.cycles,
-            area
-        ));
-        csv.push_str(&format!("{n},{:.4},{},{:.2}\n", res.avf(), golden.cycles, area));
-        eprintln!("  [fu={n}] avf={:.1}% cycles={}", res.avf() * 100.0, golden.cycles);
+    let values = [("avf", Unit::Frac), ("cycles", Unit::Count), ("area", Unit::Real)];
+    let mut t = FigTable::new("fig17_gemm_dse", "Fig. 17", &[d.name], &["fus"], &values);
+    for n in [16usize, 8, 4, 2, 1] {
+        let golden = dsa_golden(&d, FuConfig::uniform(n));
+        let avf = run_dsa_campaign(&golden, Target::Spm { accel: 0, mem: 0 }, &cc).avf();
+        t.push(&[n.to_string().as_str()], &[avf, golden.cycles as f64, golden.harness.accel.area()]);
+        eprintln!("  [fu={n}] avf={:.1}% cycles={}", avf * 100.0, golden.cycles);
     }
-    print!("{out}");
-    std::fs::write(results_dir().join("fig17_gemm_dse.csv"), csv).unwrap();
-    println!("[saved results/fig17_gemm_dse.csv]");
+    t.print_and_save();
 }

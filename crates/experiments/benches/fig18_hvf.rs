@@ -1,21 +1,31 @@
 //! Fig. 18: Hardware Vulnerability Factor (HVF) vs AVF for the physical
 //! register file and the L1 data cache over six benchmarks — HVF and AVF
-//! measured on the *same* runs.
+//! measured on the *same* runs, with the fault-propagation matrix that
+//! correlates them: masked in hardware, or reached commit and then
+//! SW-masked, SDC or crash.
 
-use marvel_core::{run_campaign, CampaignConfig};
-use marvel_experiments::{banner, config, cpu_golden, results_dir};
+use marvel_core::{run_campaign, CampaignConfig, PropagationMatrix};
+use marvel_experiments::{banner, config, cpu_golden, FigTable, Unit};
 use marvel_isa::Isa;
 use marvel_soc::Target;
+use marvel_workloads::mibench;
 
 const BENCHES: [&str; 6] = ["qsort", "sha", "crc32", "dijkstra", "fft", "stringsearch"];
 
 fn main() {
     banner("Fig. 18", "HVF vs AVF (physical register file + L1D, same runs)");
     let cc = CampaignConfig { collect_hvf: true, ..config() };
-    let mut out = format!("{:<14}{:<10}{:>8}{:>8}\n", "benchmark", "target", "HVF%", "AVF%");
-    let mut csv = String::from("benchmark,target,hvf,avf\n");
+    let values = [
+        ("hvf", Unit::Frac),
+        ("avf", Unit::Frac),
+        ("hw_masked", Unit::Count),
+        ("corrupt_sw_masked", Unit::Count),
+        ("corrupt_sdc", Unit::Count),
+        ("corrupt_crash", Unit::Count),
+    ];
+    let mut t = FigTable::new("fig18_hvf", "Fig. 18", &BENCHES, &["benchmark", "target"], &values);
     for bench in BENCHES {
-        let golden = cpu_golden(bench, Isa::RiscV, None);
+        let golden = cpu_golden(&mibench::build(bench), Isa::RiscV, None);
         for (tname, target) in [("RF", Target::PrfInt), ("L1D", Target::L1D)] {
             let res = run_campaign(&golden, target, &cc);
             let hvf = res.hvf().expect("campaign collected HVF");
@@ -24,18 +34,12 @@ fn main() {
                 hvf + 1e-9 >= avf,
                 "{bench}/{tname}: HVF ({hvf}) must be >= AVF ({avf}) by definition"
             );
-            out.push_str(&format!(
-                "{:<14}{:<10}{:>7.1}%{:>7.1}%\n",
-                bench,
-                tname,
-                hvf * 100.0,
-                avf * 100.0
-            ));
-            csv.push_str(&format!("{bench},{tname},{hvf:.4},{avf:.4}\n"));
+            let m = PropagationMatrix::from_records(&res.records).expect("campaign collected HVF");
+            let counts =
+                [m.hw_masked, m.corrupt_sw_masked, m.corrupt_sdc, m.corrupt_crash].map(|c| c as f64);
+            t.push(&[bench, tname], &[&[hvf, avf][..], &counts[..]].concat());
             eprintln!("  [{bench}/{tname}] hvf={:.1}% avf={:.1}%", hvf * 100.0, avf * 100.0);
         }
     }
-    print!("{out}");
-    std::fs::write(results_dir().join("fig18_hvf.csv"), csv).unwrap();
-    println!("[saved results/fig18_hvf.csv]");
+    t.print_and_save();
 }

@@ -8,11 +8,11 @@
 //! idle window, the measured AVF must be ~100%, validating the injector's
 //! coverage of the whole L1D.
 
-use marvel_core::{run_masks, CampaignConfig, FaultEffect, FaultMask, FaultModel, Golden};
-use marvel_experiments::{banner, results_dir, GOLDEN_BUDGET};
-use marvel_ir::{assemble, FuncBuilder, Module};
+use marvel_core::{run_masks, CampaignConfig, FaultEffect, FaultMask, FaultModel};
+use marvel_experiments::{banner, cpu_golden, results_dir};
+use marvel_ir::{FuncBuilder, Module};
 use marvel_isa::{AluOp, Cond, Isa, MemWidth};
-use marvel_soc::{System, Target};
+use marvel_soc::Target;
 
 /// Words in the test array: exactly the 32 KiB L1D.
 const CSIZE: i64 = 4096;
@@ -68,10 +68,7 @@ fn main() {
         std::env::var("MARVEL_FAULTS").ok().and_then(|v| v.parse().ok()).unwrap_or(300);
     let mut out = String::new();
     for isa in Isa::ALL {
-        let bin = assemble(&validation_program(), isa).unwrap();
-        let mut sys = System::new(marvel_cpu::CoreConfig::table2(isa));
-        sys.load_binary(&bin);
-        let golden = Golden::prepare(sys, GOLDEN_BUDGET).unwrap();
+        let golden = cpu_golden(&validation_program(), isa, None);
         let switch = golden.switch_cycle.expect("program has a switch marker");
         // Uniform faults over the whole L1D during the idle window.
         let bit_len = golden.ckpt.bit_len(Target::L1D);

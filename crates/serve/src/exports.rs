@@ -7,8 +7,7 @@
 use crate::journal::encode_record;
 use crate::spec::{CampaignSpec, Prepared};
 use marvel_core::{
-    attribution_by_structure, attribution_csv, attribution_jsonl, csv_row, CampaignConfig, RunRecord,
-    CSV_HEADER,
+    attribution_by_structure, attribution_csv, attribution_jsonl, csv_row, RunRecord, CSV_HEADER,
 };
 use marvel_telemetry::SCHEMA_VERSION;
 use std::path::Path;
@@ -45,7 +44,7 @@ pub fn render_records_jsonl(records: &[RunRecord]) -> String {
 
 /// Campaign summary row (the `marvel campaign` report surface as CSV).
 pub fn render_summary_csv(spec: &CampaignSpec, prepared: &Prepared, records: &[RunRecord]) -> String {
-    let res = prepared.result(records.to_vec(), CampaignConfig::default().confidence);
+    let res = prepared.result(records.to_vec());
     let mut out = String::from(CSV_HEADER);
     out.push_str(&csv_row(&spec.id, &res));
     out

@@ -40,7 +40,7 @@ use crate::exports::write_exports;
 use crate::journal::Journal;
 use crate::signals::install_shutdown_handler;
 use crate::spec::{CampaignSpec, Prepared};
-use marvel_core::{error_margin, FaultEffect, RunRecord, TelemetryConfig};
+use marvel_core::{error_margin, FaultEffect, RunRecord, TelemetryConfig, CONFIDENCE};
 use marvel_telemetry::{
     json_string, render_phase_object, render_prometheus, render_snapshot_line, PhaseId, PhaseReport,
     ProgressMeter, Registry, SpanCollector, TRACE_SCHEMA_VERSION,
@@ -216,7 +216,7 @@ impl Campaign {
         let st = self.state.lock().unwrap();
         match (&st.meter, &st.prepared) {
             (Some(m), Some(p)) => {
-                let margin = error_margin(st.done.max(1), p.population(), 0.95);
+                let margin = error_margin(st.done.max(1), p.population(), CONFIDENCE);
                 m.json_line(st.done as u64, st.sdc, st.crash, st.early, margin)
             }
             _ => {

@@ -23,7 +23,7 @@ use marvel_accel::FuConfig;
 use marvel_core::{
     build_campaign_ladder, build_dsa_ladder, campaign_masks, drive_dsa_masks, drive_masks,
     dsa_campaign_masks, CampaignConfig, CampaignResult, DriveOutcome, DsaGolden, DsaLadder, FaultKind,
-    FaultMask, Golden, Ladder, RunRecord, TelemetryConfig,
+    FaultMask, Golden, Ladder, RunRecord, TelemetryConfig, CPU_GOLDEN_BUDGET, DSA_GOLDEN_BUDGET,
 };
 use marvel_cpu::CoreConfig;
 use marvel_ir::assemble;
@@ -471,9 +471,9 @@ impl Prepared {
                     let mut sys = System::new(CoreConfig::table2(*isa));
                     sys.load_binary(&bin);
                     if spec.fast_prep {
-                        Golden::prepare_fast(sys, 200_000_000)
+                        Golden::prepare_fast(sys, CPU_GOLDEN_BUDGET)
                     } else {
-                        Golden::prepare(sys, 200_000_000)
+                        Golden::prepare(sys, CPU_GOLDEN_BUDGET)
                     }
                     .map_err(|e| e.to_string())
                 })?;
@@ -504,7 +504,7 @@ impl Prepared {
                 // schedule build and trace recording in ScheduleBuild.
                 let golden = DsaGolden::prepare_spanned(
                     (d.make)(FuConfig::uniform(*fus)),
-                    100_000_000,
+                    DSA_GOLDEN_BUDGET,
                     &cc.telemetry.spans,
                 );
                 golden.publish_metrics(reg);
@@ -531,13 +531,12 @@ impl Prepared {
     }
 
     /// The campaign result over `records`, one per mask in mask order.
-    pub fn result(&self, records: Vec<RunRecord>, confidence: f64) -> CampaignResult {
+    pub fn result(&self, records: Vec<RunRecord>) -> CampaignResult {
         CampaignResult {
             target: self.target,
             records,
             bit_population: self.bit_population,
             golden_exec_cycles: self.golden_cycles,
-            confidence,
         }
     }
 

@@ -72,7 +72,7 @@
 use gem5_marvel::core::{
     attribution_by_structure, attribution_csv, attribution_jsonl, render_attribution, run_dsa_campaign,
     trace_pipeline_pair, CampaignConfig, CampaignResult, DsaEngine, DsaGolden, FaultEffect, RunRecord,
-    TelemetryConfig,
+    TelemetryConfig, DSA_GOLDEN_BUDGET,
 };
 use gem5_marvel::cpu::CoreConfig;
 use gem5_marvel::ir::assemble;
@@ -636,7 +636,7 @@ fn drive_campaign(
         }
     }
     let records = slots.into_iter().map(|r| r.expect("every mask driven")).collect();
-    Ok(Some(prepared.result(records, cc.confidence)))
+    Ok(Some(prepared.result(records)))
 }
 
 fn cmd_dsa(args: &Args) -> Result<(), String> {
@@ -648,8 +648,11 @@ fn cmd_dsa(args: &Args) -> Result<(), String> {
     let d = find_design(name)?;
     // prepare_spanned splits the cycle-oracle run (GoldenPrep) from the
     // static-schedule build + trace recording (ScheduleBuild).
-    let golden =
-        DsaGolden::prepare_spanned((d.make)(FuConfig::uniform(*fus)), 100_000_000, &cc.telemetry.spans);
+    let golden = DsaGolden::prepare_spanned(
+        (d.make)(FuConfig::uniform(*fus)),
+        DSA_GOLDEN_BUDGET,
+        &cc.telemetry.spans,
+    );
     println!(
         "{name}: {} cycles fault-free, area {:.1} a.u., {} FUs/class, {} engine",
         golden.cycles,
