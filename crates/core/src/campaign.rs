@@ -131,14 +131,15 @@ pub const CPU_GOLDEN_BUDGET: u64 = 200_000_000;
 
 /// Campaign-wide configuration. [`Default`] is the shipped
 /// configuration — the one `marvel campaign`, `marvel dsa`, campaign
-/// specs and the paper-figure harnesses run: an 8-rung ladder, 64-wide
-/// lanes, the event DSA engine and dirty reset. The oracle settings
-/// (`ladder_rungs: 0`, `lane_width: 0`, [`DsaEngine::Cycle`],
+/// specs and the paper-figure harnesses run: an 8-rung ladder with the
+/// convergence exit, 64-wide lanes, the event DSA engine and dirty
+/// reset. The oracle settings (`ladder_rungs: 0`,
+/// `convergence_exit: false`, `lane_width: 0`, [`DsaEngine::Cycle`],
 /// [`ResetMode::Clone`]) must be named explicitly. Only the ladder is a
-/// user setting (`--ladder-rungs`, spec `ladder_rungs`); `lane_width`,
-/// `dsa_engine` and `reset_mode` are set only by code — the differential
-/// suites and the benchmark's oracle audit — since each merely selects a
-/// slower path to the same records.
+/// user setting (`--ladder-rungs`, spec `ladder_rungs`);
+/// `convergence_exit`, `lane_width`, `dsa_engine` and `reset_mode` are
+/// set only by code — the differential suites and the benchmark's oracle
+/// audit — since each merely selects a slower path to the same records.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     pub n_faults: usize,
@@ -157,10 +158,10 @@ pub struct CampaignConfig {
     /// nearest rung at or below their injection cycle instead of
     /// replaying the whole prefix. 0 = off: the full-prefix oracle path.
     pub ladder_rungs: usize,
-    /// Dirty-diff convergence exit: at each rung crossing after injection,
-    /// compare the run's dirty state against the golden snapshot at the
-    /// same cycle and terminate as Masked on exact match. Requires a
-    /// ladder (`ladder_rungs > 0`) to have any effect.
+    /// Dirty-diff convergence exit (on by default): at each rung crossing
+    /// after injection, compare the run's dirty state against the golden
+    /// snapshot at the same cycle and terminate as Masked on exact match.
+    /// Has an effect only where a ladder is in use ([`Self::uses_ladder`]).
     pub convergence_exit: bool,
     /// Accelerator stepping engine for DSA campaigns (ignored by CPU
     /// campaigns). Event by default; Cycle is the differential oracle.
@@ -189,11 +190,21 @@ impl Default for CampaignConfig {
             early_termination: true,
             reset_mode: ResetMode::default(),
             ladder_rungs: 8,
-            convergence_exit: false,
+            convergence_exit: true,
             dsa_engine: DsaEngine::default(),
             lane_width: 64,
             telemetry: TelemetryConfig::default(),
         }
+    }
+}
+
+impl CampaignConfig {
+    /// Whether campaigns under this config build a checkpoint ladder:
+    /// only transient runs restore a rung or take the convergence exit,
+    /// so a permanent campaign, whose runs all start at the checkpoint,
+    /// builds none.
+    pub fn uses_ladder(&self) -> bool {
+        self.ladder_rungs > 0 && self.kind == FaultKind::Transient
     }
 }
 
@@ -933,15 +944,30 @@ pub fn trace_pipeline_pair(golden: &Golden, mask: &FaultMask, _cc: &CampaignConf
     (gtrace, ftrace)
 }
 
-/// Run a full campaign over `target` with parallel workers.
+/// Run a full campaign over `target` with parallel workers, on a ladder
+/// built for it ([`build_campaign_ladder`]).
 pub fn run_campaign(golden: &Golden, target: Target, cc: &CampaignConfig) -> CampaignResult {
+    run_campaign_on(golden, build_campaign_ladder(golden, cc).as_ref(), target, cc)
+}
+
+/// [`run_campaign`] on a ladder the caller built, so the transient
+/// campaigns of one golden run can share one ladder. `ladder` must come
+/// from [`build_campaign_ladder`] on `golden` under the same
+/// `ladder_rungs` and `collect_hvf` as `cc`; `None` runs every fault
+/// from the checkpoint, as permanent campaigns always do.
+pub fn run_campaign_on(
+    golden: &Golden,
+    ladder: Option<&Ladder>,
+    target: Target,
+    cc: &CampaignConfig,
+) -> CampaignResult {
     let bit_len = golden.ckpt.bit_len(target);
     let masks = campaign_masks(golden, target, cc);
     let population = bit_len.saturating_mul(golden.exec_cycles.max(1));
     let reg = &cc.telemetry.registry;
     reg.publish("campaign.bit_population", bit_len);
     reg.publish("campaign.golden_exec_cycles", golden.exec_cycles);
-    let records = run_masks_with_population(golden, &masks, cc, population);
+    let records = drive_all(golden, ladder, &masks, cc, population);
     CampaignResult { target, records, bit_population: bit_len, golden_exec_cycles: golden.exec_cycles }
 }
 
@@ -949,7 +975,7 @@ pub fn run_campaign(golden: &Golden, target: Target, cc: &CampaignConfig) -> Cam
 pub fn run_masks(golden: &Golden, masks: &[FaultMask], cc: &CampaignConfig) -> Vec<RunRecord> {
     // No single-target bit population here; u64::MAX drives the progress
     // margin toward the pure 1/sqrt(n) regime.
-    run_masks_with_population(golden, masks, cc, u64::MAX)
+    drive_all(golden, build_campaign_ladder(golden, cc).as_ref(), masks, cc, u64::MAX)
 }
 
 /// Mask sort key for rung-monotone scheduling: permanents first (their
@@ -1349,7 +1375,7 @@ pub struct DriveOutcome {
 }
 
 /// Build the campaign's checkpoint ladder per `cc.ladder_rungs` and
-/// publish its build metrics; `None` when the ladder is disabled.
+/// publish its build metrics; `None` unless [`CampaignConfig::uses_ladder`].
 ///
 /// Split out of the campaign entry points so long-lived drivers (the
 /// campaign service, journaled CLI runs) can build the ladder once and
@@ -1650,15 +1676,17 @@ pub(crate) fn collect_records(
     slots.into_iter().map(|slot| slot.into_inner().unwrap().expect("all masks executed")).collect()
 }
 
-fn run_masks_with_population(
+/// Drive every one of `masks` on `ladder` and return the records in mask
+/// order.
+fn drive_all(
     golden: &Golden,
+    ladder: Option<&Ladder>,
     masks: &[FaultMask],
     cc: &CampaignConfig,
     population: u64,
 ) -> Vec<RunRecord> {
-    let ladder = build_campaign_ladder(golden, cc);
     collect_records(masks.len(), |skip, sink| {
-        drive_masks(golden, ladder.as_ref(), masks, cc, population, skip, None, sink)
+        drive_masks(golden, ladder, masks, cc, population, skip, None, sink)
     })
 }
 

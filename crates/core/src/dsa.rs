@@ -571,7 +571,7 @@ pub fn dsa_campaign_masks(golden: &DsaGolden, target: Target, cc: &CampaignConfi
 }
 
 /// Build the DSA checkpoint ladder per `cc.ladder_rungs` and publish its
-/// build metrics; empty when the ladder is disabled. Split out (like
+/// build metrics; empty unless [`CampaignConfig::uses_ladder`]. Split out (like
 /// [`crate::campaign::build_campaign_ladder`]) so long-lived drivers can
 /// build once and reuse across many incremental [`drive_dsa_masks`] calls.
 pub fn build_dsa_ladder(golden: &DsaGolden, cc: &CampaignConfig) -> DsaLadder {

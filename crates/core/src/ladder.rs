@@ -151,12 +151,13 @@ impl<S: RunState> Ladder<S> {
 
 /// Build a ladder of `cc.ladder_rungs` rungs with `build` under the
 /// `LadderBuild` span and publish its size and build time under the
-/// target's scope; `None` when the ladder is disabled.
+/// target's scope; `None` unless [`CampaignConfig::uses_ladder`] — with
+/// the ladder off, or for a permanent campaign, no run could use one.
 pub(crate) fn build_timed<S: RunState>(
     cc: &CampaignConfig,
     build: impl FnOnce(usize) -> Ladder<S>,
 ) -> Option<Ladder<S>> {
-    if cc.ladder_rungs == 0 {
+    if !cc.uses_ladder() {
         return None;
     }
     cc.telemetry.spans.time(PhaseId::LadderBuild, || {

@@ -35,13 +35,15 @@ use marvel_workloads::mibench;
 use std::sync::atomic::AtomicBool;
 
 /// Version of the campaign-spec schema [`CampaignSpec::render`] writes.
-/// [`CampaignSpec::parse`] also reads version 1, which differs only in
-/// carrying `reset_mode` (`clone|dirty`, an oracle selector: accepted and
-/// ignored). Bump on any shape change; readers reject unknown versions.
-pub const SPEC_SCHEMA_VERSION: u32 = 2;
+/// [`CampaignSpec::parse`] also reads versions 2 and 1, which differ only
+/// in keys that selected an oracle and are now type-checked and ignored:
+/// v2 carries `convergence_exit` (a bool), v1 that and `reset_mode`
+/// (`clone|dirty`). Bump on any shape change; readers reject unknown
+/// versions.
+pub const SPEC_SCHEMA_VERSION: u32 = 3;
 
-/// Top-level keys of a v2 spec; v1 adds `reset_mode`.
-const SPEC_KEYS: [&str; 14] = [
+/// Top-level keys of a v3 spec.
+const SPEC_KEYS: [&str; 13] = [
     "type",
     "schema_version",
     "id",
@@ -52,7 +54,6 @@ const SPEC_KEYS: [&str; 14] = [
     "seed",
     "workers",
     "ladder_rungs",
-    "convergence_exit",
     "hvf",
     "taint",
     "fast_prep",
@@ -123,7 +124,6 @@ pub struct CampaignSpec {
     /// across its own pool instead). 0 = all cores.
     pub workers: usize,
     pub ladder_rungs: usize,
-    pub convergence_exit: bool,
     pub collect_hvf: bool,
     pub taint: bool,
     /// Fast-forward golden prep with the reference model (CPU only).
@@ -293,7 +293,6 @@ impl CampaignSpec {
             seed: cc.seed,
             workers: cc.workers,
             ladder_rungs: cc.ladder_rungs,
-            convergence_exit: cc.convergence_exit,
             collect_hvf: cc.collect_hvf,
             taint: cc.telemetry.taint,
             fast_prep: false,
@@ -310,20 +309,23 @@ impl CampaignSpec {
         if top.str("type")? != Some("campaign_spec") {
             return Err("spec lacks \"type\":\"campaign_spec\"".into());
         }
-        match top.uint("schema_version")?.ok_or("spec has no schema_version field")? {
-            2 => top.only(&SPEC_KEYS)?,
-            1 => {
-                top.only(&[&SPEC_KEYS[..], &["reset_mode"]].concat())?;
-                if let Some(mode) = top.str("reset_mode")? {
-                    if !matches!(mode, "clone" | "dirty") {
-                        return Err(format!("unknown reset_mode '{mode}' (clone|dirty)"));
-                    }
-                }
-            }
+        let retired: &[&str] = match top.uint("schema_version")?.ok_or("spec has no schema_version field")? {
+            3 => &[],
+            2 => &["convergence_exit"],
+            1 => &["convergence_exit", "reset_mode"],
             version => {
                 return Err(format!(
-                    "unknown spec schema_version {version} (this reader understands 1 and {SPEC_SCHEMA_VERSION})"
+                    "unknown spec schema_version {version} (this reader understands 1 to {SPEC_SCHEMA_VERSION})"
                 ))
+            }
+        };
+        // Keys of older versions that selected an oracle: checked, then
+        // ignored.
+        top.only(&[&SPEC_KEYS[..], retired].concat())?;
+        top.bool("convergence_exit")?;
+        if let Some(mode) = top.str("reset_mode")? {
+            if !matches!(mode, "clone" | "dirty") {
+                return Err(format!("unknown reset_mode '{mode}' (clone|dirty)"));
             }
         }
         let id = top.str("id")?.ok_or("spec has no id")?;
@@ -357,7 +359,6 @@ impl CampaignSpec {
         spec.seed = top.uint("seed")?.unwrap_or(spec.seed);
         spec.workers = top.count("workers")?.unwrap_or(spec.workers);
         spec.ladder_rungs = top.count("ladder_rungs")?.unwrap_or(spec.ladder_rungs);
-        spec.convergence_exit = top.bool("convergence_exit")?.unwrap_or(spec.convergence_exit);
         spec.collect_hvf = top.bool("hvf")?.unwrap_or(spec.collect_hvf);
         spec.taint = top.bool("taint")?.unwrap_or(spec.taint);
         spec.fast_prep = top.bool("fast_prep")?.unwrap_or(spec.fast_prep);
@@ -382,7 +383,7 @@ impl CampaignSpec {
             ),
         };
         format!(
-            "{{\"type\":\"campaign_spec\",\"schema_version\":{SPEC_SCHEMA_VERSION},\"id\":{},\"workload\":{workload},\"target\":\"{}\",\"faults\":{},\"fault_kind\":\"{}\",\"seed\":{},\"workers\":{},\"ladder_rungs\":{},\"convergence_exit\":{},\"hvf\":{},\"taint\":{},\"fast_prep\":{}}}",
+            "{{\"type\":\"campaign_spec\",\"schema_version\":{SPEC_SCHEMA_VERSION},\"id\":{},\"workload\":{workload},\"target\":\"{}\",\"faults\":{},\"fault_kind\":\"{}\",\"seed\":{},\"workers\":{},\"ladder_rungs\":{},\"hvf\":{},\"taint\":{},\"fast_prep\":{}}}",
             json_string(&self.id),
             cpu_target_name(self.cpu_target).expect("validated at construction"),
             self.n_faults,
@@ -390,7 +391,6 @@ impl CampaignSpec {
             self.seed,
             self.workers,
             self.ladder_rungs,
-            self.convergence_exit,
             self.collect_hvf,
             self.taint,
             self.fast_prep,
@@ -420,7 +420,6 @@ impl CampaignSpec {
             collect_hvf: self.collect_hvf,
             workers: self.workers,
             ladder_rungs: self.ladder_rungs,
-            convergence_exit: self.convergence_exit,
             telemetry: TelemetryConfig { taint: self.taint, ..telemetry },
             ..CampaignConfig::default()
         }
@@ -632,10 +631,29 @@ mod tests {
     }
 
     #[test]
-    fn renders_schema_v2_without_reset_mode() {
+    fn renders_schema_v3_without_retired_keys() {
         let rendered = CampaignSpec::parse(dsa_spec_text()).unwrap().render();
-        assert!(rendered.contains("\"schema_version\":2,"), "{rendered}");
+        assert!(rendered.contains("\"schema_version\":3,"), "{rendered}");
         assert!(!rendered.contains("reset_mode"), "{rendered}");
+        assert!(!rendered.contains("convergence_exit"), "{rendered}");
+    }
+
+    #[test]
+    fn v2_specs_with_convergence_exit_still_parse() {
+        let v2 = |extra: &str| {
+            CampaignSpec::parse(&format!(
+                r#"{{"type":"campaign_spec","schema_version":2,"id":"x",
+                    "workload":{{"kind":"cpu","bench":"crc32"}}{extra}}}"#
+            ))
+            .unwrap()
+        };
+        // convergence_exit is an oracle selector: accepted in v2 and
+        // ignored, so the exit is on either way. A value of the wrong type
+        // is still an error (`rejects_present_keys_of_the_wrong_type`).
+        let without = v2("");
+        assert_eq!(v2(r#","convergence_exit":false"#), without);
+        assert_eq!(v2(r#","convergence_exit":true"#), without);
+        assert!(without.to_config(TelemetryConfig::default()).convergence_exit);
     }
 
     #[test]
@@ -664,7 +682,7 @@ mod tests {
     fn rejects_unknown_and_repeated_keys() {
         let with = |extra: &str| {
             CampaignSpec::parse(&format!(
-                r#"{{"type":"campaign_spec","schema_version":2,"id":"x",{extra}}}"#
+                r#"{{"type":"campaign_spec","schema_version":{SPEC_SCHEMA_VERSION},"id":"x",{extra}}}"#
             ))
         };
         let dsa = r#""workload":{"kind":"dsa","design":"FFT"}"#;
@@ -672,6 +690,7 @@ mod tests {
         for (extra, key) in [
             (format!(r#"{dsa},"lane_width":0"#), "\"lane_width\""),
             (format!(r#"{dsa},"dsa_engine":"cycle""#), "\"dsa_engine\""),
+            (format!(r#"{cpu},"convergence_exit":false"#), "\"convergence_exit\""),
             (format!(r#"{cpu},"Faults":3"#), "\"Faults\""),
             (r#""workload":{"kind":"dsa","design":"FFT","lanes":2}"#.to_string(), "\"lanes\""),
             (r#""workload":{"kind":"cpu","bench":"crc32","fus":2}"#.to_string(), "\"fus\""),

@@ -7,13 +7,13 @@
 //! marvel disasm <benchmark> [--isa ...] [--limit N]
 //! marvel campaign <benchmark> [--isa ...] [--target prf|l1i|l1d|l2|lq|sq|rob|rename]
 //!                 [--faults N] [--kind transient|permanent] [--hvf] [--seed S]
-//!                 [--prep ref|cycle] [--ladder-rungs N] [--convergence-exit]
+//!                 [--prep ref|cycle] [--ladder-rungs N]
 //!                 [--workers N] [--metrics [path]] [--forensics [path]] [--progress [ms]]
 //!                 [--taint] [--attribution [path]] [--trace-pipeline [dir]]
 //!                 [--trace-spans [path]] [--phase-report]
 //!                 [--journal path [--resume]] [--campaign-id id]
 //! marvel dsa <design> [--faults N] [--fus N]
-//!                 [--ladder-rungs N] [--convergence-exit] [--workers N]
+//!                 [--ladder-rungs N] [--workers N]
 //!                 [--metrics [path]] [--forensics [path]] [--progress [ms]]
 //!                 [--taint] [--attribution [path]]
 //!                 [--trace-spans [path]] [--phase-report]
@@ -44,11 +44,12 @@
 //! (calls, total/self µs, p50/p95) with a coverage line. Either flag
 //! enables the collector; with both absent the span hooks stay no-ops.
 //! `--ladder-rungs` (default 8) snapshots the fault-free run at N evenly
-//! spaced cycles; each injection run then restores a rung near its
-//! injection cycle instead of re-simulating the fault-free prefix.
-//! `--convergence-exit` additionally diffs each run's journaled dirty
-//! state against the golden rung at every crossing and declares the fault
-//! Masked the moment all of it has converged. Both are pure optimisations:
+//! spaced cycles for transient campaigns; each injection run then
+//! restores a rung near its injection cycle instead of re-simulating the
+//! fault-free prefix, and at every later rung it crosses diffs its
+//! journaled dirty state against the golden rung, ending as Masked the
+//! moment all of it has converged (the convergence exit; the report
+//! gives the share of runs it ended). Both are pure optimisations:
 //! reports stay bit-identical to `--ladder-rungs 0` (the full-run oracle).
 //! The engine's other fast paths — dirty reset, 64-wide lane packing and
 //! the event-driven DSA engine — are always on; their oracles are
@@ -112,7 +113,6 @@ const CAMPAIGN_FLAGS: &[(&str, Takes)] = &[
     ("faults", Takes::Value),
     ("workers", Takes::Value),
     ("ladder-rungs", Takes::Value),
-    ("convergence-exit", Takes::Nothing),
     ("taint", Takes::Nothing),
     ("attribution", Takes::Optional),
     ("metrics", Takes::Optional),
@@ -256,9 +256,8 @@ struct Outputs {
 
 /// The spec `marvel campaign` and `marvel dsa` share: `workload` with the
 /// defaults of every spec ([`CampaignSpec::new`]), then `--faults`,
-/// `--workers`, `--ladder-rungs` (0 = the full-prefix oracle),
-/// `--convergence-exit` and `--taint`. Each command sets its own flags on
-/// top.
+/// `--workers`, `--ladder-rungs` (0 = the full-prefix oracle) and
+/// `--taint`. Each command sets its own flags on top.
 fn campaign_spec(args: &Args, id: &str, workload: Workload) -> Result<CampaignSpec, String> {
     let mut spec = CampaignSpec::new(id, workload)?;
     if let Some(n) = args.parsed("faults", "a count of at least 1")? {
@@ -269,7 +268,6 @@ fn campaign_spec(args: &Args, id: &str, workload: Workload) -> Result<CampaignSp
     }
     spec.workers = args.parsed("workers", "a count")?.unwrap_or(spec.workers);
     spec.ladder_rungs = args.parsed("ladder-rungs", "a count")?.unwrap_or(spec.ladder_rungs);
-    spec.convergence_exit = args.switch("convergence-exit");
     spec.taint = args.switch("taint");
     Ok(spec)
 }
@@ -525,7 +523,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         println!("HVF       : {:.2}%", h * 100.0);
     }
     println!("early-terminated runs: {:.0}%", res.early_termination_rate() * 100.0);
-    if cc.convergence_exit {
+    if cc.uses_ladder() {
         println!("convergence exits    : {:.0}%", res.convergence_exit_rate() * 100.0);
     }
     if let Some(p) = &out.metrics {
@@ -668,9 +666,12 @@ fn cmd_dsa(args: &Args) -> Result<(), String> {
         std::fs::remove_file(p).ok();
     }
     let mut dumps = 0;
+    let (mut runs, mut converged) = (0, 0);
     let mut all_records = Vec::new();
     for c in &d.components {
         let res = run_dsa_campaign(&golden, c.target, &cc);
+        runs += res.n();
+        converged += res.records.iter().filter(|r| r.converged).count();
         println!(
             "  {:<10} ({:>6} B {:<8}): AVF {:>5.1}%  (SDC {:>5.1}%, Crash {:>5.1}%)",
             c.name,
@@ -686,6 +687,9 @@ fn cmd_dsa(args: &Args) -> Result<(), String> {
         if cc.telemetry.taint {
             all_records.extend(res.records);
         }
+    }
+    if cc.uses_ladder() {
+        println!("convergence exits    : {:.0}%", converged as f64 * 100.0 / runs.max(1) as f64);
     }
     if cc.telemetry.taint {
         let p = path_flag(args, "attribution", "results/dsa_attribution.csv")
@@ -784,12 +788,12 @@ fn main() -> ExitCode {
              marvel disasm <benchmark> [--isa ...] [--limit N]\n  \
              marvel campaign <benchmark> [--isa ...] [--target prf|l1i|l1d|l2|lq|sq|rob|rename]\n            \
              [--faults N] [--kind transient|permanent] [--hvf] [--seed S] [--prep ref|cycle]\n            \
-             [--ladder-rungs N] [--convergence-exit]\n            \
+             [--ladder-rungs N]\n            \
              [--workers N] [--metrics [path]] [--forensics [path]] [--progress [ms]]\n            \
              [--taint] [--attribution [path]] [--trace-pipeline [dir]]\n            \
              [--trace-spans [path]] [--phase-report]\n  \
              marvel dsa <design> [--faults N] [--fus N]\n            \
-             [--ladder-rungs N] [--convergence-exit] [--workers N]\n            \
+             [--ladder-rungs N] [--workers N]\n            \
              [--metrics [path]] [--forensics [path]] [--progress [ms]]\n            \
              [--taint] [--attribution [path]] [--trace-spans [path]] [--phase-report]\n  \
              marvel campaign ... [--journal path [--resume]] [--campaign-id id]\n  \

@@ -12,6 +12,8 @@ fn bad_flags_fail_before_any_campaign_runs() {
         (&["campaign", "crc32", "--lane-width", "0"][..], "--lane-width"),
         (&["campaign", "crc32", "--reset-mode", "clone"][..], "--reset-mode"),
         (&["dsa", "fft", "--dsa-engine", "cycle"][..], "--dsa-engine"),
+        (&["campaign", "crc32", "--convergence-exit"][..], "--convergence-exit"),
+        (&["dsa", "fft", "--convergence-exit"][..], "--convergence-exit"),
         (&["campaign", "crc32", "--faults", "abc"][..], "--faults"),
         (&["campaign", "crc32", "--kind", "bogus"][..], "--kind"),
         (&["campaign", "crc32", "--seed", "0xc0ffee"][..], "--seed"),

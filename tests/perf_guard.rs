@@ -3,7 +3,9 @@
 //! campaign, the dirty reset must touch a small bounded slice of the
 //! checkpoint — not degrade back into a full-state copy — and on a
 //! late-injection campaign, the checkpoint ladder must cut the fault-free
-//! prefix each run re-simulates down to at most one inter-rung gap.
+//! prefix each run re-simulates down to at most one inter-rung gap. The
+//! shipped config must take the convergence exit, and build a ladder only
+//! for the transient campaigns that can use one.
 
 use gem5_marvel::core::{
     run_campaign, run_dsa_campaign, run_masks, CampaignConfig, DsaEngine, DsaGolden, DsaOutcome,
@@ -25,12 +27,16 @@ use marvel_isa::AluOp;
 /// below that.
 const RESET_BYTE_BUDGET: u64 = 256 * 1024;
 
-#[test]
-fn dirty_reset_touches_bounded_bytes_on_early_terminated_runs() {
+fn crc32_golden() -> Golden {
     let bin = assemble(&mibench::build("crc32"), Isa::RiscV).unwrap();
     let mut sys = gem5_marvel::soc::System::new(CoreConfig::table2(Isa::RiscV));
     sys.load_binary(&bin);
-    let g = Golden::prepare(sys, 80_000_000).unwrap();
+    Golden::prepare(sys, 80_000_000).unwrap()
+}
+
+#[test]
+fn dirty_reset_touches_bounded_bytes_on_early_terminated_runs() {
+    let g = crc32_golden();
 
     let registry = Registry::new();
     // workers=1: a single worker context, so run 1 pays the clone and the
@@ -68,10 +74,7 @@ fn dirty_reset_touches_bounded_bytes_on_early_terminated_runs() {
 
 #[test]
 fn ladder_bounds_residual_prefix_on_late_injections() {
-    let bin = assemble(&mibench::build("crc32"), Isa::RiscV).unwrap();
-    let mut sys = gem5_marvel::soc::System::new(CoreConfig::table2(Isa::RiscV));
-    sys.load_binary(&bin);
-    let g = Golden::prepare(sys, 80_000_000).unwrap();
+    let g = crc32_golden();
 
     let registry = Registry::new();
     const RUNGS: u64 = 8;
@@ -125,6 +128,59 @@ fn ladder_bounds_residual_prefix_on_late_injections() {
     );
 }
 
+/// The shipped config's convergence exit, in counters: a load-queue
+/// transient on crc32 is mostly read and then masked, and such a run must
+/// stop at the next rung whose golden state it matches instead of
+/// simulating to the golden halt. The config names no exit setting, so
+/// turning the default off again fails here (no run converges).
+#[test]
+fn shipped_config_ends_masked_lq_runs_at_a_rung() {
+    let g = crc32_golden();
+    let registry = Registry::new();
+    let cc = CampaignConfig {
+        n_faults: 48,
+        workers: 1,
+        telemetry: TelemetryConfig { registry: registry.clone(), ..Default::default() },
+        ..CampaignConfig::default()
+    };
+    let res = run_campaign(&g, Target::LoadQueue, &cc);
+    assert!(
+        res.convergence_exit_rate() >= 0.5,
+        "only {:.0}% of the LQ runs took the convergence exit",
+        res.convergence_exit_rate() * 100.0
+    );
+    let converged = res.records.iter().filter(|r| r.converged).count() as u64;
+    assert_eq!(registry.counter("campaign.convergence_exits").get(), converged);
+}
+
+/// Ladder guard: a permanent campaign's runs all start at the checkpoint,
+/// so it builds no ladder and publishes no `*.ladder_rungs`; a transient
+/// campaign builds the shipped 8 rungs. Both the CPU and the DSA ladder.
+#[test]
+fn only_transient_campaigns_build_a_ladder() {
+    let rungs = |reg: &Registry, name: &str| {
+        reg.snapshot().counters.into_iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    };
+    let config = |kind, registry: &Registry| CampaignConfig {
+        n_faults: 4,
+        kind,
+        workers: 1,
+        telemetry: TelemetryConfig { registry: registry.clone(), ..Default::default() },
+        ..CampaignConfig::default()
+    };
+    let g = crc32_golden();
+    let d = accel::design("FFT");
+    let dg = DsaGolden::prepare((d.make)(FuConfig::default()), 50_000_000);
+    for (kind, want) in [(FaultKind::Permanent, None), (FaultKind::Transient, Some(8))] {
+        let registry = Registry::new();
+        run_campaign(&g, Target::L1D, &config(kind, &registry));
+        assert_eq!(rungs(&registry, "campaign.ladder_rungs"), want, "CPU {kind:?}");
+        let registry = Registry::new();
+        run_dsa_campaign(&dg, d.components[0].target, &config(kind, &registry));
+        assert_eq!(rungs(&registry, "dsa.ladder_rungs"), want, "DSA {kind:?}");
+    }
+}
+
 /// Lane-utilization guard, in counters rather than wall-clock: on a
 /// packable campaign (single-bit PRF transients) the lane engine must
 /// actually pack nearly every run, keep the mean lanes-per-pass well
@@ -134,10 +190,7 @@ fn ladder_bounds_residual_prefix_on_late_injections() {
 /// this long before the wall-clock floor in the bench would.
 #[test]
 fn lane_packing_sustains_occupancy_and_bounded_forks() {
-    let bin = assemble(&mibench::build("crc32"), Isa::RiscV).unwrap();
-    let mut sys = gem5_marvel::soc::System::new(CoreConfig::table2(Isa::RiscV));
-    sys.load_binary(&bin);
-    let g = Golden::prepare(sys, 80_000_000).unwrap();
+    let g = crc32_golden();
 
     let registry = Registry::new();
     let n = 96;
