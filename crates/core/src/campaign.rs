@@ -905,8 +905,8 @@ pub fn campaign_masks(golden: &Golden, target: Target, cc: &CampaignConfig) -> V
 /// enabled, returning the two trace texts. The faulty run also enables
 /// taint tracking so corrupted commits are flagged (flushed in red /
 /// tainted label in Konata-compatible viewers). Both runs stop at the
-/// campaign watchdog; the campaign config does not affect them.
-pub fn trace_pipeline_pair(golden: &Golden, mask: &FaultMask, _cc: &CampaignConfig) -> (String, String) {
+/// campaign watchdog.
+pub fn trace_pipeline_pair(golden: &Golden, mask: &FaultMask) -> (String, String) {
     let watchdog = golden.watchdog();
 
     let mut gsys = golden.ckpt.clone();

@@ -555,7 +555,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
             .unwrap_or(0)
             .min(masks.len().saturating_sub(1));
         let golden = prepared.cpu_golden().expect("a CPU campaign has a CPU golden run");
-        let (gtrace, ftrace) = trace_pipeline_pair(golden, &masks[idx], &cc);
+        let (gtrace, ftrace) = trace_pipeline_pair(golden, &masks[idx]);
         std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
         let gp = dir.join(format!("{bench}_golden.kanata"));
         let fp = dir.join(format!("{bench}_run{idx}_faulty.kanata"));

@@ -38,22 +38,26 @@ fn config(
     }
 }
 
-/// Render the full export surface of one campaign: one line per run
-/// (classification, trap tag, cycle count, early-termination and
-/// convergence flags) plus the attribution CSV + JSONL tables.
+/// Render the export surface of one campaign that does not depend on the
+/// ladder: one line per run (classification, trap tag, cycle count,
+/// early-termination flag) plus the attribution CSV + JSONL tables.
 fn export(res: &CampaignResult) -> String {
     let mut out: String = res
         .records
         .iter()
-        .map(|r| {
-            format!("{:?},{:?},{},{},{}\n", r.effect, r.trap, r.cycles, r.early_terminated, r.converged)
-        })
+        .map(|r| format!("{:?},{:?},{},{}\n", r.effect, r.trap, r.cycles, r.early_terminated))
         .collect();
     if let Some(map) = attribution_by_structure(&res.records) {
         out.push_str(&attribution_csv(&map));
         out.push_str(&attribution_jsonl(&map));
     }
     out
+}
+
+/// Which runs took the convergence exit. That depends on the ladder and
+/// the exit setting, so it compares only between campaigns sharing them.
+fn exits(res: &CampaignResult) -> Vec<bool> {
+    res.records.iter().map(|r| r.converged).collect()
 }
 
 #[test]
@@ -68,24 +72,33 @@ fn event_engine_exports_byte_identical_across_matrix() {
         let g = DsaGolden::prepare((d.make)(FuConfig::default()), 50_000_000);
         assert!(g.harness.accel.replay_armed(), "{design} must be schedulable");
         for kind in [FaultKind::Transient, FaultKind::Permanent] {
-            let oracle = export(&run_dsa_campaign(
-                &g,
-                target,
-                &config(kind, DsaEngine::Cycle, ResetMode::Clone, 0, false, 1),
-            ));
+            let cycle = |rungs, conv| {
+                run_dsa_campaign(
+                    &g,
+                    target,
+                    &config(kind, DsaEngine::Cycle, ResetMode::Clone, rungs, conv, 1),
+                )
+            };
+            // Every field against the ladder-less cycle oracle; `converged`
+            // against the cycle engine at the run's own ladder and exit.
+            let oracle = cycle(0, false);
+            let ladder_oracle = cycle(6, true);
             for workers in [1usize, 2, 8] {
                 for reset in [ResetMode::Clone, ResetMode::Dirty] {
-                    for (rungs, conv) in [(0usize, false), (6, true)] {
-                        let got = export(&run_dsa_campaign(
+                    for (rungs, conv, exit_oracle) in
+                        [(0usize, false, &oracle), (6, true, &ladder_oracle)]
+                    {
+                        let got = run_dsa_campaign(
                             &g,
                             target,
                             &config(kind, DsaEngine::Event, reset, rungs, conv, workers),
-                        ));
-                        assert_eq!(
-                            oracle, got,
+                        );
+                        let cell = format!(
                             "{design} {target:?} {kind:?} workers={workers} \
                              reset={reset:?} rungs={rungs} conv={conv}"
                         );
+                        assert_eq!(export(&oracle), export(&got), "{cell}");
+                        assert_eq!(exits(exit_oracle), exits(&got), "{cell}: convergence exits");
                     }
                 }
             }
@@ -248,15 +261,18 @@ fn warp_tolerates_load_disjoint_stuck_taint() {
     );
 
     // And the campaign export surface stays byte-identical to the cycle
-    // oracle for stuck-at faults on the store-only memory.
-    let oracle = export(&run_dsa_campaign(
+    // oracle for stuck-at faults on the store-only memory. A permanent
+    // campaign builds no ladder whatever its rungs, so its convergence
+    // exits compare against the ladder-less oracle too.
+    let surface = |res: &CampaignResult| (export(res), exits(res));
+    let oracle = surface(&run_dsa_campaign(
         &g,
         out_spm,
         &config(FaultKind::Permanent, DsaEngine::Cycle, ResetMode::Clone, 0, false, 1),
     ));
     for reset in [ResetMode::Clone, ResetMode::Dirty] {
         for (rungs, conv) in [(0usize, false), (6, true)] {
-            let got = export(&run_dsa_campaign(
+            let got = surface(&run_dsa_campaign(
                 &g,
                 out_spm,
                 &config(FaultKind::Permanent, DsaEngine::Event, reset, rungs, conv, 2),
@@ -287,19 +303,21 @@ fn convergence_exit_is_exact_between_fire_events() {
             model: FaultModel::Transient { cycle: mid + i },
         })
         .collect();
-    let oracle = export(&run_dsa_masks(
+    let oracle = run_dsa_masks(
         &g,
         target,
         &masks,
         &config(FaultKind::Transient, DsaEngine::Cycle, ResetMode::Clone, 0, false, 1),
-    ));
-    for engine in [DsaEngine::Cycle, DsaEngine::Event] {
-        let got = export(&run_dsa_masks(
+    );
+    let laddered = [DsaEngine::Cycle, DsaEngine::Event].map(|engine| {
+        let got = run_dsa_masks(
             &g,
             target,
             &masks,
             &config(FaultKind::Transient, engine, ResetMode::Dirty, 8, true, 2),
-        ));
-        assert_eq!(oracle, got, "laddered convergence exit diverged on {engine:?}");
-    }
+        );
+        assert_eq!(export(&oracle), export(&got), "laddered convergence exit diverged on {engine:?}");
+        got
+    });
+    assert_eq!(exits(&laddered[0]), exits(&laddered[1]), "the engines disagree on convergence exits");
 }

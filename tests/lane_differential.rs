@@ -46,19 +46,20 @@ fn config(c: Cfg) -> CampaignConfig {
     }
 }
 
-/// Render every record field that reaches an export: classification, HVF,
-/// trap tag, cycles, early-termination and convergence flags.
-fn export(golden: &Golden, target: Target, c: Cfg) -> String {
-    run_campaign(golden, target, &config(c))
-        .records
+/// Render every record field that reaches an export but `converged`
+/// (classification, HVF, trap tag, cycles, early-termination flag), and
+/// return which runs took the convergence exit apart: whether a run
+/// converges depends on the ladder and the exit setting, so that flag
+/// compares only between campaigns that share them.
+fn export(golden: &Golden, target: Target, c: Cfg) -> (String, Vec<bool>) {
+    let records = run_campaign(golden, target, &config(c)).records;
+    let fields = records
         .iter()
         .map(|r| {
-            format!(
-                "{:?},{:?},{:?},{},{},{}\n",
-                r.effect, r.hvf, r.trap, r.cycles, r.early_terminated, r.converged
-            )
+            format!("{:?},{:?},{:?},{},{}\n", r.effect, r.hvf, r.trap, r.cycles, r.early_terminated)
         })
-        .collect()
+        .collect();
+    (fields, records.iter().map(|r| r.converged).collect())
 }
 
 const LANE_TARGETS: [Target; 6] =
@@ -68,33 +69,38 @@ const LANE_TARGETS: [Target; 6] =
 fn lane_records_byte_identical_to_scalar_oracle() {
     let g = golden_for(Isa::RiscV);
     for target in LANE_TARGETS {
-        let oracle = export(
-            &g,
-            target,
-            Cfg {
+        let scalar = |rungs, conv| {
+            let c = Cfg {
                 lane_width: 0,
                 workers: 1,
                 reset: ResetMode::Dirty,
-                rungs: 0,
-                conv: false,
+                rungs,
+                conv,
                 et: true,
                 hvf: true,
-            },
-        );
+            };
+            export(&g, target, c)
+        };
+        // Every field against the ladder-less scalar oracle; `converged`
+        // against the scalar engine at the run's own ladder and exit.
+        let oracle = scalar(0, false);
+        let ladder_oracle = scalar(6, true);
         for lane_width in [64usize, 8] {
-            for (workers, reset, rungs, conv) in
-                [(1usize, ResetMode::Clone, 0usize, false), (4, ResetMode::Dirty, 6, true)]
-            {
-                let got = export(
+            for (workers, reset, rungs, conv, exits) in [
+                (1usize, ResetMode::Clone, 0usize, false, &oracle.1),
+                (4, ResetMode::Dirty, 6, true, &ladder_oracle.1),
+            ] {
+                let (fields, converged) = export(
                     &g,
                     target,
                     Cfg { lane_width, workers, reset, rungs, conv, et: true, hvf: true },
                 );
-                assert_eq!(
-                    oracle, got,
+                let cell = format!(
                     "{target:?} width={lane_width} workers={workers} \
                      reset={reset:?} rungs={rungs} conv={conv}"
                 );
+                assert_eq!(oracle.0, fields, "{cell}");
+                assert_eq!(exits, &converged, "{cell}: convergence exits");
             }
         }
     }

@@ -1,15 +1,17 @@
-//! Perf guards for the campaign engine, in bytes and cycles rather than
-//! wall-clock so CI noise cannot flake them: on an early-termination-heavy
-//! campaign, the dirty reset must touch a small bounded slice of the
-//! checkpoint — not degrade back into a full-state copy — and on a
-//! late-injection campaign, the checkpoint ladder must cut the fault-free
-//! prefix each run re-simulates down to at most one inter-rung gap. The
+//! Perf guards for the campaign engine, in deterministic counters rather
+//! than wall clock, so CI noise cannot flake them and each fails on the
+//! regression it names: the dirty reset must touch a small bounded slice
+//! of the checkpoint; the checkpoint ladder must cut the fault-free prefix
+//! a late injection re-simulates to one inter-rung gap, on the CPU and the
+//! DSA; the event engine must drive every DSA run and evaluate a fraction
+//! of the nodes the cycle oracle does; lane passes must stay full. The
 //! shipped config must take the convergence exit, and build a ladder only
 //! for the transient campaigns that can use one.
 
 use gem5_marvel::core::{
-    run_campaign, run_dsa_campaign, run_masks, CampaignConfig, DsaEngine, DsaGolden, DsaOutcome,
-    FaultKind, FaultMask, FaultModel, Golden, MaskGenerator, ResetMode, Target, TelemetryConfig,
+    dsa_campaign_masks, run_campaign, run_dsa_campaign, run_dsa_masks, run_masks, CampaignConfig,
+    DsaEngine, DsaGolden, DsaOutcome, FaultKind, FaultMask, FaultModel, Golden, MaskGenerator,
+    ResetMode, Target, TelemetryConfig,
 };
 use gem5_marvel::cpu::CoreConfig;
 use gem5_marvel::ir::assemble;
@@ -72,6 +74,34 @@ fn dirty_reset_touches_bounded_bytes_on_early_terminated_runs() {
     );
 }
 
+/// Ladder guard body, shared by the CPU and DSA twins: each of `n` late
+/// transients reports the fault-free prefix it simulated (injection cycle
+/// minus the restored rung's cycle) under `<scope>.prefix_cycles`. With
+/// `rungs` rungs over a `cycles`-long run that is bounded by one
+/// inter-rung gap, cycles/(rungs+1); allow cycles/rungs for rounding
+/// slack. Without the ladder the mean sits at ≥ 0.8 × cycles. The prefix
+/// skipped per run must dwarf that budget.
+fn assert_residual_prefix_bounded(registry: &Registry, scope: &str, n: usize, cycles: u64, rungs: u64) {
+    let hist = |name: &str| {
+        registry.histogram(&format!("{scope}.{name}")).expect("registry is live").snapshot()
+    };
+    let simulated = hist("prefix_cycles");
+    assert_eq!(simulated.count, n as u64, "every transient run must report its residual prefix");
+    let budget = (cycles / rungs) as f64;
+    assert!(
+        simulated.mean() <= budget,
+        "{scope}: mean residual prefix {:.0} cycles exceeds the inter-rung budget {budget:.0} \
+         (run length {cycles})",
+        simulated.mean()
+    );
+    let skipped = hist("prefix_cycles_skipped");
+    assert!(
+        skipped.mean() >= 4.0 * budget,
+        "{scope}: skipped-prefix mean {:.0} is too small for a late-injection campaign",
+        skipped.mean()
+    );
+}
+
 #[test]
 fn ladder_bounds_residual_prefix_on_late_injections() {
     let g = crc32_golden();
@@ -99,33 +129,39 @@ fn ladder_bounds_residual_prefix_on_late_injections() {
     let mut gen = MaskGenerator::new(0x1ADDE2);
     let masks =
         gen.single_bit(Target::PrfInt, g.ckpt.bit_len(Target::PrfInt), FaultKind::Transient, late, n);
-    let records = run_masks(&g, &masks, &cc);
-    assert_eq!(records.len(), n);
+    assert_eq!(run_masks(&g, &masks, &cc).len(), n);
+    assert_residual_prefix_bounded(&registry, "campaign", n, g.exec_cycles, RUNGS);
+}
 
-    // Residual fault-free prefix actually simulated per run (injection
-    // cycle minus the restored rung's cycle). With K rungs it is bounded
-    // by one inter-rung gap, exec/(K+1) — allow exec/K for rounding slack.
-    // Without the ladder this mean sits at ≥ 0.8 × exec_cycles.
-    let snap = registry.histogram("campaign.prefix_cycles").expect("registry is live").snapshot();
-    assert_eq!(snap.count, n as u64, "every transient run must report its residual prefix");
-    let budget = (g.exec_cycles / RUNGS) as f64;
-    let mean = snap.mean();
-    assert!(
-        mean <= budget,
-        "mean residual prefix {mean:.0} cycles exceeds the inter-rung budget {budget:.0} \
-         (exec_cycles {})",
-        g.exec_cycles
-    );
+fn fft_golden() -> DsaGolden {
+    let d = accel::design("FFT");
+    DsaGolden::prepare((d.make)(FuConfig::default()), 50_000_000)
+}
 
-    // And the ladder must actually be skipping work: the prefix cycles
-    // skipped per run dwarf the residual simulated.
-    let skipped =
-        registry.histogram("campaign.prefix_cycles_skipped").expect("registry is live").snapshot();
-    assert!(
-        skipped.mean() >= 4.0 * budget,
-        "skipped-prefix mean {:.0} is too small for a late-injection campaign",
-        skipped.mean()
+/// The DSA twin, on the shipped config and its 8 rungs: FFT SPM
+/// transients in the last fifth of the accelerator run restore the rung
+/// below their injection.
+#[test]
+fn dsa_ladder_bounds_residual_prefix_on_late_injections() {
+    let g = fft_golden();
+    let registry = Registry::new();
+    let cc = CampaignConfig {
+        workers: 2,
+        telemetry: TelemetryConfig { registry: registry.clone(), ..Default::default() },
+        ..CampaignConfig::default()
+    };
+    let target = Target::Spm { accel: 0, mem: 0 };
+    let n = 32;
+    let mut gen = MaskGenerator::new(0x1ADDE2);
+    let masks = gen.single_bit(
+        target,
+        g.harness.bit_len(target),
+        FaultKind::Transient,
+        g.cycles * 4 / 5..g.cycles,
+        n,
     );
+    assert_eq!(run_dsa_masks(&g, target, &masks, &cc).n(), n);
+    assert_residual_prefix_bounded(&registry, "dsa", n, g.cycles, 8);
 }
 
 /// The shipped config's convergence exit, in counters: a load-queue
@@ -182,12 +218,12 @@ fn only_transient_campaigns_build_a_ladder() {
 }
 
 /// Lane-utilization guard, in counters rather than wall-clock: on a
-/// packable campaign (single-bit PRF transients) the lane engine must
-/// actually pack nearly every run, keep the mean lanes-per-pass well
-/// above the break-even point, and fork only a bounded fraction back to
+/// packable campaign (single-bit PRF transients) under the shipped config,
+/// the lane engine must actually pack nearly every run, keep the mean
+/// lanes per pass at 8 or more, and fork only a bounded fraction back to
 /// scalar re-runs. A regression that silently degrades packing (masks
-/// misgrouped, lanes forked eagerly, eligibility over-tightened) trips
-/// this long before the wall-clock floor in the bench would.
+/// misgrouped, lanes forked eagerly, eligibility over-tightened, a narrower
+/// pack) trips this.
 #[test]
 fn lane_packing_sustains_occupancy_and_bounded_forks() {
     let g = crc32_golden();
@@ -197,12 +233,8 @@ fn lane_packing_sustains_occupancy_and_bounded_forks() {
     let cc = CampaignConfig {
         n_faults: n,
         workers: 2,
-        reset_mode: ResetMode::Dirty,
-        ladder_rungs: 8,
-        convergence_exit: true,
-        lane_width: 64,
         telemetry: TelemetryConfig { registry: registry.clone(), ..Default::default() },
-        ..Default::default()
+        ..CampaignConfig::default()
     };
     let res = run_campaign(&g, Target::PrfInt, &cc);
     assert_eq!(res.n(), n);
@@ -214,13 +246,13 @@ fn lane_packing_sustains_occupancy_and_bounded_forks() {
     // Single-bit transients on one target are all eligible; only chunks
     // of one (a ladder segment holding a lone mask) may fall out.
     assert!(packed >= n as u64 * 3 / 4, "only {packed} of {n} eligible runs were lane-packed");
-    // Mean lanes per pass: with 8 rungs the masks split over 9 ladder
-    // segments, so ~n/9 lanes share each pass — demand at least half
-    // that, far above the ~2-lane break-even of a shared golden pass.
+    // Mean lanes per pass: the shipped 8 rungs split the masks over 9
+    // ladder segments, so ~n/9 ≈ 10.7 lanes share each pass; 8 is far
+    // above the ~2-lane break-even of a shared golden pass.
     let occupancy = packed as f64 / passes as f64;
     assert!(
-        occupancy >= (n / 9) as f64 / 2.0,
-        "mean lane occupancy {occupancy:.1} is below the utilization floor"
+        occupancy >= 8.0,
+        "mean lane occupancy {occupancy:.2} ({packed} runs in {passes} passes) is below 8"
     );
     // Forks are safe but must stay the exception: a PRF-transient
     // campaign is overwhelmingly masked, so at most a quarter of packed
@@ -327,41 +359,46 @@ fn replay_bounds_node_evals_to_the_taint_cone() {
     );
 }
 
-/// Per-run sim-step wall time, as seen by the span layer: the
-/// event-driven engine's SimStepDsa p50 must sit well below the cycle
-/// oracle's on the same campaign. A relative ceiling keeps the guard
-/// machine-independent while still catching an engine that silently
-/// degrades to per-cycle scanning.
+/// Event-engine guard, in counters: every run of a shipped-config FFT SPM
+/// campaign must step on the event engine (one `TraceReplay` span per
+/// run; a campaign that falls back to the cycle engine records none), and
+/// on the same masks, run to the end, the event engine must evaluate at
+/// most a tenth of the nodes the cycle oracle evaluates — golden replay
+/// memoizes all but the taint cone and the warp collapses whole blocks.
 #[test]
-fn event_engine_sim_step_p50_beats_cycle_oracle() {
-    let d = accel::design("FFT");
-    let g = DsaGolden::prepare((d.make)(FuConfig::default()), 50_000_000);
-    assert!(g.harness.accel.replay_armed());
+fn event_engine_drives_every_run_at_a_tenth_of_the_oracle_evals() {
+    let g = fft_golden();
     let target = Target::Spm { accel: 0, mem: 0 };
-    let p50 = |engine: DsaEngine| {
-        let spans = SpanCollector::enabled();
-        let cc = CampaignConfig {
-            n_faults: 12,
-            workers: 2,
-            dsa_engine: engine,
-            telemetry: TelemetryConfig { spans: spans.clone(), ..Default::default() },
-            ladder_rungs: 0,
-            ..Default::default()
-        };
-        run_dsa_campaign(&g, target, &cc);
-        let report = spans.report();
-        report
-            .rows
-            .iter()
-            .find(|r| r.phase == PhaseId::SimStepDsa)
-            .unwrap_or_else(|| panic!("no SimStepDsa span rows for {engine:?}"))
-            .p50_us
+    let spans = SpanCollector::enabled();
+    let cc = CampaignConfig {
+        n_faults: 12,
+        workers: 2,
+        telemetry: TelemetryConfig { spans: spans.clone(), ..Default::default() },
+        ..CampaignConfig::default()
     };
-    let cycle = p50(DsaEngine::Cycle);
-    let event = p50(DsaEngine::Event);
+    let runs = run_dsa_campaign(&g, target, &cc).n() as u64;
+    let replays = spans.report().calls(PhaseId::TraceReplay);
+    assert_eq!(replays, runs, "only {replays} of {runs} runs stepped on the event engine");
+
+    let evals = |engine: DsaEngine| {
+        let (mut evals, mut warps) = (0, 0);
+        for mask in &dsa_campaign_masks(&g, target, &cc) {
+            let mut h = g.harness.clone();
+            if engine == DsaEngine::Event {
+                assert!(h.accel.set_engine_event(), "FFT must be schedulable");
+                h.accel.enable_taint(&target.name());
+            }
+            h.run(Some(mask), g.watchdog());
+            evals += h.accel.stats.node_evals;
+            warps += h.accel.stats.warp_blocks;
+        }
+        (evals, warps)
+    };
+    let (oracle, _) = evals(DsaEngine::Cycle);
+    let (event, warps) = evals(DsaEngine::Event);
     assert!(
-        event * 2 <= cycle,
-        "event-engine SimStepDsa p50 ({event} µs) must be at most half the \
-         cycle oracle's ({cycle} µs)"
+        event * 10 <= oracle,
+        "the event engine evaluated {event} nodes, more than a tenth of the cycle oracle's {oracle}"
     );
+    assert!(warps > 0, "no block was warped");
 }

@@ -135,7 +135,7 @@ fn pipeline_trace_pair_renders_kanata() {
     let g = golden("crc32", Isa::RiscV);
     let cc = CampaignConfig { n_faults: 8, ..Default::default() };
     let masks = campaign_masks(&g, Target::PrfInt, &cc);
-    let (gtrace, ftrace) = trace_pipeline_pair(&g, &masks[0], &cc);
+    let (gtrace, ftrace) = trace_pipeline_pair(&g, &masks[0]);
     for (name, t) in [("golden", &gtrace), ("faulty", &ftrace)] {
         assert!(t.starts_with("Kanata\t0004"), "{name} trace lacks Kanata header");
         assert!(t.contains("\nR\t"), "{name} trace has no retirement lines");
