@@ -4,7 +4,7 @@
 
 use crate::fault::{FaultKind, FaultMask, FaultModel, MaskGenerator};
 pub use crate::ladder::Ladder;
-use crate::ladder::{build_timed, record_prefix, select_base, RunState};
+use crate::ladder::{build_timed, record_prefix, select_base, Freeze, RunState};
 use crate::stats::{error_margin, CONFIDENCE};
 use marvel_cpu::{CoreStats, FaultFate, LaneEvent, TraceMode, MAX_LANES};
 use marvel_soc::{RunOutcome, SysEvent, System, Target};
@@ -153,10 +153,11 @@ pub struct CampaignConfig {
     pub early_termination: bool,
     /// Run-state reset strategy (zero-copy dirty reset vs. deep clone).
     pub reset_mode: ResetMode,
-    /// Intermediate checkpoint-ladder rungs snapshotted across the
-    /// injection window (8 by default). Transient runs start from the
-    /// nearest rung at or below their injection cycle instead of
-    /// replaying the whole prefix. 0 = off: the full-prefix oracle path.
+    /// Intermediate checkpoint-ladder rungs across the injection window
+    /// (8 by default): an upper bound, since a campaign uses at most the
+    /// 8 its golden run froze. Transient runs start from the nearest rung
+    /// at or below their injection cycle instead of replaying the whole
+    /// prefix. 0 = off: the full-prefix oracle path.
     pub ladder_rungs: usize,
     /// Dirty-diff convergence exit (on by default): at each rung crossing
     /// after injection, compare the run's dirty state against the golden
@@ -244,11 +245,16 @@ pub struct Golden {
     /// The checkpoint was produced by the reference-model fast-forward
     /// ([`Golden::prepare_fast`]) rather than cycle-level warmup.
     pub ref_prepped: bool,
+    /// The checkpoint ladder frozen during the golden run (8 rungs; fewer
+    /// on a very short run), shared by every campaign on this golden run
+    /// ([`build_campaign_ladder`]).
+    ladder: Ladder,
 }
 
 impl Golden {
     /// Run `sys` (already loaded) to its checkpoint marker, snapshot it,
-    /// then complete the fault-free run recording output + commit trace.
+    /// then complete the fault-free run recording output + commit trace
+    /// and freezing the checkpoint ladder — one simulation of the program.
     ///
     /// Programs without a `Checkpoint` marker are checkpointed at cycle 0.
     ///
@@ -275,31 +281,7 @@ impl Golden {
                 return Err(GoldenError::BadGoldenRun("golden run timed out".into()));
             }
         }
-        // Snapshot exactly once, at the marker, then continue the same
-        // system as the golden run: its state *is* the checkpoint, so
-        // recording from here matches a fresh clone bit for bit.
-        let ckpt_cycle = sys.cycle;
-        let ckpt = sys.clone();
-        sys.core.trace_mode = TraceMode::Record;
-        match sys.run(max_cycles) {
-            RunOutcome::Halted { cycles } => {
-                let trace = Arc::new(std::mem::take(&mut sys.core.trace));
-                Ok(Golden {
-                    ckpt,
-                    ckpt_cycle,
-                    exec_cycles: cycles - ckpt_cycle,
-                    output: sys.bus.console.clone(),
-                    trace,
-                    stats: sys.core.stats.clone(),
-                    switch_cycle: sys.switch_cycle,
-                    ref_prepped: false,
-                })
-            }
-            RunOutcome::Crashed { trap, .. } => {
-                Err(GoldenError::BadGoldenRun(format!("golden run trapped: {trap}")))
-            }
-            RunOutcome::Timeout => Err(GoldenError::BadGoldenRun("golden run timed out".into())),
-        }
+        Self::run(sys, max_cycles, false)
     }
 
     /// Reference-model fast-forward variant of [`prepare`](Self::prepare):
@@ -349,40 +331,54 @@ impl Golden {
             // (the interpreter ran on a RAM copy).
             marvel_ref::RefRunOutcome::OutOfBudget => {}
         }
-        Self::finish(sys, 0, max_cycles, true)
+        Self::run(sys, max_cycles, true)
     }
 
-    /// Tail of [`prepare_fast`](Self::prepare_fast): clone the transplanted
-    /// checkpoint and run the fault-free golden execution from it,
-    /// recording the commit trace. ([`prepare`](Self::prepare) avoids this
-    /// extra clone by continuing the warmup system in place.)
-    fn finish(
-        ckpt: System,
-        ckpt_cycle: u64,
-        max_cycles: u64,
-        ref_prepped: bool,
-    ) -> Result<Golden, GoldenError> {
-        let mut golden_run = ckpt.clone();
-        golden_run.core.trace_mode = TraceMode::Record;
-        match golden_run.run(max_cycles) {
-            RunOutcome::Halted { cycles } => {
-                let trace = Arc::new(std::mem::take(&mut golden_run.core.trace));
-                Ok(Golden {
-                    ckpt,
-                    ckpt_cycle,
-                    exec_cycles: cycles - ckpt_cycle,
-                    output: golden_run.bus.console.clone(),
-                    trace,
-                    stats: golden_run.core.stats.clone(),
-                    switch_cycle: golden_run.switch_cycle,
-                    ref_prepped,
-                })
+    /// The golden run from the checkpoint `sys` stands at: snapshot the
+    /// checkpoint exactly once, then continue the same system to its halt,
+    /// recording the commit trace and freezing the checkpoint ladder on
+    /// the way. Its state *is* the checkpoint, so the run matches one from
+    /// a fresh clone bit for bit.
+    fn run(mut sys: System, max_cycles: u64, ref_prepped: bool) -> Result<Golden, GoldenError> {
+        let ckpt_cycle = sys.cycle;
+        sys.core.restart_trace();
+        let ckpt = sys.clone();
+        sys.core.trace_mode = TraceMode::Record;
+        sys.enable_dirty_tracking();
+        let mut freeze = Freeze::new(ckpt_cycle, 1);
+        let halt = loop {
+            if sys.cycle >= max_cycles {
+                return Err(GoldenError::BadGoldenRun("golden run timed out".into()));
             }
-            RunOutcome::Crashed { trap, .. } => {
-                Err(GoldenError::BadGoldenRun(format!("golden run trapped: {trap}")))
+            match sys.tick() {
+                SysEvent::Halted => break sys.cycle,
+                SysEvent::Trapped(t) => {
+                    return Err(GoldenError::BadGoldenRun(format!("golden run trapped: {t}")))
+                }
+                _ => {}
             }
-            RunOutcome::Timeout => Err(GoldenError::BadGoldenRun("golden run timed out".into())),
-        }
+            if sys.cycle == freeze.next_cycle() {
+                freeze.take(&mut sys);
+            }
+        };
+        let exec_cycles = halt - ckpt_cycle;
+        let trace = Arc::new(std::mem::take(&mut sys.core.trace));
+        let (output, stats, switch_cycle) =
+            (std::mem::take(&mut sys.bus.console), sys.core.stats.clone(), sys.switch_cycle);
+        // Free the run's RAM before the rungs get theirs.
+        drop(sys);
+        let ladder = freeze.finish(exec_cycles, &ckpt);
+        Ok(Golden {
+            ckpt,
+            ckpt_cycle,
+            exec_cycles,
+            output,
+            trace,
+            stats,
+            switch_cycle,
+            ref_prepped,
+            ladder,
+        })
     }
 
     /// Injection window: every cycle of the post-checkpoint execution.
@@ -408,25 +404,6 @@ impl Golden {
     /// plus [`WATCHDOG_FACTOR`] golden run lengths, plus slack.
     pub(crate) fn watchdog(&self) -> u64 {
         self.ckpt_cycle + self.exec_cycles.saturating_mul(WATCHDOG_FACTOR) + 50_000
-    }
-
-    /// Build a checkpoint ladder: `n_rungs` evenly spaced snapshots of the
-    /// golden run across the injection window, each carrying the dirty
-    /// marks of the golden segment since the previous rung.
-    ///
-    /// The builder replays the golden run once with dirty tracking on;
-    /// `collect_hvf` must match the campaign's setting so rung snapshots
-    /// carry the same trace-checking state as the faulty runs they are
-    /// compared against.
-    pub fn build_ladder(&self, n_rungs: usize, collect_hvf: bool) -> Ladder {
-        Ladder::build(n_rungs, self.ckpt_cycle, self.exec_cycles, || {
-            let mut sys = self.ckpt.clone();
-            sys.enable_dirty_tracking();
-            if collect_hvf {
-                sys.core.trace_mode = TraceMode::Check(self.trace.clone());
-            }
-            sys
-        })
     }
 }
 
@@ -612,12 +589,14 @@ pub fn run_one_spanned(
         FaultModel::Transient { cycle } => Some(cycle),
         FaultModel::Permanent { .. } => None,
     };
-    let (base_sys, base_cycle, mut ahead) =
-        select_base(&golden.ckpt, golden.ckpt_cycle, ladder, inject_cycle);
-    record_prefix::<System>(&tel.registry, golden.ckpt_cycle, base_cycle, inject_cycle);
+    let base = select_base(&golden.ckpt, golden.ckpt_cycle, ladder, inject_cycle);
+    record_prefix(&tel.registry, golden.ckpt_cycle, &base, inject_cycle);
+    let mut ahead = base.ahead;
 
     let mut owned: Option<Box<System>> = None;
-    let sys: &mut System = acquire(base_sys, base_cycle, tel, ctx, &mut owned, lane);
+    let sys: &mut System = acquire(base.state, base.cycle, tel, ctx, &mut owned, lane);
+    // Rungs record no trace; HVF runs check theirs against the golden one
+    // from the rung's commit count on.
     if cc.collect_hvf {
         sys.core.trace_mode = TraceMode::Check(golden.trace.clone());
     }
@@ -944,30 +923,16 @@ pub fn trace_pipeline_pair(golden: &Golden, mask: &FaultMask) -> (String, String
     (gtrace, ftrace)
 }
 
-/// Run a full campaign over `target` with parallel workers, on a ladder
-/// built for it ([`build_campaign_ladder`]).
+/// Run a full campaign over `target` with parallel workers, on the
+/// golden run's ladder ([`build_campaign_ladder`]).
 pub fn run_campaign(golden: &Golden, target: Target, cc: &CampaignConfig) -> CampaignResult {
-    run_campaign_on(golden, build_campaign_ladder(golden, cc).as_ref(), target, cc)
-}
-
-/// [`run_campaign`] on a ladder the caller built, so the transient
-/// campaigns of one golden run can share one ladder. `ladder` must come
-/// from [`build_campaign_ladder`] on `golden` under the same
-/// `ladder_rungs` and `collect_hvf` as `cc`; `None` runs every fault
-/// from the checkpoint, as permanent campaigns always do.
-pub fn run_campaign_on(
-    golden: &Golden,
-    ladder: Option<&Ladder>,
-    target: Target,
-    cc: &CampaignConfig,
-) -> CampaignResult {
     let bit_len = golden.ckpt.bit_len(target);
     let masks = campaign_masks(golden, target, cc);
     let population = bit_len.saturating_mul(golden.exec_cycles.max(1));
     let reg = &cc.telemetry.registry;
     reg.publish("campaign.bit_population", bit_len);
     reg.publish("campaign.golden_exec_cycles", golden.exec_cycles);
-    let records = drive_all(golden, ladder, &masks, cc, population);
+    let records = drive_all(golden, build_campaign_ladder(golden, cc).as_ref(), &masks, cc, population);
     CampaignResult { target, records, bit_population: bit_len, golden_exec_cycles: golden.exec_cycles }
 }
 
@@ -1155,14 +1120,14 @@ fn run_lane_pass(
 
     // Base selection: identical to the scalar path; every pack member
     // shares the segment, so the first mask picks the rung for all.
-    let (base_sys, base_cycle, mut ahead) =
-        select_base(&golden.ckpt, golden.ckpt_cycle, ladder, Some(inject_of(pack[0])));
+    let base = select_base(&golden.ckpt, golden.ckpt_cycle, ladder, Some(inject_of(pack[0])));
     for &i in pack {
-        record_prefix::<System>(&tel.registry, golden.ckpt_cycle, base_cycle, Some(inject_of(i)));
+        record_prefix(&tel.registry, golden.ckpt_cycle, &base, Some(inject_of(i)));
     }
+    let mut ahead = base.ahead;
 
     let mut owned: Option<Box<System>> = None;
-    let sys: &mut System = acquire(base_sys, base_cycle, tel, ctx, &mut owned, lane);
+    let sys: &mut System = acquire(base.state, base.cycle, tel, ctx, &mut owned, lane);
     if cc.collect_hvf {
         sys.core.trace_mode = TraceMode::Check(golden.trace.clone());
     }
@@ -1374,14 +1339,17 @@ pub struct DriveOutcome {
     pub cancelled: bool,
 }
 
-/// Build the campaign's checkpoint ladder per `cc.ladder_rungs` and
-/// publish its build metrics; `None` unless [`CampaignConfig::uses_ladder`].
+/// The campaign's checkpoint ladder: up to `cc.ladder_rungs` of the rungs
+/// the golden run froze, shared with it (no cycle is simulated), with
+/// its build metrics published; `None` unless
+/// [`CampaignConfig::uses_ladder`]. HVF and non-HVF campaigns share the
+/// same rungs.
 ///
 /// Split out of the campaign entry points so long-lived drivers (the
-/// campaign service, journaled CLI runs) can build the ladder once and
+/// campaign service, journaled CLI runs) can take the ladder once and
 /// reuse it across many incremental [`drive_masks`] calls.
 pub fn build_campaign_ladder(golden: &Golden, cc: &CampaignConfig) -> Option<Ladder> {
-    build_timed(cc, |n| golden.build_ladder(n, cc.collect_hvf))
+    build_timed(cc, |n| golden.ladder.subset(n))
 }
 
 /// One worker's effect tallies and cycle samples since its last flush to
@@ -1858,8 +1826,7 @@ mod tests {
         }
         // The ladder itself covers the injection window with ascending
         // rungs strictly inside it.
-        let ladder = g.build_ladder(6, true);
-        let cycles = ladder.cycles();
+        let cycles = g.ladder.subset(6).cycles();
         assert!(!cycles.is_empty());
         assert!(cycles.windows(2).all(|w| w[0] < w[1]));
         assert!(cycles.iter().all(|&c| c > g.ckpt_cycle && c < g.ckpt_cycle + g.exec_cycles));

@@ -12,7 +12,9 @@ use crate::campaign::{
     WATCHDOG_FACTOR,
 };
 use crate::fault::{FaultMask, FaultModel, MaskGenerator};
-use crate::ladder::{build_timed, record_prefix, select_base, Ladder, RunState, Rung};
+use crate::ladder::{
+    build_timed, record_prefix, select_base, Freeze, Ladder, RunState, Rung, FROZEN_RUNGS,
+};
 use marvel_accel::{AccelState, Accelerator, DmaEngine, DmaJob, SramFate};
 use marvel_soc::Target;
 use marvel_telemetry::{Event, FlightRecorder, PhaseId, Registry, Scope, SpanCollector, SpanLane};
@@ -427,8 +429,10 @@ impl RunState for DsaHarness {
     const RESET_BYTES: &'static str = "dsa.reset_bytes";
     const PREFIX_CYCLES: &'static str = "dsa.prefix_cycles";
     const PREFIX_SKIPPED: &'static str = "dsa.prefix_cycles_skipped";
+    const RESTORE_RUNG: &'static str = "dsa.restore_rung";
     const RUNG_AT_INJECTION: bool = false;
     type Marks = ();
+    type Frozen = DsaHarness;
     fn reset_from(&mut self, pristine: &DsaHarness) -> u64 {
         DsaHarness::reset_from(self, pristine)
     }
@@ -437,6 +441,13 @@ impl RunState for DsaHarness {
         self.advance(cycle, &mut FlightRecorder::disabled()).is_none()
     }
     fn take_marks(&mut self) {}
+    fn absorb(_: &mut (), _: &()) {}
+    fn freeze(&mut self, _: &()) -> DsaHarness {
+        self.clone()
+    }
+    fn thaw(frozen: DsaHarness, _: &DsaHarness) -> DsaHarness {
+        frozen
+    }
 }
 
 /// Checkpoint ladder for DSA campaigns: harness snapshots of the
@@ -528,9 +539,10 @@ impl DsaGolden {
         }
     }
 
-    /// Replay the fault-free run once more, freezing `n_rungs` evenly
-    /// spaced harness snapshots strictly inside the injection window.
-    /// Built once per campaign and shared read-only across workers.
+    /// Replay the fault-free run once more, freezing up to `n_rungs`
+    /// harness snapshots strictly inside the injection window by the CPU
+    /// golden run's freeze and placement rule. Built once per campaign
+    /// and shared read-only across workers.
     pub fn build_ladder(&self, n_rungs: usize) -> DsaLadder {
         self.build_ladder_engine(n_rungs, false)
     }
@@ -541,15 +553,22 @@ impl DsaGolden {
     /// every cycle, but the event engine retires lazily, so mid-block
     /// bookkeeping (and the replay cursors) only line up engine-to-engine.
     /// The event ladder also enables the taint shadow planes, which event
-    /// runs need for replay memoization.
+    /// runs need for replay memoization. (That is why the ladder is a
+    /// replay: the recording run in [`prepare`](Self::prepare) has no
+    /// replay-armed cursors to freeze.)
     pub fn build_ladder_engine(&self, n_rungs: usize, event: bool) -> DsaLadder {
-        Ladder::build(n_rungs, 0, self.cycles, || {
-            let mut h = self.harness.clone();
-            if event && h.accel.set_engine_event() {
-                h.accel.enable_taint("ladder");
-            }
-            h
-        })
+        let mut h = self.harness.clone();
+        if event && h.accel.set_engine_event() {
+            h.accel.enable_taint("ladder");
+        }
+        // The run length is known here, so snapshot at the even spacing
+        // itself: K snapshots, as many as the ladder keeps, so the replay
+        // holds no more harness clones than the rungs it hands out.
+        let mut freeze = Freeze::new(0, self.cycles.div_ceil(FROZEN_RUNGS as u64 + 1));
+        while freeze.next_cycle() < self.cycles && h.advance_to(freeze.next_cycle()) {
+            freeze.take(&mut h);
+        }
+        freeze.finish(self.cycles, &self.harness).subset(n_rungs)
     }
 }
 
@@ -639,10 +658,10 @@ fn run_dsa_one(
         FaultModel::Transient { cycle } => Some(cycle),
         _ => None,
     };
-    let (base, base_cycle, ahead) = select_base(&golden.harness, 0, ladder, inject_at);
-    record_prefix::<DsaHarness>(&tel.registry, 0, base_cycle, inject_at);
+    let base = select_base(&golden.harness, 0, ladder, inject_at);
+    record_prefix(&tel.registry, 0, &base, inject_at);
     let mut owned: Option<Box<DsaHarness>> = None;
-    let h = acquire(base, base_cycle, tel, ctx, &mut owned, lane);
+    let h = acquire(base.state, base.cycle, tel, ctx, &mut owned, lane);
     // Pin the drive engine after positioning — resets copy the base's
     // engine, and the pristine golden harness stays on the cycle oracle.
     let event = dsa_event_engine(golden, cc);
@@ -659,7 +678,7 @@ fn run_dsa_one(
         // matches enabling at cycle 0.
         h.accel.enable_taint(&target.name());
     }
-    let end = h.drive(Some(mask), watchdog, Some((cc, ahead)), &mut fr, lane);
+    let end = h.drive(Some(mask), watchdog, Some((cc, base.ahead)), &mut fr, lane);
     let (effect, trap, cycles, early_terminated, converged) = match end {
         DsaRunEnd::Finished(outcome) => {
             let (effect, trap) = match &outcome {
@@ -721,6 +740,7 @@ pub fn drive_dsa_masks(
     // Registered up front, so permanent-only drives export them too.
     reg.histogram(DsaHarness::PREFIX_CYCLES);
     reg.histogram(DsaHarness::PREFIX_SKIPPED);
+    reg.histogram(DsaHarness::RESTORE_RUNG);
     let dirty = cc.reset_mode == ResetMode::Dirty;
     let run_unit = |&i: &usize,
                     ctx: &mut WorkerCtx<DsaHarness>,

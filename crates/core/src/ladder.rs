@@ -1,17 +1,39 @@
-//! The checkpoint ladder, shared by CPU and DSA campaigns: evenly spaced
-//! snapshots of the fault-free run that let transient injection runs skip
-//! the fault-free prefix below their injection cycle, and serve as the
+//! The checkpoint ladder, shared by CPU and DSA campaigns: snapshots of
+//! the fault-free run that let transient injection runs skip the
+//! fault-free prefix below their injection cycle, and serve as the
 //! comparison points of the dirty-diff convergence exit.
 //!
 //! A rung is a snapshot of a [`RunState`] — a [`System`] or a
 //! [`DsaHarness`](crate::dsa::DsaHarness) — so both targets share one
-//! ladder type, one way to freeze it and one base selection. What differs
-//! per target is a trait item, not a branch here: the rung rule, the
-//! metric names and the CPU's golden-segment dirty marks.
+//! ladder type, one freeze, one placement rule and one base selection.
+//! What differs per target is a trait item, not a branch here: the rung
+//! rule, the metric names, the in-flight snapshot form and the CPU's
+//! golden-segment dirty marks.
+//!
+//! Rungs are frozen while the fault-free run itself runs ([`Freeze`]),
+//! whose length is known only when it ends: snapshots every `P` cycles,
+//! and whenever 4K+4 exist every other one is dropped (its segment marks
+//! going to the next) and `P` doubles. 2K+2 to 4K+3 evenly spaced
+//! snapshots survive, and the K nearest `i·span/(K+1)` become the rungs
+//! ([`place`]), each within `P/2 ≤ span/(4K+4)` of that even position. A campaign asking for fewer rungs gets a subset placed by
+//! the same rule ([`Ladder::subset`]); one asking for more gets the K.
 
 use crate::campaign::CampaignConfig;
-use marvel_soc::{SysDirtyMarks, SysEvent, System};
+use marvel_soc::{SysDirtyMarks, SysEvent, SysSnapshot, System};
 use marvel_telemetry::{PhaseId, Registry, Scope};
+use std::sync::Arc;
+
+/// Rungs a fault-free run freezes (K): the shipped `ladder_rungs`, and
+/// the most a campaign's ladder holds.
+pub(crate) const FROZEN_RUNGS: usize = 8;
+
+/// Snapshots at which a [`Freeze`] drops every other one and doubles its
+/// pitch. At least 2K+2 survive, so the final pitch is at most half an
+/// even segment, `span/(2K+2)`: no two rungs share a snapshot, and every
+/// segment between rungs is within one pitch of `span/(K+1)`. (With K+1
+/// survivors, thinning at 2K+2, sha/Arm's segments alternated between one
+/// and two pitches and its mean residual prefix grew 10 %.)
+const THIN_AT: usize = 4 * FROZEN_RUNGS + 4;
 
 /// Run state a campaign worker keeps alive across runs and a ladder
 /// freezes: the CPU [`System`] or the accelerator
@@ -28,9 +50,11 @@ pub trait RunState: Clone {
     /// Histogram a context-less run records its deep-clone time into.
     const RESTORE_NS: Option<&'static str> = None;
     /// Histograms of the prefix a run simulates from its base to the
-    /// injection, and of the prefix its base let it skip.
+    /// injection, of the prefix its base let it skip, and of the rung it
+    /// restored (0: the pristine base; k: rung k).
     const PREFIX_CYCLES: &'static str;
     const PREFIX_SKIPPED: &'static str;
+    const RESTORE_RUNG: &'static str;
     /// The rung rule: may a rung frozen at exactly the injection cycle
     /// start the run? A CPU rung is the state before that cycle's tick,
     /// where the flip lands, so yes; a DSA rung is frozen after its
@@ -38,7 +62,11 @@ pub trait RunState: Clone {
     const RUNG_AT_INJECTION: bool;
     /// What a rung keeps of the golden segment since the previous rung,
     /// for a run to merge at the rung crossing (CPU: dirty marks).
-    type Marks: Clone + std::fmt::Debug;
+    type Marks: Clone + Default + std::fmt::Debug;
+    /// What the freeze holds of a snapshot until the fault-free run ends
+    /// (CPU: a [`SysSnapshot`], without RAM or cache lines; DSA: the
+    /// harness itself).
+    type Frozen;
     /// Undo every write since `pristine`; returns state bytes copied.
     fn reset_from(&mut self, pristine: &Self) -> u64;
     /// Arm the write journals of a fresh clone for later resets.
@@ -47,6 +75,13 @@ pub trait RunState: Clone {
     fn advance_to(&mut self, cycle: u64) -> bool;
     /// Drain the golden-segment marks accumulated since the last call.
     fn take_marks(&mut self) -> Self::Marks;
+    /// Fold the marks of `other` into `into`.
+    fn absorb(into: &mut Self::Marks, other: &Self::Marks);
+    /// Snapshot the fault-free run; `since` is the union of every segment
+    /// since it left its base.
+    fn freeze(&mut self, since: &Self::Marks) -> Self::Frozen;
+    /// The full state of a snapshot of a run that left `base`.
+    fn thaw(frozen: Self::Frozen, base: &Self) -> Self;
 }
 
 impl RunState for System {
@@ -56,8 +91,10 @@ impl RunState for System {
     const RESTORE_NS: Option<&'static str> = Some("campaign.ckpt_restore_ns");
     const PREFIX_CYCLES: &'static str = "campaign.prefix_cycles";
     const PREFIX_SKIPPED: &'static str = "campaign.prefix_cycles_skipped";
+    const RESTORE_RUNG: &'static str = "campaign.restore_rung";
     const RUNG_AT_INJECTION: bool = true;
     type Marks = SysDirtyMarks;
+    type Frozen = SysSnapshot;
     fn reset_from(&mut self, pristine: &System) -> u64 {
         System::reset_from(self, pristine)
     }
@@ -75,60 +112,46 @@ impl RunState for System {
     fn take_marks(&mut self) -> SysDirtyMarks {
         self.take_dirty_marks()
     }
+    fn absorb(into: &mut SysDirtyMarks, other: &SysDirtyMarks) {
+        into.absorb(other);
+    }
+    fn freeze(&mut self, since: &SysDirtyMarks) -> SysSnapshot {
+        self.snapshot(since)
+    }
+    fn thaw(frozen: SysSnapshot, base: &System) -> System {
+        frozen.thaw(base)
+    }
 }
 
-/// One ladder rung: the fault-free run state at `cycle`, plus the marks
-/// of the golden segment `(previous rung, cycle]`.
+/// One ladder rung: the fault-free run state at `cycle` — shared by every
+/// ladder handed out of the same freeze, or in flight ([`RunState::Frozen`])
+/// while a [`Freeze`] holds it — plus the marks of the golden segment
+/// `(previous rung, cycle]`.
 #[derive(Debug, Clone)]
-pub(crate) struct Rung<S: RunState> {
+pub(crate) struct Rung<S: RunState, St = Arc<S>> {
     pub(crate) cycle: u64,
-    pub(crate) state: S,
+    pub(crate) state: St,
     pub(crate) seg: S::Marks,
 }
 
 /// A checkpoint ladder shared read-only across campaign workers: rungs in
-/// ascending cycle order. `Ladder` alone is the CPU ladder;
+/// ascending cycle order, placed in the window `(start, start + span)` of
+/// the fault-free run. `Ladder` alone is the CPU ladder;
 /// [`crate::dsa::DsaLadder`] is the DSA one.
 #[derive(Debug, Clone)]
 pub struct Ladder<S: RunState = System> {
     rungs: Vec<Rung<S>>,
+    start: u64,
+    span: u64,
 }
 
 impl<S: RunState> Default for Ladder<S> {
     fn default() -> Self {
-        Ladder { rungs: Vec::new() }
+        Ladder { rungs: Vec::new(), start: 0, span: 0 }
     }
 }
 
 impl<S: RunState> Ladder<S> {
-    /// Freeze up to `n_rungs` evenly spaced rungs strictly inside the
-    /// window `(start, start + span)` by replaying the fault-free run that
-    /// `run` positions at `start`. Rung cycles are deduplicated, so a
-    /// short window yields fewer rungs (none when `span < 2`).
-    pub(crate) fn build(n_rungs: usize, start: u64, span: u64, run: impl FnOnce() -> S) -> Ladder<S> {
-        let n = n_rungs as u64;
-        let mut cycles: Vec<u64> = (1..=n)
-            .map(|i| start + i * span / (n + 1))
-            .filter(|&c| c > start && c < start + span)
-            .collect();
-        cycles.dedup();
-        let mut rungs = Vec::with_capacity(cycles.len());
-        if cycles.is_empty() {
-            return Ladder { rungs };
-        }
-        let mut s = Box::new(run());
-        for c in cycles {
-            // The fault-free run ending inside the window would contradict
-            // its golden length; stop laddering defensively.
-            if !s.advance_to(c) {
-                break;
-            }
-            let seg = s.take_marks();
-            rungs.push(Rung { cycle: c, state: (*s).clone(), seg });
-        }
-        Ladder { rungs }
-    }
-
     pub fn len(&self) -> usize {
         self.rungs.len()
     }
@@ -142,10 +165,115 @@ impl<S: RunState> Ladder<S> {
         self.rungs.iter().map(|r| r.cycle).collect()
     }
 
+    /// `min(n, len)` of these rungs, sharing their states: the ones
+    /// [`place`] picks, each taking over the segment marks of the rungs
+    /// skipped below it.
+    pub(crate) fn subset(&self, n: usize) -> Ladder<S> {
+        let keep = place(&self.cycles(), self.start, self.span, n);
+        Ladder { rungs: keep_merged(self.rungs.iter().cloned(), &keep), ..*self }
+    }
+
     /// How many rungs a run injecting at `cycle` may start from, per the
     /// target's rung rule — also the index of the first rung it crosses.
     pub(crate) fn partition_at(&self, cycle: u64) -> usize {
         self.rungs.partition_point(|r| r.cycle < cycle || (S::RUNG_AT_INJECTION && r.cycle == cycle))
+    }
+}
+
+/// The placement rule, for both targets and both steps (freezing and
+/// handing out a subset): `min(n, cycles.len())` distinct indices into
+/// `cycles` (ascending). The `i`-th is the cycle nearest
+/// `start + i·span/(n+1)` (ties to the lower), moved up when an earlier
+/// target took it and down when the targets above need the room. On
+/// evenly spaced cycles at pitch `P`, more than `n` of them inside the
+/// span, no pick moves, so each lies within `P/2` of its target.
+pub(crate) fn place(cycles: &[u64], start: u64, span: u64, n: usize) -> Vec<usize> {
+    let n = n.min(cycles.len());
+    let mut keep: Vec<usize> = Vec::with_capacity(n);
+    for i in 1..=n {
+        let t = start + i as u64 * span / (n as u64 + 1);
+        let j = cycles.partition_point(|&c| c < t);
+        let near =
+            if j == cycles.len() || (j > 0 && t - cycles[j - 1] <= cycles[j] - t) { j - 1 } else { j };
+        let lowest = keep.last().map_or(0, |&k| k + 1);
+        keep.push(near.clamp(lowest, cycles.len() - 1 - (n - i)));
+    }
+    keep
+}
+
+/// The rungs at the ascending indices `keep`, each with the marks of the
+/// rungs skipped below it folded into its own; rungs above the last kept
+/// one are dropped.
+fn keep_merged<S: RunState, St>(
+    rungs: impl IntoIterator<Item = Rung<S, St>>,
+    keep: &[usize],
+) -> Vec<Rung<S, St>> {
+    let mut out = Vec::with_capacity(keep.len());
+    let mut skipped: Option<S::Marks> = None;
+    let mut want = keep.iter().copied().peekable();
+    for (i, mut rung) in rungs.into_iter().enumerate() {
+        let Some(&k) = want.peek() else { break };
+        if i == k {
+            if let Some(m) = skipped.take() {
+                S::absorb(&mut rung.seg, &m);
+            }
+            out.push(rung);
+            want.next();
+        } else {
+            S::absorb(skipped.get_or_insert_with(S::Marks::default), &rung.seg);
+        }
+    }
+    out
+}
+
+/// The freeze of a fault-free run that left its base at `start`: the
+/// caller advances the run to [`next_cycle`](Self::next_cycle) and hands
+/// it to [`take`](Self::take) until the run ends, then
+/// [`finish`](Self::finish)es the ladder.
+pub(crate) struct Freeze<S: RunState> {
+    start: u64,
+    pitch: u64,
+    /// Union of every segment since `start`.
+    since: S::Marks,
+    snaps: Vec<Rung<S, S::Frozen>>,
+}
+
+impl<S: RunState> Freeze<S> {
+    /// A freeze snapshotting every `pitch` cycles until the pitch doubles.
+    pub(crate) fn new(start: u64, pitch: u64) -> Freeze<S> {
+        Freeze { start, pitch: pitch.max(1), since: S::Marks::default(), snaps: Vec::new() }
+    }
+
+    /// The cycle the next snapshot is due at.
+    pub(crate) fn next_cycle(&self) -> u64 {
+        self.start + self.pitch * (self.snaps.len() as u64 + 1)
+    }
+
+    /// Snapshot `s`, standing at [`next_cycle`](Self::next_cycle).
+    pub(crate) fn take(&mut self, s: &mut S) {
+        let cycle = self.next_cycle();
+        let seg = s.take_marks();
+        S::absorb(&mut self.since, &seg);
+        let frozen = s.freeze(&self.since);
+        self.snaps.push(Rung { cycle, state: frozen, seg });
+        if self.snaps.len() == THIN_AT {
+            // Keep the multiples of the doubled pitch.
+            let odd: Vec<usize> = (1..self.snaps.len()).step_by(2).collect();
+            self.snaps = keep_merged(std::mem::take(&mut self.snaps), &odd);
+            self.pitch *= 2;
+        }
+    }
+
+    /// The ladder of a run that ended `span` cycles after `start`: the
+    /// [`FROZEN_RUNGS`] snapshots [`place`] picks, in full over `base`.
+    pub(crate) fn finish(self, span: u64, base: &S) -> Ladder<S> {
+        let cycles: Vec<u64> = self.snaps.iter().map(|s| s.cycle).collect();
+        let keep = place(&cycles, self.start, span, FROZEN_RUNGS);
+        let rungs = keep_merged(self.snaps, &keep)
+            .into_iter()
+            .map(|r| Rung { cycle: r.cycle, state: Arc::new(S::thaw(r.state, base)), seg: r.seg })
+            .collect();
+        Ladder { rungs, start: self.start, span }
     }
 }
 
@@ -170,39 +298,163 @@ pub(crate) fn build_timed<S: RunState>(
     })
 }
 
-/// Where a run (or a lane pass) injecting at `inject` starts: the deepest
-/// rung it may start from, else the `pristine` base at `pristine_cycle`
-/// (always for permanents, `inject: None`). Returns the base, its cycle
+/// Where a run (or a lane pass) starts: the base state and its cycle,
+/// which rung it is (0: the pristine base; k: rung k, counted from 1),
 /// and the rungs above it, which the run crosses in order.
+pub(crate) struct Base<'a, S: RunState> {
+    pub(crate) state: &'a S,
+    pub(crate) cycle: u64,
+    pub(crate) rung: usize,
+    pub(crate) ahead: &'a [Rung<S>],
+}
+
+/// Where a run injecting at `inject` starts: the deepest rung it may
+/// start from, else the `pristine` base at `pristine_cycle` (always for
+/// permanents, `inject: None`).
 pub(crate) fn select_base<'a, S: RunState>(
     pristine: &'a S,
     pristine_cycle: u64,
     ladder: Option<&'a Ladder<S>>,
     inject: Option<u64>,
-) -> (&'a S, u64, &'a [Rung<S>]) {
-    let Some(l) = ladder else { return (pristine, pristine_cycle, &[]) };
+) -> Base<'a, S> {
+    let Some(l) = ladder else {
+        return Base { state: pristine, cycle: pristine_cycle, rung: 0, ahead: &[] };
+    };
     match inject.map_or(0, |c| l.partition_at(c)) {
-        0 => (pristine, pristine_cycle, &l.rungs[..]),
-        k => (&l.rungs[k - 1].state, l.rungs[k - 1].cycle, &l.rungs[k..]),
+        0 => Base { state: pristine, cycle: pristine_cycle, rung: 0, ahead: &l.rungs[..] },
+        k => {
+            let r = &l.rungs[k - 1];
+            Base { state: &r.state, cycle: r.cycle, rung: k, ahead: &l.rungs[k..] }
+        }
     }
 }
 
-/// Record one run's prefix histograms: the cycles its base skipped past
-/// the pristine base, and the residual prefix it simulates up to its
-/// injection (transients only).
+/// Record one run's base histograms: the rung it restored, the cycles
+/// its base skipped past the pristine base, and the residual prefix it
+/// simulates up to its injection (transients only).
 pub(crate) fn record_prefix<S: RunState>(
     reg: &Registry,
     pristine_cycle: u64,
-    base_cycle: u64,
+    base: &Base<'_, S>,
     inject: Option<u64>,
 ) {
     if !reg.is_enabled() {
         return;
     }
+    if let Some(h) = reg.histogram(S::RESTORE_RUNG) {
+        h.record(base.rung as u64);
+    }
     if let Some(h) = reg.histogram(S::PREFIX_SKIPPED) {
-        h.record(base_cycle - pristine_cycle);
+        h.record(base.cycle - pristine_cycle);
     }
     if let (Some(c), Some(h)) = (inject, reg.histogram(S::PREFIX_CYCLES)) {
-        h.record(c.saturating_sub(base_cycle));
+        h.record(c.saturating_sub(base.cycle));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A stand-in run state for the freeze: a cycle counter whose marks
+    /// are the cycle ranges `(lo, hi]` stepped through, so a rung's
+    /// segment shows exactly which snapshots it absorbed.
+    #[derive(Debug, Clone, Default)]
+    struct Counter {
+        cycle: u64,
+        stepped: Vec<(u64, u64)>,
+    }
+
+    impl RunState for Counter {
+        const SCOPE: &'static str = "test";
+        const RESET_NS: &'static str = "test.reset_ns";
+        const RESET_BYTES: &'static str = "test.reset_bytes";
+        const PREFIX_CYCLES: &'static str = "test.prefix_cycles";
+        const PREFIX_SKIPPED: &'static str = "test.prefix_cycles_skipped";
+        const RESTORE_RUNG: &'static str = "test.restore_rung";
+        const RUNG_AT_INJECTION: bool = true;
+        type Marks = Vec<(u64, u64)>;
+        type Frozen = u64;
+        fn reset_from(&mut self, pristine: &Counter) -> u64 {
+            *self = pristine.clone();
+            0
+        }
+        fn advance_to(&mut self, cycle: u64) -> bool {
+            self.stepped.push((self.cycle, cycle));
+            self.cycle = cycle;
+            true
+        }
+        fn take_marks(&mut self) -> Vec<(u64, u64)> {
+            std::mem::take(&mut self.stepped)
+        }
+        fn absorb(into: &mut Vec<(u64, u64)>, other: &Vec<(u64, u64)>) {
+            into.extend_from_slice(other);
+            into.sort_unstable();
+        }
+        fn freeze(&mut self, _since: &Vec<(u64, u64)>) -> u64 {
+            self.cycle
+        }
+        fn thaw(cycle: u64, _base: &Counter) -> Counter {
+            Counter { cycle, stepped: Vec::new() }
+        }
+    }
+
+    /// Freeze a run of `span` cycles from `start`, as a golden run does.
+    fn freeze(start: u64, span: u64) -> (Ladder<Counter>, u64) {
+        let mut run = Counter { cycle: start, stepped: Vec::new() };
+        let mut f = Freeze::new(start, 1);
+        while f.next_cycle() < start + span {
+            run.advance_to(f.next_cycle());
+            f.take(&mut run);
+        }
+        let pitch = f.pitch;
+        (f.finish(span, &Counter::default()), pitch)
+    }
+
+    #[test]
+    fn rungs_sit_within_half_the_final_pitch_of_even_spacing() {
+        for span in (9..300).chain([1_000, 4_097, 148_409, 226_802]) {
+            let start = 1_234;
+            let (ladder, pitch) = freeze(start, span);
+            let k = FROZEN_RUNGS as u64;
+            assert_eq!(ladder.len(), FROZEN_RUNGS, "span {span}");
+            for (i, c) in (1..=k).zip(ladder.cycles()) {
+                let even = start + i * span / (k + 1);
+                assert!(2 * c.abs_diff(even) <= pitch, "span {span}: rung {i} at {c}, even {even}");
+                assert!(c > start && c < start + span, "span {span}: rung {i} outside the window");
+                assert_eq!(ladder.rungs[i as usize - 1].state.cycle, c, "span {span}: rung state");
+            }
+        }
+    }
+
+    #[test]
+    fn subsets_cap_at_the_frozen_rungs_and_keep_every_segment() {
+        let (start, span) = (100, 5_000);
+        let (ladder, _) = freeze(start, span);
+        for n in 0..=2 * FROZEN_RUNGS {
+            let sub = ladder.subset(n);
+            assert_eq!(sub.len(), n.min(ladder.len()), "n={n}");
+            // A rung's segment runs from the rung below it (or the start)
+            // to its own cycle: no golden cycle in between goes unmarked.
+            let mut below = start;
+            for r in &sub.rungs {
+                let mut at = below;
+                for &(lo, hi) in &r.seg {
+                    assert_eq!(lo, at, "n={n}: segment of rung {} has a gap", r.cycle);
+                    at = hi;
+                }
+                assert_eq!(at, r.cycle, "n={n}: segment of rung {} stops short", r.cycle);
+                assert!(Arc::ptr_eq(&r.state, &ladder.rungs[ladder.partition_at(r.cycle) - 1].state));
+                below = r.cycle;
+            }
+        }
+    }
+
+    #[test]
+    fn short_runs_freeze_fewer_rungs() {
+        assert!(freeze(0, 0).0.is_empty());
+        assert!(freeze(0, 1).0.is_empty());
+        let (ladder, _) = freeze(0, 4);
+        assert_eq!(ladder.cycles(), vec![1, 2, 3]);
     }
 }

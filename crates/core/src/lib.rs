@@ -30,10 +30,10 @@ pub mod report;
 pub mod stats;
 
 pub use campaign::{
-    build_campaign_ladder, campaign_masks, drive_masks, run_campaign, run_campaign_on, run_masks,
-    run_one, run_one_spanned, trace_pipeline_pair, CampaignConfig, CampaignResult, DriveOutcome,
-    DsaEngine, FaultEffect, Golden, GoldenError, HvfEffect, Ladder, ResetMode, RunRecord,
-    TelemetryConfig, WorkerCtx, CPU_GOLDEN_BUDGET,
+    build_campaign_ladder, campaign_masks, drive_masks, run_campaign, run_masks, run_one,
+    run_one_spanned, trace_pipeline_pair, CampaignConfig, CampaignResult, DriveOutcome, DsaEngine,
+    FaultEffect, Golden, GoldenError, HvfEffect, Ladder, ResetMode, RunRecord, TelemetryConfig,
+    WorkerCtx, CPU_GOLDEN_BUDGET,
 };
 pub use dsa::{
     build_dsa_ladder, drive_dsa_masks, dsa_campaign_masks, run_dsa_campaign, run_dsa_masks, DsaGolden,

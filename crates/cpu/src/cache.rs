@@ -33,12 +33,28 @@ impl FaultFate {
     }
 }
 
-#[derive(Debug, Clone)]
+/// A cache's line array, moved out by [`Cache::take_lines`].
+#[derive(Debug)]
+pub struct CacheLines {
+    lines: Vec<Line>,
+    data: Vec<u8>,
+}
+
+/// Copies of the lines of some sets of a cache, to lay over another copy
+/// of the cache they were written since ([`Cache::restore_lines`]).
+#[derive(Debug)]
+pub struct CacheSets {
+    sets: Vec<usize>,
+    lines: Vec<Line>,
+    data: Vec<u8>,
+}
+
+/// Line metadata; the line's bytes live in [`Cache::data`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Line {
     tag: u64,
     valid: bool,
     dirty: bool,
-    data: Box<[u8]>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -80,6 +96,9 @@ pub struct Cache {
     cfg: CacheConfig,
     sets: usize,
     lines: Vec<Line>,
+    /// Every line's bytes, line after line (one allocation, so cloning a
+    /// cache — a checkpoint, a rung, a worker's reclone — is two copies).
+    data: Vec<u8>,
     /// Tree-PLRU state bits, one word per set (supports assoc ≤ 8).
     plru: Vec<u8>,
     /// Permanent stuck-at faults on data bits: (bit index, value).
@@ -108,18 +127,12 @@ impl Cache {
         let sets = cfg.sets();
         assert!(sets.is_power_of_two() && cfg.line.is_power_of_two());
         assert!(cfg.assoc <= 8, "tree-PLRU model supports up to 8 ways");
-        let lines = (0..sets * cfg.assoc)
-            .map(|_| Line {
-                tag: 0,
-                valid: false,
-                dirty: false,
-                data: vec![0u8; cfg.line].into_boxed_slice(),
-            })
-            .collect();
+        let lines = vec![Line { tag: 0, valid: false, dirty: false }; sets * cfg.assoc];
         Cache {
             cfg,
             sets,
             lines,
+            data: vec![0u8; sets * cfg.assoc * cfg.line],
             plru: vec![0; sets],
             stuck: Vec::new(),
             armed: None,
@@ -130,6 +143,12 @@ impl Cache {
             shadow: Vec::new(),
             journal: None,
         }
+    }
+
+    /// Byte range of line `idx` in `data`.
+    #[inline]
+    fn bytes(&self, idx: usize) -> std::ops::Range<usize> {
+        idx * self.cfg.line..(idx + 1) * self.cfg.line
     }
 
     #[inline]
@@ -226,9 +245,9 @@ impl Cache {
         let off = (addr as usize) & (self.cfg.line - 1);
         debug_assert!(off + n <= self.cfg.line);
         self.note_access(set, way, off, n, false);
-        let l = &self.lines[self.idx(set, way)];
+        let line = &self.data[self.bytes(self.idx(set, way))];
         let mut out = [0u8; 8];
-        out[..n].copy_from_slice(&l.data[off..off + n]);
+        out[..n].copy_from_slice(&line[off..off + n]);
         u64::from_le_bytes(out)
     }
 
@@ -237,7 +256,7 @@ impl Cache {
     pub fn line_bytes(&mut self, addr: u64, way: usize, note_from: usize, note_len: usize) -> &[u8] {
         let set = self.set_of(addr);
         self.note_access(set, way, note_from, note_len, false);
-        &self.lines[self.idx(set, way)].data
+        &self.data[self.bytes(self.idx(set, way))]
     }
 
     /// Write `n` bytes at `addr` into a resident line, marking it dirty.
@@ -248,9 +267,9 @@ impl Cache {
         self.mark_set(set);
         self.note_access(set, way, off, n, true);
         let idx = self.idx(set, way);
-        let l = &mut self.lines[idx];
-        l.data[off..off + n].copy_from_slice(&val.to_le_bytes()[..n]);
-        l.dirty = true;
+        let at = self.bytes(idx).start + off;
+        self.data[at..at + n].copy_from_slice(&val.to_le_bytes()[..n]);
+        self.lines[idx].dirty = true;
         self.apply_stuck_to_line(set, way);
     }
 
@@ -292,17 +311,16 @@ impl Cache {
         let sets = self.sets as u64;
         let new_tag = self.tag_of(addr);
         let idx = self.idx(set, way);
+        let bytes = self.bytes(idx);
         let l = &mut self.lines[idx];
         let evicted = if l.valid && l.dirty {
             let eaddr = (l.tag * sets + set as u64) * line_size;
-            Some((eaddr, l.data.to_vec()))
+            Some((eaddr, self.data[bytes.clone()].to_vec()))
         } else {
             None
         };
-        l.tag = new_tag;
-        l.valid = true;
-        l.dirty = false;
-        l.data.copy_from_slice(data);
+        *l = Line { tag: new_tag, valid: true, dirty: false };
+        self.data[bytes].copy_from_slice(data);
         if !self.shadow.is_empty() {
             // The incoming line starts untainted (the caller re-taints it
             // from the source level's shadow); stale victim taint dies.
@@ -383,7 +401,8 @@ impl Cache {
         self.mark_set(set);
         let idx = self.idx(set, way);
         let valid = self.lines[idx].valid;
-        self.lines[idx].data[byte] ^= mask;
+        let at = self.bytes(idx).start + byte;
+        self.data[at] ^= mask;
         let fate = if valid { FaultFate::Pending } else { FaultFate::InvalidAtInjection };
         self.armed = Some(Armed { set, way, byte, fate });
         if let Some(s) = self.shadow.get_mut(idx) {
@@ -398,10 +417,11 @@ impl Cache {
         let (set, way, byte, mask) = self.locate(bit);
         self.mark_set(set);
         let idx = self.idx(set, way);
+        let at = self.bytes(idx).start + byte;
         if value {
-            self.lines[idx].data[byte] |= mask;
+            self.data[at] |= mask;
         } else {
-            self.lines[idx].data[byte] &= !mask;
+            self.data[at] &= !mask;
         }
         let valid = self.lines[idx].valid;
         self.armed = Some(Armed {
@@ -466,11 +486,11 @@ impl Cache {
         for (bit, value) in stuck {
             let (s, w, byte, mask) = self.locate(bit);
             if s == set && w == way {
-                let idx = self.idx(set, way);
+                let at = self.bytes(self.idx(set, way)).start + byte;
                 if value {
-                    self.lines[idx].data[byte] |= mask;
+                    self.data[at] |= mask;
                 } else {
-                    self.lines[idx].data[byte] &= !mask;
+                    self.data[at] &= !mask;
                 }
             }
         }
@@ -628,27 +648,19 @@ impl Cache {
         let per_line = line_bytes + 10;
         let mut bytes = 0u64;
         if let Some(mut j) = self.journal.take() {
+            let set_bytes = assoc * self.cfg.line;
             j.drain(|set| {
-                for way in 0..assoc {
-                    let idx = set * assoc + way;
-                    let src = &pristine.lines[idx];
-                    let dst = &mut self.lines[idx];
-                    dst.tag = src.tag;
-                    dst.valid = src.valid;
-                    dst.dirty = src.dirty;
-                    dst.data.copy_from_slice(&src.data);
-                }
+                let ways = set * assoc..(set + 1) * assoc;
+                self.lines[ways.clone()].copy_from_slice(&pristine.lines[ways]);
+                let range = set * set_bytes..(set + 1) * set_bytes;
+                self.data[range.clone()].copy_from_slice(&pristine.data[range]);
                 self.plru[set] = pristine.plru[set];
                 bytes += assoc as u64 * per_line + 1;
             });
             self.journal = Some(j);
         } else {
-            for (dst, src) in self.lines.iter_mut().zip(&pristine.lines) {
-                dst.tag = src.tag;
-                dst.valid = src.valid;
-                dst.dirty = src.dirty;
-                dst.data.copy_from_slice(&src.data);
-            }
+            self.lines.copy_from_slice(&pristine.lines);
+            self.data.copy_from_slice(&pristine.data);
             self.plru.copy_from_slice(&pristine.plru);
             bytes += self.lines.len() as u64 * per_line + self.plru.len() as u64;
         }
@@ -664,6 +676,48 @@ impl Cache {
             self.shadow.clone_from(&pristine.shadow);
         }
         bytes
+    }
+
+    // ---- golden-run snapshots ----
+
+    /// Move the line array out, leaving the cache without lines until
+    /// [`put_lines`](Self::put_lines): a clone taken in between skips the
+    /// biggest part of the cache.
+    pub fn take_lines(&mut self) -> CacheLines {
+        CacheLines { lines: std::mem::take(&mut self.lines), data: std::mem::take(&mut self.data) }
+    }
+
+    /// Put back the line array [`take_lines`](Self::take_lines) moved out.
+    pub fn put_lines(&mut self, l: CacheLines) {
+        self.lines = l.lines;
+        self.data = l.data;
+    }
+
+    /// Copies of the lines of the sets `sets` marks.
+    pub fn copy_sets(&self, sets: &DirtyMarks) -> CacheSets {
+        let (assoc, set_bytes) = (self.cfg.assoc, self.cfg.assoc * self.cfg.line);
+        let mut out = CacheSets { sets: Vec::new(), lines: Vec::new(), data: Vec::new() };
+        sets.for_each(self.sets, |set| {
+            out.sets.push(set);
+            out.lines.extend_from_slice(&self.lines[set * assoc..(set + 1) * assoc]);
+            out.data.extend_from_slice(&self.data[set * set_bytes..(set + 1) * set_bytes]);
+        });
+        out
+    }
+
+    /// Give this cache, taken without lines, `base`'s line array with
+    /// `sets` laid over it. `sets` must cover every set written since the
+    /// cache was `base`.
+    pub fn restore_lines(&mut self, base: &Cache, sets: CacheSets) {
+        let (assoc, set_bytes) = (self.cfg.assoc, self.cfg.assoc * self.cfg.line);
+        self.lines.clone_from(&base.lines);
+        self.data.clone_from(&base.data);
+        for (k, &set) in sets.sets.iter().enumerate() {
+            self.lines[set * assoc..(set + 1) * assoc]
+                .copy_from_slice(&sets.lines[k * assoc..(k + 1) * assoc]);
+            self.data[set * set_bytes..(set + 1) * set_bytes]
+                .copy_from_slice(&sets.data[k * set_bytes..(k + 1) * set_bytes]);
+        }
     }
 
     /// Drain the set journal into a detached capture (ladder construction).
@@ -694,10 +748,14 @@ impl Cache {
                 return false;
             }
             (0..assoc).all(|way| {
-                let a = &self.lines[set * assoc + way];
-                let b = &pristine.lines[set * assoc + way];
+                let idx = set * assoc + way;
+                let (a, b) = (&self.lines[idx], &pristine.lines[idx]);
+                let bytes = self.bytes(idx);
                 a.valid == b.valid
-                    && (!a.valid || (a.tag == b.tag && a.dirty == b.dirty && a.data == b.data))
+                    && (!a.valid
+                        || (a.tag == b.tag
+                            && a.dirty == b.dirty
+                            && self.data[bytes.clone()] == pristine.data[bytes]))
             })
         };
         match &self.journal {
@@ -747,6 +805,26 @@ mod tests {
         c.fill(0x4000_0000, &[7u8; 64]);
         let way = c.lookup(0x4000_0000).expect("hit after fill");
         assert_eq!(c.read(0x4000_0008, 8, way), 0x0707_0707_0707_0707);
+    }
+
+    #[test]
+    fn restored_lines_equal_the_copied_cache() {
+        // The copied sets are the ones written since `base`, so laying
+        // them over `base`'s lines rebuilds the cache as it was.
+        let mut base = small();
+        base.fill(0x4000_0040, &[1u8; 64]);
+        base.enable_dirty_tracking();
+        let mut c = base.clone();
+        c.fill(0x4000_0000, &[2u8; 64]);
+        let way = c.lookup(0x4000_0000).unwrap();
+        c.write(0x4000_0008, 8, 0xDEAD_BEEF, way);
+        c.fill(0x4000_0100, &[3u8; 64]);
+        let sets = c.copy_sets(&c.clone().take_marks());
+        assert_eq!(sets.sets, vec![0], "only set 0 was written since base");
+        let mut snap = c.clone();
+        let _ = snap.take_lines();
+        snap.restore_lines(&base, sets);
+        assert_eq!((&snap.lines, &snap.data), (&c.lines, &c.data));
     }
 
     #[test]

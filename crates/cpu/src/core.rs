@@ -8,7 +8,7 @@
 //! execution, overwrites, cache evictions, decode don't-cares.
 
 use crate::bp::BranchPredictor;
-use crate::cache::{Cache, CacheLaneEvent, FaultFate};
+use crate::cache::{Cache, CacheLaneEvent, CacheLines, CacheSets, FaultFate};
 use crate::config::CoreConfig;
 use crate::dirty::DirtyMarks;
 use crate::lane::{LaneEngine, LaneEvent};
@@ -77,6 +77,17 @@ pub struct CoreDirtyMarks {
     l1i: DirtyMarks,
     l1d: DirtyMarks,
     l2: DirtyMarks,
+}
+
+impl CoreDirtyMarks {
+    /// Fold `other` into this capture, structure by structure.
+    pub fn absorb(&mut self, other: &CoreDirtyMarks) {
+        self.prf.absorb(&other.prf);
+        self.prf_fp.absorb(&other.prf_fp);
+        self.l1i.absorb(&other.l1i);
+        self.l1d.absorb(&other.l1d);
+        self.l2.absorb(&other.l2);
+    }
 }
 
 const PNONE: u16 = u16::MAX;
@@ -295,6 +306,8 @@ pub struct Core {
     // trace
     pub trace_mode: TraceMode,
     pub trace: Vec<CommitRecord>,
+    /// Commit records since [`restart_trace`](Self::restart_trace), in
+    /// every trace mode: the index `Check` compares the next record at.
     trace_pos: usize,
     pub divergence: Option<u64>,
 
@@ -483,6 +496,14 @@ impl Core {
         self.prf.set_all_ready();
     }
 
+    /// Start the commit stream here: clear the recorded trace and count
+    /// commit records from zero. The golden run does this at its
+    /// checkpoint, where its trace and every injection run begin.
+    pub fn restart_trace(&mut self) {
+        self.trace.clear();
+        self.trace_pos = 0;
+    }
+
     /// Turn on dirty-journaling in the journaled structures (PRFs and
     /// caches) so [`reset_from`](Self::reset_from) restores only what a
     /// run actually touched. Call once on the per-worker reusable core.
@@ -567,6 +588,33 @@ impl Core {
             l1d: self.l1d.take_marks(),
             l2: self.l2.take_marks(),
         }
+    }
+
+    /// Move the L1I, L1D and L2 line arrays out, so a clone taken before
+    /// [`put_cache_lines`](Self::put_cache_lines) skips them.
+    pub fn take_cache_lines(&mut self) -> [CacheLines; 3] {
+        [self.l1i.take_lines(), self.l1d.take_lines(), self.l2.take_lines()]
+    }
+
+    /// Put back the line arrays [`take_cache_lines`](Self::take_cache_lines)
+    /// moved out.
+    pub fn put_cache_lines(&mut self, [l1i, l1d, l2]: [CacheLines; 3]) {
+        self.l1i.put_lines(l1i);
+        self.l1d.put_lines(l1d);
+        self.l2.put_lines(l2);
+    }
+
+    /// Copies of the L1I, L1D and L2 sets `marks` names.
+    pub fn copy_cache_sets(&self, marks: &CoreDirtyMarks) -> [CacheSets; 3] {
+        [self.l1i.copy_sets(&marks.l1i), self.l1d.copy_sets(&marks.l1d), self.l2.copy_sets(&marks.l2)]
+    }
+
+    /// Give this core, cloned without cache lines, `base`'s cache lines
+    /// with `sets` laid over them ([`Cache::restore_lines`]).
+    pub fn restore_cache_lines(&mut self, base: &Core, [l1i, l1d, l2]: [CacheSets; 3]) {
+        self.l1i.restore_lines(&base.l1i, l1i);
+        self.l1d.restore_lines(&base.l1d, l1d);
+        self.l2.restore_lines(&base.l2, l2);
     }
 
     /// Fold a golden-segment capture into the live journals at a ladder-rung
@@ -877,15 +925,14 @@ impl Core {
                     TraceMode::Off => {}
                     TraceMode::Record => self.trace.push(rec),
                     TraceMode::Check(golden) => {
-                        if self.divergence.is_none() {
-                            let ok = golden.get(self.trace_pos) == Some(&rec);
-                            if !ok {
-                                self.divergence = Some(self.trace_pos as u64);
-                            }
+                        if self.divergence.is_none() && golden.get(self.trace_pos) != Some(&rec) {
+                            self.divergence = Some(self.trace_pos as u64);
                         }
-                        self.trace_pos += 1;
                     }
                 }
+                // Counted in every mode, so a ladder rung frozen from the
+                // recording golden run carries its position in the trace.
+                self.trace_pos += 1;
             }
 
             if let Some(le) = self.lanes.as_deref_mut() {

@@ -35,6 +35,28 @@ impl DirtyMarks {
     pub fn is_empty(&self) -> bool {
         !self.saturated && self.touched.is_empty()
     }
+
+    /// Fold `other` into this capture: the union of both mark sets (a
+    /// ladder rung taking over the segment of a rung dropped below it).
+    pub fn absorb(&mut self, other: &DirtyMarks) {
+        if self.saturated || other.saturated {
+            self.saturated = true;
+            self.touched.clear();
+        } else if !other.touched.is_empty() {
+            self.touched.extend_from_slice(&other.touched);
+            self.touched.sort_unstable();
+            self.touched.dedup();
+        }
+    }
+
+    /// Visit every marked index of a structure with `len` elements.
+    pub fn for_each(&self, len: usize, mut f: impl FnMut(usize)) {
+        if self.saturated {
+            (0..len).for_each(f);
+        } else {
+            self.touched.iter().for_each(|&i| f(i as usize));
+        }
+    }
 }
 
 impl DirtyMap {
@@ -208,6 +230,27 @@ mod tests {
         let mut all = Vec::new();
         d.drain(|i| all.push(i));
         assert_eq!(all, vec![0, 1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn absorb_is_the_union_of_captures() {
+        let capture = |marks: &[usize]| {
+            let mut d = DirtyMap::new(8);
+            marks.iter().for_each(|&i| d.mark(i));
+            d.take_marks()
+        };
+        let seen = |m: &DirtyMarks| {
+            let mut v = Vec::new();
+            m.for_each(8, |i| v.push(i));
+            v
+        };
+        let mut m = capture(&[5, 1]);
+        m.absorb(&capture(&[1, 3]));
+        assert_eq!(seen(&m), vec![1, 3, 5]);
+        let mut s = DirtyMap::new(8);
+        s.mark_all();
+        m.absorb(&s.take_marks());
+        assert_eq!(seen(&m), (0..8).collect::<Vec<_>>());
     }
 
     #[test]

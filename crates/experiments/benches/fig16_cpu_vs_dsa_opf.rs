@@ -8,7 +8,7 @@
 //! cycle counts stand in for time.
 
 use marvel_accel::FuConfig;
-use marvel_core::{build_campaign_ladder, opf, run_campaign_on, run_dsa_campaign, CampaignResult};
+use marvel_core::{opf, run_campaign, run_dsa_campaign, CampaignResult};
 use marvel_experiments::{banner, config, cpu_golden, dsa_golden, FigTable, Unit};
 use marvel_isa::Isa;
 use marvel_soc::Target;
@@ -46,9 +46,7 @@ fn main() {
     let mut t = FigTable::new("fig16_cpu_vs_dsa_opf", "Fig. 16", &names, &["platform"], &values);
     for (label, program, cpu_ops, design, dsa_ops) in &kernels {
         let golden = cpu_golden(program, Isa::RiscV, None);
-        let ladder = build_campaign_ladder(&golden, &cc);
-        let results = [Target::PrfInt, Target::L1D]
-            .map(|target| run_campaign_on(&golden, ladder.as_ref(), target, &cc));
+        let results = [Target::PrfInt, Target::L1D].map(|target| run_campaign(&golden, target, &cc));
         let ops = cpu_ports::ops_per_run(cpu_ops);
         push(&mut t, &format!("{label}-CPU"), &results, golden.exec_cycles, ops);
         let d = accel::design(design);

@@ -4,7 +4,7 @@
 //! correlates them: masked in hardware, or reached commit and then
 //! SW-masked, SDC or crash.
 
-use marvel_core::{build_campaign_ladder, run_campaign_on, CampaignConfig, PropagationMatrix};
+use marvel_core::{run_campaign, CampaignConfig, PropagationMatrix};
 use marvel_experiments::{banner, config, cpu_golden, FigTable, Unit};
 use marvel_isa::Isa;
 use marvel_soc::Target;
@@ -26,9 +26,8 @@ fn main() {
     let mut t = FigTable::new("fig18_hvf", "Fig. 18", &BENCHES, &["benchmark", "target"], &values);
     for bench in BENCHES {
         let golden = cpu_golden(&mibench::build(bench), Isa::RiscV, None);
-        let ladder = build_campaign_ladder(&golden, &cc);
         for (tname, target) in [("RF", Target::PrfInt), ("L1D", Target::L1D)] {
-            let res = run_campaign_on(&golden, ladder.as_ref(), target, &cc);
+            let res = run_campaign(&golden, target, &cc);
             let hvf = res.hvf().expect("campaign collected HVF");
             let avf = res.avf();
             assert!(

@@ -23,8 +23,8 @@
 
 use marvel_accel::FuConfig;
 use marvel_core::{
-    build_campaign_ladder, error_margin, run_campaign_on, weighted_avf, CampaignConfig, CampaignResult,
-    DsaGolden, FaultKind, Golden, Target, CONFIDENCE, CPU_GOLDEN_BUDGET, DSA_GOLDEN_BUDGET,
+    error_margin, run_campaign, weighted_avf, CampaignConfig, CampaignResult, DsaGolden, FaultKind,
+    Golden, Target, CONFIDENCE, CPU_GOLDEN_BUDGET, DSA_GOLDEN_BUDGET,
 };
 use marvel_cpu::CoreConfig;
 use marvel_ir::{assemble, Module};
@@ -32,7 +32,6 @@ use marvel_isa::Isa;
 use marvel_soc::System;
 use marvel_workloads::accel::DsaDesign;
 use marvel_workloads::mibench;
-use std::cell::OnceCell;
 use std::io::Write;
 
 /// Campaign configuration from the environment.
@@ -114,9 +113,9 @@ pub const CPU_FIGURES: [CpuFigure; 10] = {
     ]
 };
 
-/// Compute `figs` over [`benches`] × every ISA: one golden run and at
-/// most one ladder per benchmark × ISA, and each distinct (target, kind)
-/// campaign once, its records read by every figure that plots it.
+/// Compute `figs` over [`benches`] × every ISA: one golden run (and the
+/// ladder it freezes) per benchmark × ISA, and each distinct (target,
+/// kind) campaign once, its records read by every figure that plots it.
 pub fn cpu_figures(figs: &[CpuFigure]) -> Vec<FigTable> {
     let cc = config();
     let names = benches();
@@ -132,17 +131,9 @@ pub fn cpu_figures(figs: &[CpuFigure]) -> Vec<FigTable> {
         let program = mibench::build(bench);
         for (i, isa) in Isa::ALL.into_iter().enumerate() {
             let golden = cpu_golden(&program, isa, None);
-            // Built by the first campaign that uses a ladder and shared
-            // by the rest; permanent campaigns use none.
-            let ladder = OnceCell::new();
             for &(target, kind) in &campaigns {
                 let cc = CampaignConfig { kind, ..cc.clone() };
-                let ladder = if cc.uses_ladder() {
-                    ladder.get_or_init(|| build_campaign_ladder(&golden, &cc)).as_ref()
-                } else {
-                    None
-                };
-                let res = run_campaign_on(&golden, ladder, target, &cc);
+                let res = run_campaign(&golden, target, &cc);
                 eprintln!(
                     "  [{bench}/{isa}] {} {kind:?}: avf={:.1}% sdc={:.1}%",
                     target.name(),

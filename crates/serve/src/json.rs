@@ -60,11 +60,18 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The reader recurses
+/// once per level, so an unbounded depth would let one malformed line
+/// overflow the stack and abort the service; the repository's documents
+/// nest a few levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one complete JSON value from `text`, rejecting trailing garbage
-/// (other than whitespace). Errors carry a byte offset for diagnostics.
+/// (other than whitespace) and nesting deeper than [`MAX_DEPTH`]. Errors
+/// carry a byte offset for diagnostics.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -77,6 +84,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -101,8 +110,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -110,6 +119,17 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
+    }
+
+    /// Parse one array or object with `container`, one level deeper.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {

@@ -16,4 +16,6 @@ pub mod system;
 
 pub use hosted::{DmaPlanEntry, HostedAccel};
 pub use irq::{IrqController, IrqCtrlKind};
-pub use system::{RunOutcome, SocBus, SysDirtyMarks, SysEvent, System, Target};
+pub use system::{
+    thread_ticks, RunOutcome, SocBus, SysDirtyMarks, SysEvent, SysSnapshot, System, Target,
+};

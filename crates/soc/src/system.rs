@@ -6,8 +6,8 @@ use crate::hosted::HostedAccel;
 use crate::irq::{IrqController, IrqCtrlKind};
 use crate::isr::build_isr;
 use marvel_cpu::{
-    Bus, Core, CoreConfig, CoreDirtyMarks, DirtyMap, DirtyMarks, FaultFate, LaneEngine, LaneEvent,
-    StepEvent,
+    Bus, CacheSets, Core, CoreConfig, CoreDirtyMarks, DirtyMap, DirtyMarks, FaultFate, LaneEngine,
+    LaneEvent, StepEvent, TraceMode,
 };
 use marvel_ir::memmap::{
     ACCEL_MMR_BASE, ACCEL_MMR_STRIDE, CONSOLE_ADDR, IRQ_CTRL_BASE, IRQ_CTRL_SIZE, IRQ_VECTOR, RAM_BASE,
@@ -228,6 +228,65 @@ pub struct SysDirtyMarks {
     ram: DirtyMarks,
 }
 
+impl SysDirtyMarks {
+    /// Fold `other` into this capture: the union of both segments.
+    pub fn absorb(&mut self, other: &SysDirtyMarks) {
+        self.core.absorb(&other.core);
+        self.ram.absorb(&other.ram);
+    }
+}
+
+/// A golden-run snapshot kept while the run goes on: the [`System`]
+/// without its RAM, its caches' line arrays and its commit trace, plus
+/// copies of the RAM pages and cache sets written since the checkpoint
+/// the run started from. A full clone copies the 4 MiB RAM and the
+/// 1.3 MiB of cache lines; a run writes a small share of either.
+/// [`thaw`](Self::thaw) rebuilds the full system over that checkpoint.
+#[derive(Debug)]
+pub struct SysSnapshot {
+    sys: System,
+    /// Copies of the L1I, L1D and L2 sets written since the checkpoint.
+    sets: [CacheSets; 3],
+    /// Indices of the copied pages, ascending, and their bytes back to back.
+    pages: Vec<usize>,
+    bytes: Vec<u8>,
+}
+
+impl SysSnapshot {
+    /// The full system: `base`'s RAM and cache lines with the snapshot's
+    /// pages and sets restored. `base` must be the checkpoint the
+    /// snapshotted run started from.
+    pub fn thaw(self, base: &System) -> System {
+        let SysSnapshot { mut sys, sets, pages, bytes } = self;
+        sys.core.restore_cache_lines(&base.core, sets);
+        sys.bus.ram = base.bus.ram.clone();
+        let mut at = 0;
+        for p in pages {
+            let (lo, hi) = page_range(p, sys.bus.ram.len());
+            sys.bus.ram[lo..hi].copy_from_slice(&bytes[at..at + hi - lo]);
+            at += hi - lo;
+        }
+        sys
+    }
+}
+
+/// Byte range of RAM page `p` in a RAM of `len` bytes.
+fn page_range(p: usize, len: usize) -> (usize, usize) {
+    let lo = p << RAM_PAGE_SHIFT;
+    (lo, (lo + (1 << RAM_PAGE_SHIFT)).min(len))
+}
+
+thread_local! {
+    static TICKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Cycles every [`System`] has simulated on the calling thread: a
+/// deterministic count of simulation work, for guards that a setup step
+/// simulates nothing (or exactly one golden run).
+pub fn thread_ticks() -> u64 {
+    TICKS.with(|t| t.get())
+}
+
 /// Outcome of [`System::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -362,8 +421,7 @@ impl System {
         if let Some(mut j) = self.bus.ram_journal.take() {
             let ram_len = self.bus.ram.len();
             j.drain(|p| {
-                let lo = p << RAM_PAGE_SHIFT;
-                let hi = (lo + (1 << RAM_PAGE_SHIFT)).min(ram_len);
+                let (lo, hi) = page_range(p, ram_len);
                 self.bus.ram[lo..hi].copy_from_slice(&pristine.bus.ram[lo..hi]);
                 bytes += (hi - lo) as u64;
             });
@@ -425,6 +483,32 @@ impl System {
         }
     }
 
+    /// Snapshot this system without copying its RAM, its cache lines or
+    /// its commit trace (the snapshot records no trace). `written` must
+    /// cover every RAM page and cache set written since the checkpoint
+    /// the run started from: the union of the segments
+    /// [`take_dirty_marks`](Self::take_dirty_marks) returned since then,
+    /// which folds in DMA watermarks.
+    pub fn snapshot(&mut self, written: &SysDirtyMarks) -> SysSnapshot {
+        let ram = std::mem::take(&mut self.bus.ram);
+        let trace = std::mem::take(&mut self.core.trace);
+        let lines = self.core.take_cache_lines();
+        let mut sys = self.clone();
+        self.bus.ram = ram;
+        self.core.trace = trace;
+        self.core.put_cache_lines(lines);
+        sys.core.trace_mode = TraceMode::Off;
+        let sets = self.core.copy_cache_sets(&written.core);
+        let (mut pages, mut bytes) = (Vec::new(), Vec::new());
+        let len = self.bus.ram.len();
+        written.ram.for_each(len.div_ceil(1 << RAM_PAGE_SHIFT), |p| {
+            let (lo, hi) = page_range(p, len);
+            pages.push(p);
+            bytes.extend_from_slice(&self.bus.ram[lo..hi]);
+        });
+        SysSnapshot { sys, sets, pages, bytes }
+    }
+
     /// Merge a golden segment's dirty marks into this system's live
     /// journals, so a subsequent [`state_converged`](Self::state_converged)
     /// also checks locations only the golden run wrote (a fault can
@@ -463,8 +547,7 @@ impl System {
         self.fold_dma_watermarks();
         let ram_len = self.bus.ram.len();
         let page_eq = |p: usize| {
-            let lo = p << RAM_PAGE_SHIFT;
-            let hi = (lo + (1 << RAM_PAGE_SHIFT)).min(ram_len);
+            let (lo, hi) = page_range(p, ram_len);
             self.bus.ram[lo..hi] == pristine.bus.ram[lo..hi]
         };
         let ram_ok = match &self.bus.ram_journal {
@@ -490,6 +573,7 @@ impl System {
     /// Advance one cycle.
     pub fn tick(&mut self) -> SysEvent {
         self.cycle += 1;
+        TICKS.with(|t| t.set(t.get() + 1));
         self.bus.tick_devices();
         self.core.set_irq(self.bus.irq_ctrl.line());
         let ev = self.core.tick(&mut self.bus);
@@ -895,6 +979,30 @@ mod tests {
         let o3 = worker.run(1_000_000);
         assert_eq!(o3, o_ref);
         assert_eq!(worker.output(), &run_output[..]);
+    }
+
+    #[test]
+    fn snapshot_thaws_to_the_ram_it_was_taken_at() {
+        // RAM written after the checkpoint (here straight through the bus,
+        // as a writeback does) travels in the snapshot's pages; RAM
+        // written after the snapshot must not leak into the thawed system.
+        let bin = assemble(&hello_module(), Isa::RiscV).unwrap();
+        let mut sys = System::new(CoreConfig::table2(Isa::RiscV));
+        sys.load_binary(&bin);
+        let ckpt = sys.clone();
+        sys.enable_dirty_tracking();
+        for _ in 0..10 {
+            sys.tick();
+        }
+        assert!(sys.bus.write_line(RAM_BASE + 3 * 4096 + 64, &[0xAB; 64]));
+        let written = sys.take_dirty_marks();
+        let snap = sys.snapshot(&written);
+        let want = (sys.bus.ram.clone(), sys.cycle);
+        assert!(sys.bus.write_line(RAM_BASE + 5 * 4096, &[0xCD; 64]));
+        let _ = sys.run(1_000_000);
+        let got = snap.thaw(&ckpt);
+        assert_eq!((got.bus.ram, got.cycle), want);
+        assert_eq!(got.core.trace_mode, TraceMode::Off);
     }
 
     #[test]

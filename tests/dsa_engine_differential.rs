@@ -288,36 +288,46 @@ fn warp_tolerates_load_disjoint_stuck_taint() {
 /// fire events are still pending. Sweep a dense band of injection cycles
 /// mid-compute (guaranteeing many between-event landings) and require
 /// the laddered convergence-exit campaign to match the full-run cycle
-/// oracle record for record.
+/// oracle record for record. On FFT's SPM under taint no run converges;
+/// MERGESORT's SPM with early termination off (so overwritten faults
+/// reach a rung instead of the fate poll) must take the exit on both
+/// engines, at least `min_exits` times.
 #[test]
 fn convergence_exit_is_exact_between_fire_events() {
-    let d = accel::design("FFT");
-    let g = DsaGolden::prepare((d.make)(FuConfig::default()), 50_000_000);
-    let target = Target::Spm { accel: 0, mem: 0 };
-    let bit_len = g.harness.accel.spms[0].bit_len();
-    let mid = g.cycles / 2;
-    let masks: Vec<FaultMask> = (0..48u64)
-        .map(|i| FaultMask {
-            target,
-            bits: vec![(i * 977) % bit_len],
-            model: FaultModel::Transient { cycle: mid + i },
-        })
-        .collect();
-    let oracle = run_dsa_masks(
-        &g,
-        target,
-        &masks,
-        &config(FaultKind::Transient, DsaEngine::Cycle, ResetMode::Clone, 0, false, 1),
-    );
-    let laddered = [DsaEngine::Cycle, DsaEngine::Event].map(|engine| {
-        let got = run_dsa_masks(
-            &g,
-            target,
-            &masks,
-            &config(FaultKind::Transient, engine, ResetMode::Dirty, 8, true, 2),
+    for (design, early_termination, min_exits) in [("FFT", true, 0), ("MERGESORT", false, 12)] {
+        let d = accel::design(design);
+        let g = DsaGolden::prepare((d.make)(FuConfig::default()), 50_000_000);
+        let target = Target::Spm { accel: 0, mem: 0 };
+        let bit_len = g.harness.bit_len(target);
+        let mid = g.cycles / 2;
+        let masks: Vec<FaultMask> = (0..48u64)
+            .map(|i| FaultMask {
+                target,
+                bits: vec![(i * 977) % bit_len],
+                model: FaultModel::Transient { cycle: mid + i },
+            })
+            .collect();
+        let config = |engine, reset, rungs, conv, workers| CampaignConfig {
+            early_termination,
+            ..config(FaultKind::Transient, engine, reset, rungs, conv, workers)
+        };
+        let oracle =
+            run_dsa_masks(&g, target, &masks, &config(DsaEngine::Cycle, ResetMode::Clone, 0, false, 1));
+        let laddered = [DsaEngine::Cycle, DsaEngine::Event].map(|engine| {
+            let got = run_dsa_masks(&g, target, &masks, &config(engine, ResetMode::Dirty, 8, true, 2));
+            assert_eq!(
+                export(&oracle),
+                export(&got),
+                "{design}: laddered convergence exit diverged on {engine:?}"
+            );
+            let taken = exits(&got).iter().filter(|&&c| c).count();
+            assert!(taken >= min_exits, "{design}: only {taken} of 48 runs converged on {engine:?}");
+            got
+        });
+        assert_eq!(
+            exits(&laddered[0]),
+            exits(&laddered[1]),
+            "{design}: the engines disagree on convergence exits"
         );
-        assert_eq!(export(&oracle), export(&got), "laddered convergence exit diverged on {engine:?}");
-        got
-    });
-    assert_eq!(exits(&laddered[0]), exits(&laddered[1]), "the engines disagree on convergence exits");
+    }
 }

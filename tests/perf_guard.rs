@@ -6,12 +6,13 @@
 //! DSA; the event engine must drive every DSA run and evaluate a fraction
 //! of the nodes the cycle oracle does; lane passes must stay full. The
 //! shipped config must take the convergence exit, and build a ladder only
-//! for the transient campaigns that can use one.
+//! for the transient campaigns that can use one, out of the rungs the
+//! golden run froze, without simulating the golden run again.
 
 use gem5_marvel::core::{
-    dsa_campaign_masks, run_campaign, run_dsa_campaign, run_dsa_masks, run_masks, CampaignConfig,
-    DsaEngine, DsaGolden, DsaOutcome, FaultKind, FaultMask, FaultModel, Golden, MaskGenerator,
-    ResetMode, Target, TelemetryConfig,
+    build_campaign_ladder, dsa_campaign_masks, run_campaign, run_dsa_campaign, run_dsa_masks, run_masks,
+    CampaignConfig, DsaEngine, DsaGolden, DsaOutcome, FaultKind, FaultMask, FaultModel, Golden,
+    MaskGenerator, ResetMode, Target, TelemetryConfig,
 };
 use gem5_marvel::cpu::CoreConfig;
 use gem5_marvel::ir::assemble;
@@ -215,6 +216,29 @@ fn only_transient_campaigns_build_a_ladder() {
         run_dsa_campaign(&dg, d.components[0].target, &config(kind, &registry));
         assert_eq!(rungs(&registry, "dsa.ladder_rungs"), want, "DSA {kind:?}");
     }
+}
+
+/// One golden simulation per CPU program, in simulated cycles: preparing
+/// the golden run ticks the program once — warm-up to the checkpoint,
+/// then the golden run, which freezes the ladder as it goes — and handing
+/// a transient campaign its 8 rungs ticks nothing. Replaying the golden
+/// run to build rungs fails the second count.
+#[test]
+fn campaign_ladder_simulates_no_cycle() {
+    let ticks = gem5_marvel::soc::thread_ticks;
+    let before = ticks();
+    let g = crc32_golden();
+    assert_eq!(
+        ticks() - before,
+        g.ckpt_cycle + g.exec_cycles,
+        "golden prep must simulate the program exactly once"
+    );
+    let cc = CampaignConfig { n_faults: 4, workers: 1, ..CampaignConfig::default() };
+    let before = ticks();
+    let ladder = build_campaign_ladder(&g, &cc).expect("a transient campaign has a ladder");
+    assert_eq!(ladder.len(), 8);
+    let replayed = ticks() - before;
+    assert_eq!(replayed, 0, "building the campaign's ladder simulated {replayed} cycles");
 }
 
 /// Lane-utilization guard, in counters rather than wall-clock: on a

@@ -179,6 +179,7 @@ fn campaign_drives_publish_pinned_metric_names() {
             "campaign.lane_occupancy",
             "campaign.prefix_cycles",
             "campaign.prefix_cycles_skipped",
+            "campaign.restore_rung",
             "campaign.run_cycles",
         ]
     );
@@ -233,6 +234,7 @@ fn campaign_drives_publish_pinned_metric_names() {
             "dsa.prefix_cycles_skipped",
             "dsa.reset_bytes",
             "dsa.reset_ns",
+            "dsa.restore_rung",
             "dsa.run_cycles"
         ]
     );
