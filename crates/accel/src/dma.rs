@@ -88,14 +88,10 @@ impl DmaEngine {
     }
 
     /// Advance one cycle; returns `false` on an out-of-range transfer.
-    pub fn tick(&mut self, ram: &mut [u8], accel: &mut Accelerator) -> bool {
-        self.tick_tainted(ram, None, accel)
-    }
-
-    /// [`tick`](Self::tick) with an optional RAM taint shadow (marvel-taint):
-    /// shadow bytes move with the data, and tainted bytes drained to RAM
-    /// are recorded as architecturally visible.
-    pub fn tick_tainted(
+    /// With a RAM taint shadow (marvel-taint), shadow bytes move with the
+    /// data, and tainted bytes drained to RAM are recorded as
+    /// architecturally visible.
+    pub fn tick(
         &mut self,
         ram: &mut [u8],
         ram_shadow: Option<&mut [u8]>,
@@ -161,35 +157,6 @@ impl DmaEngine {
         }
         true
     }
-
-    /// Run all queued jobs to completion; returns cycles consumed.
-    pub fn run_all(&mut self, ram: &mut [u8], accel: &mut Accelerator) -> Option<u64> {
-        let mut cycles = 0;
-        while self.busy() {
-            if !self.tick(ram, accel) {
-                return None;
-            }
-            cycles += 1;
-        }
-        Some(cycles)
-    }
-
-    /// [`run_all`](Self::run_all) with a RAM taint shadow.
-    pub fn run_all_tainted(
-        &mut self,
-        ram: &mut [u8],
-        ram_shadow: &mut [u8],
-        accel: &mut Accelerator,
-    ) -> Option<u64> {
-        let mut cycles = 0;
-        while self.busy() {
-            if !self.tick_tainted(ram, Some(ram_shadow), accel) {
-                return None;
-            }
-            cycles += 1;
-        }
-        Some(cycles)
-    }
 }
 
 #[cfg(test)]
@@ -198,6 +165,18 @@ mod tests {
     use crate::air::CdfgBuilder;
     use crate::engine::FuConfig;
     use crate::sram::{Sram, SramKind};
+
+    /// Run all queued jobs to completion; returns cycles consumed.
+    fn run_all(dma: &mut DmaEngine, ram: &mut [u8], accel: &mut Accelerator) -> Option<u64> {
+        let mut cycles = 0;
+        while dma.busy() {
+            if !dma.tick(ram, None, accel) {
+                return None;
+            }
+            cycles += 1;
+        }
+        Some(cycles)
+    }
 
     fn dummy_accel() -> Accelerator {
         let mut g = CdfgBuilder::new();
@@ -217,11 +196,11 @@ mod tests {
         }
         let mut dma = DmaEngine::new(8);
         dma.push(DmaJob { dir: DmaDir::ToSram, ram_off: 0, mem: MemRef::Spm(0), mem_off: 0, len: 32 });
-        let c1 = dma.run_all(&mut ram, &mut a).unwrap();
+        let c1 = run_all(&mut dma, &mut ram, &mut a).unwrap();
         assert_eq!(c1, 4); // 32 bytes at 8 B/cycle
         assert_eq!(a.spms[0].bytes()[..32], (0..32).map(|i| i as u8).collect::<Vec<_>>()[..]);
         dma.push(DmaJob { dir: DmaDir::ToRam, ram_off: 64, mem: MemRef::Spm(0), mem_off: 0, len: 32 });
-        dma.run_all(&mut ram, &mut a).unwrap();
+        run_all(&mut dma, &mut ram, &mut a).unwrap();
         assert_eq!(ram[64..96], ram[0..32].to_vec()[..]);
     }
 
@@ -231,6 +210,6 @@ mod tests {
         let mut ram = vec![0u8; 16];
         let mut dma = DmaEngine::new(8);
         dma.push(DmaJob { dir: DmaDir::ToSram, ram_off: 0, mem: MemRef::Spm(0), mem_off: 60, len: 16 });
-        assert!(dma.run_all(&mut ram, &mut a).is_none());
+        assert!(run_all(&mut dma, &mut ram, &mut a).is_none());
     }
 }

@@ -14,10 +14,19 @@
 use crate::air::{Cdfg, FuClass, MemRef, NodeOp, Terminator, NODE_NONE};
 use crate::mmr::{Mmr, CTRL_START, MMR_CTRL, MMR_DATA0, MMR_STATUS, STATUS_DONE, STATUS_ERROR};
 use crate::schedule::{build_schedule, GoldenTrace, MemTiming, StaticSchedule};
-use crate::sram::Sram;
+use crate::sram::{Sram, SramFate};
 use marvel_isa::{AluOp, Isa};
 use marvel_telemetry::{alu_taint, TaintAluKind, TaintTracer};
 use std::sync::Arc;
+
+/// A fault-injection site of an accelerator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccelSite {
+    /// A scratchpad or register bank.
+    Mem(MemRef),
+    /// The MMR block.
+    Mmr,
+}
 
 /// Map an ALU op onto its taint-transfer class (mirrors the CPU core).
 fn taint_kind(op: AluOp) -> TaintAluKind {
@@ -385,6 +394,39 @@ impl Accelerator {
         match m {
             MemRef::Spm(i) => &self.spms[i],
             MemRef::RegBank(i) => &self.regbanks[i],
+        }
+    }
+
+    // ---- fault-injection sites ----
+
+    /// Injectable bits of `site`.
+    pub fn site_bits(&self, site: AccelSite) -> u64 {
+        match site {
+            AccelSite::Mem(m) => self.mem_ref(m).bit_len(),
+            AccelSite::Mmr => self.mmr.bit_len(),
+        }
+    }
+
+    /// Arm bit `bit` of `site`: flip it (a transient), or hold it at
+    /// `stuck` (a permanent fault).
+    pub fn inject(&mut self, site: AccelSite, bit: u64, stuck: Option<bool>) {
+        match (site, stuck) {
+            (AccelSite::Mem(m), None) => {
+                self.mem(m).flip_bit(bit);
+            }
+            (AccelSite::Mem(m), Some(v)) => self.mem(m).set_stuck(bit, v),
+            (AccelSite::Mmr, None) => {
+                self.mmr.flip_bit(bit);
+            }
+            (AccelSite::Mmr, Some(v)) => self.mmr.set_stuck(bit, v),
+        }
+    }
+
+    /// Fate of the bit armed in `site`, if any.
+    pub fn site_fate(&self, site: AccelSite) -> Option<SramFate> {
+        match site {
+            AccelSite::Mem(m) => self.mem_ref(m).fate(),
+            AccelSite::Mmr => self.mmr.fate(),
         }
     }
 

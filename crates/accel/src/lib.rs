@@ -3,9 +3,10 @@
 //! gem5-SALAM-style domain-specific accelerator modelling: a CDFG dynamic
 //! execution engine ([`engine::Accelerator`]) with functional-unit
 //! constraints, scratchpad memories and register banks ([`sram::Sram`]),
-//! memory-mapped registers ([`mmr::Mmr`]), and a DMA engine
+//! memory-mapped registers ([`mmr::Mmr`]), a DMA engine
 //! ([`dma::DmaEngine`]) — every storage element bit-accurate and
-//! fault-injectable.
+//! fault-injectable — and the host interface that drives an offload
+//! through them ([`host::HostInterface`]).
 //!
 //! ```
 //! use marvel_accel::air::{CdfgBuilder, MemRef};
@@ -42,13 +43,15 @@
 pub mod air;
 pub mod dma;
 pub mod engine;
+pub mod host;
 pub mod mmr;
 pub mod schedule;
 pub mod sram;
 
 pub use air::{Cdfg, CdfgBuilder, MemRef, NodeId, NodeOp};
 pub use dma::{DmaDir, DmaEngine, DmaJob};
-pub use engine::{AccelEngine, AccelError, AccelState, AccelStats, Accelerator, FuConfig};
+pub use engine::{AccelEngine, AccelError, AccelSite, AccelState, AccelStats, Accelerator, FuConfig};
+pub use host::{HostInterface, HostPhase};
 pub use mmr::Mmr;
 pub use schedule::{build_schedule, BlockSchedule, GoldenTrace, MemTiming, StaticSchedule};
 pub use sram::{Sram, SramFate, SramKind};

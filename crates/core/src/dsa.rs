@@ -15,17 +15,18 @@ use crate::fault::{FaultMask, FaultModel, MaskGenerator};
 use crate::ladder::{
     build_timed, record_prefix, select_base, Freeze, Ladder, RunState, Rung, FROZEN_RUNGS,
 };
-use marvel_accel::{AccelState, Accelerator, DmaEngine, DmaJob, SramFate};
+use marvel_accel::{Accelerator, DmaJob, HostInterface, HostPhase, SramFate};
 use marvel_soc::Target;
 use marvel_telemetry::{Event, FlightRecorder, PhaseId, Registry, Scope, SpanCollector, SpanLane};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// A self-contained accelerator experiment: the accelerator, a private RAM
-/// buffer, DMA plans and entry arguments — plus the state of the run in
-/// flight (DMA engine, phase, cycle, RAM taint shadow), so a harness
-/// cloned mid-run is a checkpoint-ladder rung, as a cloned [`System`] is
-/// on the CPU side.
+/// buffer, DMA plans and entry arguments, run through the accelerator's
+/// [`HostInterface`] with a scripted start at cycle 0 — plus the state of
+/// the run in flight (the interface and the RAM taint shadow), so a
+/// harness cloned mid-run is a checkpoint-ladder rung, as a cloned
+/// [`System`] is on the CPU side.
 ///
 /// [`System`]: marvel_soc::System
 #[derive(Debug, Clone)]
@@ -37,23 +38,10 @@ pub struct DsaHarness {
     pub args: Vec<u64>,
     /// Byte range of `ram` holding the result after DMA-out.
     pub output: std::ops::Range<usize>,
-    dma: DmaEngine,
-    phase: Phase,
-    /// Cycles since the run started.
-    cycle: u64,
+    host: HostInterface,
     /// RAM taint shadow (marvel-taint): allocated only when the
     /// accelerator's shadow planes are on, so plain runs pay nothing.
     ram_shadow: Vec<u8>,
-}
-
-/// Where a harness run stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// The start handshake has not run yet.
-    Idle,
-    DmaIn,
-    Compute,
-    DmaOut,
 }
 
 /// Outcome of one harness run.
@@ -103,72 +91,40 @@ impl DsaHarness {
             jobs_out,
             args,
             output,
-            dma: DmaEngine::new(8),
-            phase: Phase::Idle,
-            cycle: 0,
+            host: HostInterface::default(),
             ram_shadow: Vec::new(),
         }
     }
 
-    /// Apply a fault mask to this harness's accelerator.
-    fn apply(&mut self, mask: &FaultMask, permanent_value: Option<bool>) {
+    /// Apply a fault mask to this harness's accelerator: flip its bits,
+    /// or hold them at `stuck`.
+    fn apply(&mut self, mask: &FaultMask, stuck: Option<bool>) {
         for &bit in &mask.bits {
-            match (mask.target, permanent_value) {
-                (Target::Spm { mem, .. }, None) => {
-                    self.accel.spms[mem].flip_bit(bit);
-                }
-                (Target::Spm { mem, .. }, Some(v)) => self.accel.spms[mem].set_stuck(bit, v),
-                (Target::RegBank { mem, .. }, None) => {
-                    self.accel.regbanks[mem].flip_bit(bit);
-                }
-                (Target::RegBank { mem, .. }, Some(v)) => self.accel.regbanks[mem].set_stuck(bit, v),
-                (Target::Mmr { .. }, None) => {
-                    self.accel.mmr.flip_bit(bit);
-                }
-                (Target::Mmr { .. }, Some(v)) => self.accel.mmr.set_stuck(bit, v),
-                _ => panic!("{:?} is not a DSA target", mask.target),
-            }
+            self.accel.inject(mask.target.accel_site(), bit, stuck);
         }
     }
 
     /// Injectable bits of `target`.
     pub fn bit_len(&self, target: Target) -> u64 {
-        match target {
-            Target::Spm { mem, .. } => self.accel.spms[mem].bit_len(),
-            Target::RegBank { mem, .. } => self.accel.regbanks[mem].bit_len(),
-            Target::Mmr { .. } => self.accel.mmr.bit_len(),
-            _ => panic!("{target:?} is not a DSA target"),
-        }
+        self.accel.site_bits(target.accel_site())
     }
 
     /// Fate of the armed (injected) bit for `target`, if any.
     pub fn fault_fate(&self, target: Target) -> Option<SramFate> {
-        match target {
-            Target::Spm { mem, .. } => self.accel.spms[mem].fate(),
-            Target::RegBank { mem, .. } => self.accel.regbanks[mem].fate(),
-            Target::Mmr { .. } => self.accel.mmr.fate(),
-            _ => None,
-        }
+        self.accel.site_fate(target.accel_site())
     }
 
-    /// Restore this harness, run state included, to the pristine copy it
-    /// was cloned from (zero-copy campaign reset). The accelerator resets
-    /// through its SPM write watermarks; the private RAM buffer (32–256
-    /// KiB on the Table IV designs) and, when the base has one, its taint
-    /// shadow are copied wholesale. Returns state bytes copied.
+    /// Restore this harness's run state to the pristine copy it was
+    /// cloned from (zero-copy campaign reset); the DMA plans, arguments
+    /// and output range are configuration no run changes. The accelerator
+    /// resets through its SPM write watermarks; the private RAM buffer
+    /// (32–256 KiB on the Table IV designs) and, when the base has one,
+    /// its taint shadow are copied wholesale. Returns state bytes copied.
     pub fn reset_from(&mut self, pristine: &DsaHarness) -> u64 {
-        let mut bytes = self.accel.reset_from(&pristine.accel);
         self.ram.clone_from(&pristine.ram);
         self.ram_shadow.clone_from(&pristine.ram_shadow);
-        bytes += (self.ram.len() + self.ram_shadow.len()) as u64;
-        bytes += self.dma.reset_from(&pristine.dma);
-        self.phase = pristine.phase;
-        self.cycle = pristine.cycle;
-        self.jobs_in.clone_from(&pristine.jobs_in);
-        self.jobs_out.clone_from(&pristine.jobs_out);
-        self.args.clone_from(&pristine.args);
-        self.output = pristine.output.clone();
-        bytes + 16
+        let ram = (self.ram.len() + self.ram_shadow.len()) as u64;
+        ram + self.accel.reset_from(&pristine.accel) + self.host.reset_from(&pristine.host)
     }
 
     /// Run the full DMA-in → compute → DMA-out sequence, optionally
@@ -184,17 +140,14 @@ impl DsaHarness {
         }
     }
 
-    /// The start handshake, once per run: queue the DMA-in plan and start
-    /// the accelerator. Also gives the RAM a zeroed taint shadow when the
-    /// accelerator's shadow planes are on (the fault-free prefix carries
-    /// no taint, so a shadow added at a rung matches one from cycle 0).
+    /// The scripted start, once per run: the host interface's start
+    /// handshake with the fixed DMA plans and arguments. Also gives the
+    /// RAM a zeroed taint shadow when the accelerator's shadow planes are
+    /// on (the fault-free prefix carries no taint, so a shadow added at a
+    /// rung matches one from cycle 0).
     fn begin(&mut self) {
-        if self.phase == Phase::Idle {
-            for j in &self.jobs_in {
-                self.dma.push(*j);
-            }
-            self.accel.start(&self.args);
-            self.phase = Phase::DmaIn;
+        if self.host.phase() == HostPhase::Idle {
+            self.host.start(&mut self.accel, &self.jobs_in, &self.jobs_out, &self.args);
         }
         if self.accel.taint_enabled() && self.ram_shadow.is_empty() {
             self.ram_shadow.resize(self.ram.len(), 0);
@@ -231,7 +184,7 @@ impl DsaHarness {
                 lane.enter(PhaseId::Inject);
                 self.apply(m, Some(value));
                 lane.exit(PhaseId::Inject);
-                fr.record(self.cycle, armed_event(m, "permanent"));
+                fr.record(self.host.cycle(), armed_event(m, "permanent"));
             }
         }
         let (cc, mut ahead) = campaign.map_or((None, &[][..]), |(cc, ahead)| (Some(cc), ahead));
@@ -255,6 +208,7 @@ impl DsaHarness {
             // fate poll, watchdog); each special cycle then goes through the
             // single-cycle path so check ordering matches the historical
             // per-cycle loop exactly.
+            let cycle = self.host.cycle();
             let mut stop = watchdog;
             if !armed {
                 if let Some(c) = inject_at {
@@ -265,34 +219,33 @@ impl DsaHarness {
                 stop = stop.min(r.cycle.saturating_sub(1));
             }
             if early && armed {
-                stop = stop.min((self.cycle / 1024 + 1) * 1024 - 1);
+                stop = stop.min((cycle / 1024 + 1) * 1024 - 1);
             }
-            if stop > self.cycle {
+            if stop > cycle {
                 if let Some(o) = self.advance(stop, fr) {
                     break DsaRunEnd::Finished(o);
                 }
             }
-            if self.cycle + 1 > watchdog {
-                self.cycle += 1;
-                fr.record(self.cycle, Event::Trap { tag: "watchdog" });
+            let next = self.host.cycle() + 1;
+            if next > watchdog {
+                fr.record(next, Event::Trap { tag: "watchdog" });
                 break DsaRunEnd::Finished(DsaOutcome::Timeout);
             }
-            if !armed && inject_at == Some(self.cycle + 1) {
+            if !armed && inject_at == Some(next) {
                 let m = mask.expect("a transient injection has a mask");
                 lane.enter(PhaseId::Inject);
                 self.apply(m, None);
                 lane.exit(PhaseId::Inject);
                 armed = true;
-                fr.record(self.cycle + 1, armed_event(m, "transient"));
+                fr.record(next, armed_event(m, "transient"));
             }
-            let one = self.cycle + 1;
-            if let Some(o) = self.advance(one, fr) {
+            if let Some(o) = self.advance(next, fr) {
                 break DsaRunEnd::Finished(o);
             }
             // Ladder-rung crossing: dirty-diff convergence exit. The harness
             // keeps no dirty journals, so the "diff" is a wholesale
             // functional compare.
-            if let Some(rung) = ahead.first().filter(|r| r.cycle == self.cycle) {
+            if let Some(rung) = ahead.first().filter(|r| r.cycle == next) {
                 ahead = &ahead[1..];
                 if converge && armed {
                     // Fate split: if the early-termination poll would also
@@ -306,7 +259,7 @@ impl DsaHarness {
                         !skip && (!taint || self.taint_quiescent()) && self.state_eq(&rung.state);
                     lane.exit(PhaseId::ConvergenceDiff);
                     if converged {
-                        fr.record(self.cycle, Event::Converged);
+                        fr.record(next, Event::Converged);
                         break DsaRunEnd::Converged;
                     }
                 }
@@ -315,9 +268,9 @@ impl DsaHarness {
             // absolute-cycle cadence (deterministic across reset modes,
             // worker counts and ladder bases). Overwritten-before-read is
             // definitively Masked.
-            if early && armed && self.cycle.is_multiple_of(1024) && overwritten(self) {
-                fr.record(self.cycle, Event::EarlyTerminated);
-                break DsaRunEnd::MaskedEarly { cycles: self.cycle };
+            if early && armed && next.is_multiple_of(1024) && overwritten(self) {
+                fr.record(next, Event::EarlyTerminated);
+                break DsaRunEnd::MaskedEarly { cycles: next };
             }
         };
         if event {
@@ -327,85 +280,19 @@ impl DsaHarness {
         end
     }
 
-    /// Advance the run one cycle (the phase action for `self.cycle`, which
-    /// the caller has already incremented); returns the outcome once the
-    /// run finishes.
-    fn step(&mut self, fr: &mut FlightRecorder) -> Option<DsaOutcome> {
-        match self.phase {
-            Phase::Idle => unreachable!("a run steps only after its start handshake"),
-            Phase::DmaIn | Phase::DmaOut if self.dma.busy() => {
-                let shadow = (!self.ram_shadow.is_empty()).then_some(&mut self.ram_shadow[..]);
-                if !self.dma.tick_tainted(&mut self.ram, shadow, &mut self.accel) {
-                    fr.record(self.cycle, Event::Trap { tag: "dma-error" });
-                    return Some(DsaOutcome::Error { cycles: self.cycle });
-                }
-                None
+    /// Advance the run on the host interface up to cycle `limit`, or to
+    /// its end; returns the outcome once the run ends.
+    fn advance(&mut self, limit: u64, fr: &mut FlightRecorder) -> Option<DsaOutcome> {
+        let shadow = (!self.ram_shadow.is_empty()).then_some(&mut self.ram_shadow[..]);
+        let phase = self.host.advance(limit, &mut self.accel, &mut self.ram, shadow, fr);
+        let cycles = self.host.cycle();
+        match phase {
+            HostPhase::Done => {
+                Some(DsaOutcome::Done { output: self.ram[self.output.clone()].to_vec(), cycles })
             }
-            Phase::DmaIn => {
-                fr.record(
-                    self.cycle,
-                    Event::Note { label: "dma_in_bytes", value: self.dma.bytes_moved },
-                );
-                self.phase = Phase::Compute;
-                None
-            }
-            Phase::Compute => {
-                let state = self.accel.tick();
-                self.computed(state, fr)
-            }
-            Phase::DmaOut => Some(DsaOutcome::Done {
-                output: self.ram[self.output.clone()].to_vec(),
-                cycles: self.cycle,
-            }),
-        }
-    }
-
-    /// Act on the accelerator's state after compute progressed: queue the
-    /// DMA-out plan once it is done, end the run on a datapath error.
-    fn computed(&mut self, state: AccelState, fr: &mut FlightRecorder) -> Option<DsaOutcome> {
-        match state {
-            AccelState::Done => {
-                fr.record(
-                    self.cycle,
-                    Event::Note { label: "compute_cycles", value: self.accel.stats.compute_cycles },
-                );
-                for j in &self.jobs_out {
-                    self.dma.push(*j);
-                }
-                self.phase = Phase::DmaOut;
-                None
-            }
-            AccelState::Error(_) => {
-                fr.record(self.cycle, Event::Trap { tag: "accel-error" });
-                Some(DsaOutcome::Error { cycles: self.cycle })
-            }
+            HostPhase::Failed => Some(DsaOutcome::Error { cycles }),
             _ => None,
         }
-    }
-
-    /// Advance the run up to absolute cycle `limit` (or a terminal
-    /// outcome, whichever comes first). Semantically identical to calling
-    /// [`step`](Self::step) once per cycle; when the accelerator is on the
-    /// event engine, the compute phase instead jumps between schedule
-    /// events via [`Accelerator::advance`], bulk-charging the skipped
-    /// cycles. DMA phases move bytes every cycle and stay cycle-stepped
-    /// either way.
-    fn advance(&mut self, limit: u64, fr: &mut FlightRecorder) -> Option<DsaOutcome> {
-        let event = self.accel.event_engine();
-        while self.cycle < limit {
-            let end = if event && self.phase == Phase::Compute {
-                let (state, used) = self.accel.advance(limit - self.cycle);
-                self.cycle += used;
-                self.computed(state, fr)
-            } else {
-                self.cycle += 1;
-                self.step(fr)
-            };
-            if end.is_some() {
-                return end;
-            }
-        }
-        None
     }
 
     /// True when no taint is latched in the accelerator or the RAM shadow.
@@ -416,10 +303,7 @@ impl DsaHarness {
     /// Functional-state equality against a golden rung at the same cycle,
     /// for the convergence exit.
     fn state_eq(&self, golden: &DsaHarness) -> bool {
-        self.phase == golden.phase
-            && self.dma.state_eq(&golden.dma)
-            && self.ram == golden.ram
-            && self.accel.state_eq(&golden.accel)
+        self.host.state_eq(&golden.host) && self.ram == golden.ram && self.accel.state_eq(&golden.accel)
     }
 }
 
@@ -539,24 +423,19 @@ impl DsaGolden {
         }
     }
 
-    /// Replay the fault-free run once more, freezing up to `n_rungs`
-    /// harness snapshots strictly inside the injection window by the CPU
-    /// golden run's freeze and placement rule. Built once per campaign
-    /// and shared read-only across workers.
-    pub fn build_ladder(&self, n_rungs: usize) -> DsaLadder {
-        self.build_ladder_engine(n_rungs, false)
-    }
-
-    /// [`build_ladder`](Self::build_ladder), optionally replayed on the
-    /// event engine. Rungs must be frozen by the same engine that later
-    /// drives runs from them: the engines agree on architectural state at
-    /// every cycle, but the event engine retires lazily, so mid-block
+    /// Replay the fault-free run once more, on the event engine if
+    /// `event`, freezing up to `n_rungs` harness snapshots strictly inside
+    /// the injection window by the CPU golden run's freeze and placement
+    /// rule. Rungs must be frozen by the same engine that later drives
+    /// runs from them: the engines agree on architectural state at every
+    /// cycle, but the event engine retires lazily, so mid-block
     /// bookkeeping (and the replay cursors) only line up engine-to-engine.
     /// The event ladder also enables the taint shadow planes, which event
     /// runs need for replay memoization. (That is why the ladder is a
     /// replay: the recording run in [`prepare`](Self::prepare) has no
-    /// replay-armed cursors to freeze.)
-    pub fn build_ladder_engine(&self, n_rungs: usize, event: bool) -> DsaLadder {
+    /// replay-armed cursors to freeze.) Campaigns get theirs through
+    /// [`build_dsa_ladder`].
+    pub(crate) fn build_ladder_engine(&self, n_rungs: usize, event: bool) -> DsaLadder {
         let mut h = self.harness.clone();
         if event && h.accel.set_engine_event() {
             h.accel.enable_taint("ladder");
@@ -899,7 +778,7 @@ mod tests {
             }
         }
         // Rungs are ascending and strictly inside the injection window.
-        let ladder = g.build_ladder(6);
+        let ladder = g.build_ladder_engine(6, false);
         let cycles = ladder.cycles();
         assert!(!cycles.is_empty());
         assert!(cycles.windows(2).all(|w| w[0] < w[1]));

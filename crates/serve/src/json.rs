@@ -71,7 +71,7 @@ pub const MAX_DEPTH: usize = 128;
 /// carry a byte offset for diagnostics.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0, depth: 0 };
+    let mut p = Parser { text, bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -82,6 +82,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open at `pos`.
@@ -220,13 +221,13 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-decode from the byte position: multibyte UTF-8
-                    // sequences arrive as raw bytes.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8() - 1;
+                    // Copy the run up to the next quote or escape in one
+                    // go. Both are ASCII, so the run ends on a character
+                    // boundary of the (already valid) input.
+                    let start = self.pos - 1;
+                    let run = self.bytes[start..].iter().position(|&b| b == b'"' || b == b'\\');
+                    self.pos = run.map_or(self.bytes.len(), |n| start + n);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }

@@ -1,10 +1,15 @@
-//! Host-driven accelerator wrapper: the SALAM flow where the CPU programs
-//! the accelerator's MMRs, DMA moves data between system RAM and the
+//! Host-driven accelerator: the SALAM flow where the CPU programs the
+//! accelerator's MMRs, DMA moves data between system RAM and the
 //! accelerator's SPMs/RegBanks, and completion is signalled by interrupt.
+//! The offload itself runs on the accelerator's [`HostInterface`]; this
+//! wrapper adds what only the SoC needs: the DMA plan the host programs
+//! through MMR data registers, restart on a new CTRL start, and the
+//! completion interrupt.
 
-use marvel_accel::mmr::{CTRL_START, MMR_CTRL, MMR_STATUS, STATUS_DONE, STATUS_ERROR};
-use marvel_accel::{AccelState, Accelerator, DmaDir, DmaEngine, DmaJob, MemRef};
+use marvel_accel::mmr::{CTRL_START, MMR_CTRL, MMR_DATA0, MMR_STATUS, STATUS_DONE, STATUS_ERROR};
+use marvel_accel::{Accelerator, DmaDir, DmaJob, HostInterface, HostPhase, MemRef};
 use marvel_ir::memmap::RAM_BASE;
+use marvel_telemetry::FlightRecorder;
 
 /// One entry of an accelerator's DMA plan. The RAM address comes from MMR
 /// data register `addr_arg` at start time, so the host chooses buffers.
@@ -18,30 +23,17 @@ pub struct DmaPlanEntry {
     pub len: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HState {
-    Idle,
-    DmaIn,
-    Compute,
-    DmaOut,
-    Done,
-}
-
-/// An accelerator plus its DMA engine and host-interface state machine.
+/// An accelerator plus its host interface, programmed over MMRs.
 #[derive(Debug, Clone)]
 pub struct HostedAccel {
     pub accel: Accelerator,
-    pub dma: DmaEngine,
+    pub host: HostInterface,
     pub plan_in: Vec<DmaPlanEntry>,
     pub plan_out: Vec<DmaPlanEntry>,
     /// MMR data registers passed as CDFG entry arguments.
     pub compute_args: Vec<usize>,
-    state: HState,
     /// Edge-triggered completion interrupt (consumed by the SoC).
     pub irq_out: bool,
-    /// Total cycles spent per phase (reporting).
-    pub dma_cycles: u64,
-    pub compute_cycles: u64,
 }
 
 impl HostedAccel {
@@ -61,156 +53,72 @@ impl HostedAccel {
         accel.mmr.ensure_data_regs(max_reg);
         HostedAccel {
             accel,
-            dma: DmaEngine::new(8),
+            host: HostInterface::default(),
             plan_in,
             plan_out,
             compute_args,
-            state: HState::Idle,
             irq_out: false,
-            dma_cycles: 0,
-            compute_cycles: 0,
         }
     }
 
-    /// Restore to the pristine checkpoint this wrapper was cloned from
-    /// (zero-copy campaign reset). Returns state bytes copied.
+    /// Restore the run state to the pristine checkpoint this wrapper was
+    /// cloned from (zero-copy campaign reset); the DMA plan and argument
+    /// registers are configuration no run changes. Returns state bytes
+    /// copied.
     pub fn reset_from(&mut self, pristine: &HostedAccel) -> u64 {
-        let mut bytes = self.accel.reset_from(&pristine.accel);
-        bytes += self.dma.reset_from(&pristine.dma);
-        self.plan_in.clone_from(&pristine.plan_in);
-        self.plan_out.clone_from(&pristine.plan_out);
-        self.compute_args.clone_from(&pristine.compute_args);
-        self.state = pristine.state;
         self.irq_out = pristine.irq_out;
-        self.dma_cycles = pristine.dma_cycles;
-        self.compute_cycles = pristine.compute_cycles;
-        bytes + 32
+        self.accel.reset_from(&pristine.accel) + self.host.reset_from(&pristine.host) + 16
     }
 
-    /// Functional-state equality for the convergence exit: the host-side
-    /// phase machine, IRQ line, DMA queue and the wrapped accelerator must
-    /// all match; the per-phase cycle tallies are observational.
+    /// Functional-state equality for the convergence exit: the host
+    /// interface, the IRQ line and the wrapped accelerator must match.
     pub fn state_eq(&self, pristine: &HostedAccel) -> bool {
-        self.state == pristine.state
-            && self.irq_out == pristine.irq_out
-            && self.dma.state_eq(&pristine.dma)
+        self.irq_out == pristine.irq_out
+            && self.host.state_eq(&pristine.host)
             && self.accel.state_eq(&pristine.accel)
     }
 
-    /// True when neither the accelerator nor its memories carry taint.
-    pub fn taint_quiescent(&self) -> bool {
-        self.accel.taint_quiescent()
+    /// `plan` with the RAM addresses its MMR data registers hold, as
+    /// offsets into system RAM; `None` if one lies below RAM.
+    fn jobs(&self, plan: &[DmaPlanEntry]) -> Option<Vec<DmaJob>> {
+        plan.iter()
+            .map(|e| {
+                let ram_addr = self.accel.mmr.peek(MMR_DATA0 + e.addr_arg);
+                let ram_off = ram_addr.checked_sub(RAM_BASE)? as usize;
+                Some(DmaJob { dir: e.dir, ram_off, mem: e.mem, mem_off: e.mem_off, len: e.len })
+            })
+            .collect()
     }
 
-    /// Host MMR write (8-byte registers).
-    pub fn mmr_write(&mut self, reg: usize, val: u64) -> Option<()> {
-        self.accel.mmr.write(reg, val)
-    }
-
-    /// Host MMR read.
-    pub fn mmr_read(&mut self, reg: usize) -> Option<u64> {
-        self.accel.mmr.read(reg)
-    }
-
-    pub fn busy(&self) -> bool {
-        !matches!(self.state, HState::Idle | HState::Done)
-    }
-
-    fn queue_plan(&mut self, entries: &[DmaPlanEntry]) -> bool {
-        for e in entries.iter() {
-            let ram_addr = self.accel.mmr.peek(marvel_accel::mmr::MMR_DATA0 + e.addr_arg);
-            if ram_addr < RAM_BASE {
-                return false;
-            }
-            self.dma.push(DmaJob {
-                dir: e.dir,
-                ram_off: (ram_addr - RAM_BASE) as usize,
-                mem: e.mem,
-                mem_off: e.mem_off,
-                len: e.len,
-            });
-        }
-        true
-    }
-
+    /// End the offload with STATUS.error and the completion interrupt.
     fn fail(&mut self) {
+        self.accel.mmr.poke(MMR_CTRL, 0);
         self.accel.mmr.poke(MMR_STATUS, STATUS_DONE | STATUS_ERROR);
-        self.state = HState::Done;
         self.irq_out = true;
     }
 
-    /// Advance one cycle. `ram` is the system RAM.
-    pub fn tick(&mut self, ram: &mut [u8]) {
-        self.tick_tainted(ram, None)
-    }
-
-    /// [`tick`](Self::tick) with an optional RAM taint shadow, so DMA
-    /// transfers carry marvel-taint bytes between system RAM and the
-    /// accelerator SRAMs.
-    pub fn tick_tainted(&mut self, ram: &mut [u8], ram_shadow: Option<&mut [u8]>) {
-        match self.state {
-            HState::Idle | HState::Done => {
-                if self.accel.mmr.peek(MMR_CTRL) & CTRL_START != 0 {
-                    self.accel.mmr.poke(MMR_CTRL, 0);
-                    self.accel.mmr.poke(MMR_STATUS, 0);
-                    self.accel.reset();
-                    let plan = self.plan_in.clone();
-                    if !self.queue_plan(&plan) {
-                        self.fail();
-                        return;
-                    }
-                    self.state = HState::DmaIn;
-                }
+    /// Advance one cycle over system RAM `ram` and its taint shadow, if
+    /// any. An idle (or finished) accelerator whose CTRL start bit is set
+    /// takes the start handshake: both DMA plans are resolved against the
+    /// MMR data registers, and the host interface starts the offload.
+    pub fn tick(&mut self, ram: &mut [u8], ram_shadow: Option<&mut [u8]>) {
+        if self.host.busy() {
+            let limit = self.host.cycle() + 1;
+            let fr = &mut FlightRecorder::disabled();
+            match self.host.advance(limit, &mut self.accel, ram, ram_shadow, fr) {
+                HostPhase::Done => self.irq_out = true,
+                HostPhase::Failed => self.fail(),
+                _ => {}
             }
-            HState::DmaIn => {
-                self.dma_cycles += 1;
-                if !self.dma.tick_tainted(ram, ram_shadow, &mut self.accel) {
-                    self.fail();
-                    return;
-                }
-                if !self.dma.busy() {
-                    let args: Vec<u64> = self
-                        .compute_args
-                        .iter()
-                        .map(|&i| self.accel.mmr.peek(marvel_accel::mmr::MMR_DATA0 + i))
-                        .collect();
-                    self.accel.start(&args);
-                    self.state = HState::Compute;
-                }
-            }
-            HState::Compute => {
-                self.compute_cycles += 1;
-                match self.accel.tick() {
-                    AccelState::Done => {
-                        // Suppress the accelerator's own IRQ until DMA-out
-                        // completes; the host must not read stale results.
-                        self.accel.irq = false;
-                        let plan = self.plan_out.clone();
-                        if !self.queue_plan(&plan) {
-                            self.fail();
-                            return;
-                        }
-                        self.state = HState::DmaOut;
-                    }
-                    AccelState::Error(_) => {
-                        self.accel.irq = false;
-                        self.state = HState::Done;
-                        self.irq_out = true;
-                    }
-                    _ => {}
-                }
-            }
-            HState::DmaOut => {
-                self.dma_cycles += 1;
-                if !self.dma.tick_tainted(ram, ram_shadow, &mut self.accel) {
-                    self.fail();
-                    return;
-                }
-                if !self.dma.busy() {
-                    self.state = HState::Done;
-                    self.irq_out = true;
-                }
-            }
+        } else if self.accel.mmr.peek(MMR_CTRL) & CTRL_START != 0 {
+            self.accel.reset();
+            let (Some(jobs_in), Some(jobs_out)) = (self.jobs(&self.plan_in), self.jobs(&self.plan_out))
+            else {
+                return self.fail();
+            };
+            let args: Vec<u64> =
+                self.compute_args.iter().map(|&i| self.accel.mmr.peek(MMR_DATA0 + i)).collect();
+            self.host.start(&mut self.accel, &jobs_in, &jobs_out, &args);
         }
     }
 }
@@ -282,24 +190,24 @@ mod tests {
             ram[(i * 8) as usize..(i * 8 + 8) as usize].copy_from_slice(&(i * 10).to_le_bytes());
         }
         // Program MMRs: count=8, in at RAM_BASE+0, out at RAM_BASE+1024.
-        h.mmr_write(marvel_accel::mmr::MMR_DATA0, 8).unwrap();
-        h.mmr_write(marvel_accel::mmr::MMR_DATA0 + 1, RAM_BASE).unwrap();
-        h.mmr_write(marvel_accel::mmr::MMR_DATA0 + 2, RAM_BASE + 1024).unwrap();
-        h.mmr_write(MMR_CTRL, CTRL_START).unwrap();
+        h.accel.mmr.write(marvel_accel::mmr::MMR_DATA0, 8).unwrap();
+        h.accel.mmr.write(marvel_accel::mmr::MMR_DATA0 + 1, RAM_BASE).unwrap();
+        h.accel.mmr.write(marvel_accel::mmr::MMR_DATA0 + 2, RAM_BASE + 1024).unwrap();
+        h.accel.mmr.write(MMR_CTRL, CTRL_START).unwrap();
         for _ in 0..100_000 {
-            h.tick(&mut ram);
+            h.tick(&mut ram, None);
             if h.irq_out {
                 break;
             }
         }
         assert!(h.irq_out, "hosted flow must raise completion IRQ");
-        assert_eq!(h.mmr_read(MMR_STATUS).unwrap() & STATUS_DONE, STATUS_DONE);
+        assert_eq!(h.accel.mmr.read(MMR_STATUS).unwrap() & STATUS_DONE, STATUS_DONE);
         for i in 0..8u64 {
             let off = 1024 + (i * 8) as usize;
             let v = u64::from_le_bytes(ram[off..off + 8].try_into().unwrap());
             assert_eq!(v, i * 10 + 1);
         }
-        assert!(h.dma_cycles > 0 && h.compute_cycles > 0);
+        assert!(h.host.dma().bytes_moved == 128 && h.accel.stats.compute_cycles > 0);
     }
 
     #[test]
@@ -318,13 +226,13 @@ mod tests {
             vec![0],
         );
         let mut ram = vec![0u8; 128];
-        h.mmr_write(marvel_accel::mmr::MMR_DATA0, 8).unwrap();
-        h.mmr_write(marvel_accel::mmr::MMR_DATA0 + 1, 0x10).unwrap(); // below RAM_BASE
-        h.mmr_write(MMR_CTRL, CTRL_START).unwrap();
+        h.accel.mmr.write(marvel_accel::mmr::MMR_DATA0, 8).unwrap();
+        h.accel.mmr.write(marvel_accel::mmr::MMR_DATA0 + 1, 0x10).unwrap(); // below RAM_BASE
+        h.accel.mmr.write(MMR_CTRL, CTRL_START).unwrap();
         for _ in 0..100 {
-            h.tick(&mut ram);
+            h.tick(&mut ram, None);
         }
         assert!(h.irq_out);
-        assert_eq!(h.mmr_read(MMR_STATUS).unwrap() & STATUS_ERROR, STATUS_ERROR);
+        assert_eq!(h.accel.mmr.read(MMR_STATUS).unwrap() & STATUS_ERROR, STATUS_ERROR);
     }
 }

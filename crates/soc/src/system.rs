@@ -5,6 +5,7 @@
 use crate::hosted::HostedAccel;
 use crate::irq::{IrqController, IrqCtrlKind};
 use crate::isr::build_isr;
+use marvel_accel::{AccelSite, MemRef};
 use marvel_cpu::{
     Bus, CacheSets, Core, CoreConfig, CoreDirtyMarks, DirtyMap, DirtyMarks, FaultFate, LaneEngine,
     LaneEvent, StepEvent, TraceMode,
@@ -84,6 +85,19 @@ impl Target {
             Target::Mmr { accel } => format!("MMR[{accel}]"),
         }
     }
+
+    /// The accelerator site an accelerator target names.
+    ///
+    /// # Panics
+    /// Panics on a CPU-side target.
+    pub fn accel_site(self) -> AccelSite {
+        match self {
+            Target::Spm { mem, .. } => AccelSite::Mem(MemRef::Spm(mem)),
+            Target::RegBank { mem, .. } => AccelSite::Mem(MemRef::RegBank(mem)),
+            Target::Mmr { .. } => AccelSite::Mmr,
+            _ => panic!("{self:?} is not an accelerator target"),
+        }
+    }
 }
 
 /// Devices + memory, split from the core so `Core::tick(&mut bus)` can
@@ -126,16 +140,10 @@ impl SocBus {
 
     /// Advance all devices one cycle; posts accelerator IRQs.
     fn tick_devices(&mut self) {
-        let ram = &mut self.ram;
-        let shadow = &mut self.ram_shadow;
         for (i, a) in self.accels.iter_mut().enumerate() {
-            if shadow.is_empty() {
-                a.tick(ram);
-            } else {
-                a.tick_tainted(ram, Some(&mut shadow[..]));
-            }
-            if a.irq_out {
-                a.irq_out = false;
+            let shadow = (!self.ram_shadow.is_empty()).then_some(&mut self.ram_shadow[..]);
+            a.tick(&mut self.ram, shadow);
+            if std::mem::take(&mut a.irq_out) {
                 self.irq_ctrl.post(i as u32 + 1);
             }
         }
@@ -170,7 +178,7 @@ impl Bus for SocBus {
             return self.irq_ctrl.mmio_read(addr - IRQ_CTRL_BASE);
         }
         if let Some((idx, reg)) = self.accel_reg(addr) {
-            return self.accels[idx].mmr_read(reg);
+            return self.accels[idx].accel.mmr.read(reg);
         }
         None
     }
@@ -184,7 +192,7 @@ impl Bus for SocBus {
             return self.irq_ctrl.mmio_write(addr - IRQ_CTRL_BASE, val);
         }
         if let Some((idx, reg)) = self.accel_reg(addr) {
-            return self.accels[idx].mmr_write(reg, val);
+            return self.accels[idx].accel.mmr.write(reg, val);
         }
         None
     }
@@ -457,7 +465,7 @@ impl System {
     fn fold_dma_watermarks(&mut self) {
         if let Some(j) = &mut self.bus.ram_journal {
             for h in &self.bus.accels {
-                if let Some((lo, hi)) = h.dma.ram_written_range() {
+                if let Some((lo, hi)) = h.host.dma().ram_written_range() {
                     for p in (lo >> RAM_PAGE_SHIFT)..=((hi - 1) >> RAM_PAGE_SHIFT) {
                         j.mark(p);
                     }
@@ -567,7 +575,7 @@ impl System {
     pub fn taint_quiescent(&self) -> bool {
         self.core.taint_quiescent()
             && self.bus.ram_shadow.iter().all(|&b| b == 0)
-            && self.bus.accels.iter().all(|h| h.taint_quiescent())
+            && self.bus.accels.iter().all(|h| h.accel.taint_quiescent())
     }
 
     /// Advance one cycle.
@@ -650,9 +658,7 @@ impl System {
         for (i, h) in self.bus.accels.iter().enumerate() {
             let sc = scope.indexed("accel", i);
             h.accel.publish_metrics(reg, &sc);
-            reg.publish_scoped(&sc, "dma_bytes_moved", h.dma.bytes_moved);
-            reg.publish_scoped(&sc, "dma_cycles", h.dma_cycles);
-            reg.publish_scoped(&sc, "hosted_compute_cycles", h.compute_cycles);
+            reg.publish_scoped(&sc, "dma_bytes_moved", h.host.dma().bytes_moved);
         }
     }
 
@@ -713,9 +719,9 @@ impl System {
             Target::StoreQueue => self.core.sq.bit_len(),
             Target::Rob => self.core.rob_bit_len(),
             Target::RenameMap => self.core.rename_map().bit_len(),
-            Target::Spm { accel, mem } => self.bus.accels[accel].accel.spms[mem].bit_len(),
-            Target::RegBank { accel, mem } => self.bus.accels[accel].accel.regbanks[mem].bit_len(),
-            Target::Mmr { accel } => self.bus.accels[accel].accel.mmr.bit_len(),
+            Target::Spm { accel, .. } | Target::RegBank { accel, .. } | Target::Mmr { accel } => {
+                self.bus.accels[accel].accel.site_bits(t.accel_site())
+            }
         }
     }
 
@@ -753,14 +759,8 @@ impl System {
                 // remapped architectural register as control-tainted.
                 self.core.seed_rename_taint(bit);
             }
-            Target::Spm { accel, mem } => {
-                self.bus.accels[accel].accel.spms[mem].flip_bit(bit);
-            }
-            Target::RegBank { accel, mem } => {
-                self.bus.accels[accel].accel.regbanks[mem].flip_bit(bit);
-            }
-            Target::Mmr { accel } => {
-                self.bus.accels[accel].accel.mmr.flip_bit(bit);
+            Target::Spm { accel, .. } | Target::RegBank { accel, .. } | Target::Mmr { accel } => {
+                self.bus.accels[accel].accel.inject(t.accel_site(), bit, None)
             }
         }
     }
@@ -774,11 +774,9 @@ impl System {
             Target::L1I => self.core.l1i.set_stuck(bit, value),
             Target::L1D => self.core.l1d.set_stuck(bit, value),
             Target::L2 => self.core.l2.set_stuck(bit, value),
-            Target::Spm { accel, mem } => self.bus.accels[accel].accel.spms[mem].set_stuck(bit, value),
-            Target::RegBank { accel, mem } => {
-                self.bus.accels[accel].accel.regbanks[mem].set_stuck(bit, value)
+            Target::Spm { accel, .. } | Target::RegBank { accel, .. } | Target::Mmr { accel } => {
+                self.bus.accels[accel].accel.inject(t.accel_site(), bit, Some(value))
             }
-            Target::Mmr { accel } => self.bus.accels[accel].accel.mmr.set_stuck(bit, value),
             // Queue/ROB/rename state is short-lived; permanent faults there
             // are modelled as repeated transients by the campaign layer.
             Target::LoadQueue | Target::StoreQueue | Target::Rob | Target::RenameMap => {
@@ -804,11 +802,9 @@ impl System {
             Target::L1D => self.core.l1d.fate(),
             Target::L2 => self.core.l2.fate(),
             Target::Rob => self.core.rob_fate(),
-            Target::Spm { accel, mem } => self.bus.accels[accel].accel.spms[mem].fate().map(conv),
-            Target::RegBank { accel, mem } => {
-                self.bus.accels[accel].accel.regbanks[mem].fate().map(conv)
+            Target::Spm { accel, .. } | Target::RegBank { accel, .. } | Target::Mmr { accel } => {
+                self.bus.accels[accel].accel.site_fate(t.accel_site()).map(conv)
             }
-            Target::Mmr { accel } => self.bus.accels[accel].accel.mmr.fate().map(conv),
             Target::LoadQueue | Target::StoreQueue | Target::RenameMap => None,
         }
     }

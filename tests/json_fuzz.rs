@@ -5,7 +5,7 @@
 //! recursive reader's stack and killed the process, is rejected at
 //! `MAX_DEPTH` with the byte offset of the first level too deep.
 
-use gem5_marvel::serve::json::{parse, MAX_DEPTH};
+use gem5_marvel::serve::json::{parse, Json, MAX_DEPTH};
 use proptest::prelude::*;
 
 /// JSON-significant bytes: inputs built from these reach deeper into the
@@ -33,6 +33,34 @@ fn deep_nesting_is_rejected_with_its_offset() {
     }
     let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
     assert_eq!(parse_on_thread(deepest), Ok(()), "MAX_DEPTH levels still parse");
+}
+
+/// A string of about 1 MiB, mixing 1- to 4-byte characters with escapes,
+/// parses back to itself. The reader once re-validated the rest of the
+/// input for every byte of a string, which took minutes on this one.
+#[test]
+fn megabyte_string_parses_back_equal() {
+    let pieces = [
+        ("a", "a"),
+        ("é", "é"),
+        ("€", "€"),
+        ("😀", "😀"),
+        ("\n", "\\n"),
+        ("\"", "\\\""),
+        ("\\", "\\\\"),
+        ("é", "\\u00e9"),
+        ("😀", "\\ud83d\\ude00"),
+    ];
+    let (mut want, mut text) = (String::new(), String::from('"'));
+    let mut k = 0u64;
+    while text.len() < 1 << 20 {
+        k = k.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let (raw, escaped) = pieces[(k >> 33) as usize % pieces.len()];
+        want.push_str(raw);
+        text.push_str(escaped);
+    }
+    text.push('"');
+    assert_eq!(parse(&text), Ok(Json::Str(want)));
 }
 
 proptest! {
