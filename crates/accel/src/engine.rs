@@ -462,6 +462,13 @@ impl Accelerator {
         }
     }
 
+    /// Mark every SPM and register-bank byte dirty, so the next
+    /// [`reset_from`](Self::reset_from) copies them whole: a move to a
+    /// snapshot other than the one this accelerator was last reset to.
+    pub fn mark_memories(&mut self) {
+        self.spms.iter_mut().chain(&mut self.regbanks).for_each(Sram::mark_all);
+    }
+
     /// Restore this accelerator to the pristine checkpoint it was cloned
     /// from, for the zero-copy campaign reset. SRAM data uses the dirty
     /// watermarks; the (immutable-during-runs) CDFG is not copied. Returns

@@ -85,6 +85,12 @@ impl Sram {
         self.dirty_hi = self.dirty_hi.max(off + n);
     }
 
+    /// Mark every byte dirty, so the next [`reset_from`](Self::reset_from)
+    /// copies the whole array.
+    pub fn mark_all(&mut self) {
+        self.mark_range(0, self.bytes.len());
+    }
+
     pub fn size(&self) -> usize {
         self.bytes.len()
     }

@@ -4,10 +4,10 @@
 
 use crate::fault::{FaultKind, FaultMask, FaultModel, MaskGenerator};
 pub use crate::ladder::Ladder;
-use crate::ladder::{build_timed, record_prefix, select_base, Freeze, RunState};
+use crate::ladder::{build_timed, record_prefix, select_base, Base, Freeze, RunState, FROZEN_RUNGS};
 use crate::stats::{error_margin, CONFIDENCE};
 use marvel_cpu::{CoreStats, FaultFate, LaneEvent, TraceMode, MAX_LANES};
-use marvel_soc::{RunOutcome, SysEvent, System, Target};
+use marvel_soc::{RunOutcome, RungView, SysEvent, System, Target};
 use marvel_telemetry::{
     Attribution, Event, FlightDump, FlightRecorder, PhaseId, ProgressMeter, Registry, Scope,
     SpanCollector, SpanLane, TaintReport,
@@ -131,8 +131,8 @@ pub const CPU_GOLDEN_BUDGET: u64 = 200_000_000;
 
 /// Campaign-wide configuration. [`Default`] is the shipped
 /// configuration — the one `marvel campaign`, `marvel dsa`, campaign
-/// specs and the paper-figure harnesses run: an 8-rung ladder with the
-/// convergence exit, 64-wide lanes, the event DSA engine and dirty
+/// specs and the paper-figure harnesses run: a 32-rung ladder (8 on the
+/// DSA) with the convergence exit, 64-wide lanes, the event DSA engine and dirty
 /// reset. The oracle settings (`ladder_rungs: 0`,
 /// `convergence_exit: false`, `lane_width: 0`, [`DsaEngine::Cycle`],
 /// [`ResetMode::Clone`]) must be named explicitly. Only the ladder is a
@@ -154,10 +154,11 @@ pub struct CampaignConfig {
     /// Run-state reset strategy (zero-copy dirty reset vs. deep clone).
     pub reset_mode: ResetMode,
     /// Intermediate checkpoint-ladder rungs across the injection window
-    /// (8 by default): an upper bound, since a campaign uses at most the
-    /// 8 its golden run froze. Transient runs start from the nearest rung
-    /// at or below their injection cycle instead of replaying the whole
-    /// prefix. 0 = off: the full-prefix oracle path.
+    /// (32 by default): an upper bound, since a campaign uses at most the
+    /// rungs its golden run froze — 32 on the CPU, 8 on the DSA. Transient
+    /// runs start from the nearest rung at or below their injection cycle
+    /// instead of replaying the whole prefix. 0 = off: the full-prefix
+    /// oracle path.
     pub ladder_rungs: usize,
     /// Dirty-diff convergence exit (on by default): at each rung crossing
     /// after injection, compare the run's dirty state against the golden
@@ -190,7 +191,7 @@ impl Default for CampaignConfig {
             workers: 0,
             early_termination: true,
             reset_mode: ResetMode::default(),
-            ladder_rungs: 8,
+            ladder_rungs: System::RUNGS,
             convergence_exit: true,
             dsa_engine: DsaEngine::default(),
             lane_width: 64,
@@ -245,9 +246,10 @@ pub struct Golden {
     /// The checkpoint was produced by the reference-model fast-forward
     /// ([`Golden::prepare_fast`]) rather than cycle-level warmup.
     pub ref_prepped: bool,
-    /// The checkpoint ladder frozen during the golden run (8 rungs; fewer
-    /// on a very short run), shared by every campaign on this golden run
-    /// ([`build_campaign_ladder`]).
+    /// The checkpoint ladder frozen during the golden run: 32 compact
+    /// rungs (fewer on a very short run), each laid over `ckpt` when a
+    /// run restores or compares it, shared by every campaign on this
+    /// golden run ([`build_campaign_ladder`]).
     ladder: Ladder,
 }
 
@@ -365,9 +367,7 @@ impl Golden {
         let trace = Arc::new(std::mem::take(&mut sys.core.trace));
         let (output, stats, switch_cycle) =
             (std::mem::take(&mut sys.bus.console), sys.core.stats.clone(), sys.switch_cycle);
-        // Free the run's RAM before the rungs get theirs.
-        drop(sys);
-        let ladder = freeze.finish(exec_cycles, &ckpt);
+        let ladder = freeze.finish(exec_cycles);
         Ok(Golden {
             ckpt,
             ckpt_cycle,
@@ -457,25 +457,23 @@ pub(crate) fn taint_finish(rep: Option<TaintReport>, fr: &mut FlightRecorder) ->
 }
 
 /// Reusable per-worker run state for [`ResetMode::Dirty`]: one `S` (a
-/// [`System`] or a [`crate::dsa::DsaHarness`]) kept alive across runs and
-/// reset against the shared pristine base, instead of a deep clone per
-/// run.
+/// [`System`] or a [`crate::dsa::DsaHarness`]) cloned from the pristine
+/// checkpoint once, kept alive across runs and restored to each run's
+/// base rung, instead of a deep clone per run.
 #[derive(Debug)]
-pub struct WorkerCtx<S> {
+pub struct WorkerCtx<S: RunState> {
     state: Option<Box<S>>,
-    /// Cycle of the pristine base the reusable state was cloned from
-    /// (checkpoint or ladder rung). A dirty reset is only sound against
-    /// the *same* base; switching rungs forces a reclone.
-    base_cycle: u64,
+    /// The rung the state was last restored to (`None`: the checkpoint).
+    laid: Option<Arc<S::Frozen>>,
 }
 
-impl<S> Default for WorkerCtx<S> {
+impl<S: RunState> Default for WorkerCtx<S> {
     fn default() -> Self {
-        WorkerCtx { state: None, base_cycle: 0 }
+        WorkerCtx { state: None, laid: None }
     }
 }
 
-impl<S> WorkerCtx<S> {
+impl<S: RunState> WorkerCtx<S> {
     pub fn new() -> Self {
         WorkerCtx::default()
     }
@@ -498,23 +496,27 @@ enum LoopEnd {
     MaskedEarly,
 }
 
-/// Establish a run's (or lane pass's) starting state: dirty-reset the
-/// worker's reusable state when its base matches, otherwise pay one deep
-/// clone (into the context, or into `owned` for context-less runs).
-/// Shared by CPU runs, CPU lane passes and DSA runs, so every path pays
-/// the same reset behaviour.
+/// Establish a run's (or lane pass's) starting state at `base`: restore
+/// the worker's reusable state — a dirty reset when its base rung is
+/// unchanged, a move between rungs otherwise — or, for a context-less
+/// run, pay one deep clone of the checkpoint into `owned`. Shared by CPU
+/// runs, CPU lane passes and DSA runs, so every path pays the same
+/// reset behaviour.
 pub(crate) fn acquire<'a, S: RunState>(
-    base: &S,
-    base_cycle: u64,
+    base: &Base<'_, S>,
     tel: &TelemetryConfig,
     ctx: Option<&'a mut WorkerCtx<S>>,
     owned: &'a mut Option<Box<S>>,
     lane: &mut SpanLane,
 ) -> &'a mut S {
     let reset_start = tel.registry.is_enabled().then(std::time::Instant::now);
-    let Some(c) = ctx else {
+    let to = base.laid.map(|r| &**r);
+    let Some(WorkerCtx { state, laid }) = ctx else {
         lane.enter(PhaseId::RungRestore);
-        let s = Box::new(base.clone());
+        let mut s = Box::new(base.ckpt.clone());
+        if to.is_some() {
+            s.restore(base.ckpt, None, to);
+        }
         lane.exit(PhaseId::RungRestore);
         if let (Some(t0), Some(name)) = (reset_start, S::RESTORE_NS) {
             if let Some(h) = tel.registry.histogram(name) {
@@ -523,10 +525,14 @@ pub(crate) fn acquire<'a, S: RunState>(
         }
         return owned.insert(s);
     };
-    match &mut c.state {
-        Some(s) if c.base_cycle == base_cycle => {
+    let same_rung = match (&*laid, base.laid) {
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        (a, b) => a.is_none() && b.is_none(),
+    };
+    match &mut *state {
+        Some(s) if same_rung => {
             lane.enter(PhaseId::DirtyReset);
-            let bytes = s.reset_from(base);
+            let bytes = s.restore(base.ckpt, to, to);
             lane.exit(PhaseId::DirtyReset);
             if let Some(t0) = reset_start {
                 if let Some(h) = tel.registry.histogram(S::RESET_NS) {
@@ -538,22 +544,56 @@ pub(crate) fn acquire<'a, S: RunState>(
             }
         }
         slot => {
-            // First run on this worker, or the base rung changed: pay the
-            // one clone, then arm the write journals for every later
-            // same-base reset. (Claim order is rung-monotone, so each
-            // worker pays at most one reclone per rung.)
+            // First run on this worker — pay the one clone of the
+            // checkpoint and arm its write journals — or the base rung
+            // changed: move to the new rung. (Claim order is
+            // rung-monotone, so each worker moves at most once per rung.)
             lane.enter(PhaseId::RungRestore);
-            // Drop the old state first: holding both through the clone
-            // would double this worker's peak memory.
-            *slot = None;
-            let mut s = Box::new(base.clone());
-            s.track_writes();
+            let s = slot.get_or_insert_with(|| {
+                let mut s = Box::new(base.ckpt.clone());
+                s.track_writes();
+                s
+            });
+            s.restore(base.ckpt, laid.as_deref(), to);
             lane.exit(PhaseId::RungRestore);
-            *slot = Some(s);
-            c.base_cycle = base_cycle;
+            *laid = base.laid.cloned();
         }
     }
-    c.state.as_mut().expect("worker context populated above")
+    state.as_mut().expect("worker context populated above")
+}
+
+/// Why a transient run, or a lane, that crossed a rung did not take the
+/// convergence exit there; counted as `campaign.convergence_deferred.*`.
+#[derive(Debug, Clone, Copy)]
+enum Deferral {
+    /// The fate poll will report the run (the fault is dead and early
+    /// termination is on).
+    FateSplit,
+    /// The commit trace diverged from the golden one (HVF Corruption).
+    Hvf,
+    /// Taint is not quiescent, so the attribution could still change.
+    Taint,
+    /// The state differs from the rung's.
+    State,
+}
+
+impl Deferral {
+    const ALL: [Deferral; 4] = [Deferral::FateSplit, Deferral::Hvf, Deferral::Taint, Deferral::State];
+
+    fn metric(self) -> &'static str {
+        match self {
+            Deferral::FateSplit => "campaign.convergence_deferred.fate_split",
+            Deferral::Hvf => "campaign.convergence_deferred.hvf",
+            Deferral::Taint => "campaign.convergence_deferred.taint",
+            Deferral::State => "campaign.convergence_deferred.state",
+        }
+    }
+
+    fn count(self, reg: &Registry, n: u64) {
+        if n > 0 {
+            reg.counter(self.metric()).add(n);
+        }
+    }
 }
 
 /// Execute one injection run. With a ladder, transient runs start from
@@ -594,7 +634,7 @@ pub fn run_one_spanned(
     let mut ahead = base.ahead;
 
     let mut owned: Option<Box<System>> = None;
-    let sys: &mut System = acquire(base.state, base.cycle, tel, ctx, &mut owned, lane);
+    let sys: &mut System = acquire(&base, tel, ctx, &mut owned, lane);
     // Rungs record no trace; HVF runs check theirs against the golden one
     // from the rung's commit count on.
     if cc.collect_hvf {
@@ -690,21 +730,35 @@ pub fn run_one_spanned(
         if let Some(rung) = ahead.first().filter(|r| r.cycle == sys.cycle) {
             ahead = &ahead[1..];
             sys.merge_dirty_marks(&rung.seg);
-            if cc.convergence_exit && mask.model.is_transient() && sys.core.divergence.is_none() {
-                // Fate split: when the fate monitor already knows the
-                // fault is dead and early termination is on, leave the
-                // exit to the fate poll — it reports the same cycle
-                // count the ladder-less oracle would. Otherwise a
-                // converged run is Masked with the golden run length.
-                let skip = cc.early_termination
-                    && sys.fault_fate(mask.target).is_some_and(|f| f.is_masked_early());
-                lane.enter(PhaseId::ConvergenceDiff);
-                let converged =
-                    !skip && (!tel.taint || sys.taint_quiescent()) && sys.state_converged(&rung.state);
-                lane.exit(PhaseId::ConvergenceDiff);
-                if converged {
-                    fr.record(sys.cycle, Event::Converged);
-                    break LoopEnd::Converged;
+            if cc.convergence_exit && mask.model.is_transient() {
+                let deferral = if sys.core.divergence.is_some() {
+                    Some(Deferral::Hvf)
+                } else {
+                    // Fate split: when the fate monitor already knows the
+                    // fault is dead and early termination is on, leave the
+                    // exit to the fate poll — it reports the same cycle
+                    // count the ladder-less oracle would. Otherwise a
+                    // converged run is Masked with the golden run length.
+                    let skip = cc.early_termination
+                        && sys.fault_fate(mask.target).is_some_and(|f| f.is_masked_early());
+                    lane.enter(PhaseId::ConvergenceDiff);
+                    let deferral = if skip {
+                        Some(Deferral::FateSplit)
+                    } else if tel.taint && !sys.taint_quiescent() {
+                        Some(Deferral::Taint)
+                    } else {
+                        let rung = RungView::new(&golden.ckpt, Some(&rung.state));
+                        (!sys.state_converged(rung)).then_some(Deferral::State)
+                    };
+                    lane.exit(PhaseId::ConvergenceDiff);
+                    deferral
+                };
+                match deferral {
+                    Some(d) => d.count(&tel.registry, 1),
+                    None => {
+                        fr.record(sys.cycle, Event::Converged);
+                        break LoopEnd::Converged;
+                    }
                 }
             }
         }
@@ -1012,11 +1066,18 @@ impl Unit {
     }
 }
 
+/// Rungs whose segments group lane packs: a pack shares one of the
+/// segments of this many rungs placed over the campaign's ladder,
+/// however many rungs the ladder holds. Grouping by the 33 segments of
+/// the 32-rung ladder instead cut the mean pack from 4.2 to 2.4 lanes.
+const PACK_RUNGS: usize = FROZEN_RUNGS;
+
 /// Partition the claimable masks into scheduling units. Eligible masks
-/// are grouped by (target, ladder segment) — every member of a pass
-/// shares the base rung and the same rung-crossing sequence — and chunked
-/// to the lane width; everything else stays scalar. Unit order is
-/// rung-monotone so each worker still pays at most one reclone per rung.
+/// are grouped by (target, segment of [`PACK_RUNGS`] placed rungs) and
+/// chunked to the lane width; everything else stays scalar. A pass
+/// starts from the rung below its earliest injection and crosses every
+/// ladder rung above it. Unit order is rung-monotone so each worker
+/// still moves between rungs at most once per rung.
 fn build_units(
     masks: &[FaultMask],
     order: &[usize],
@@ -1024,6 +1085,7 @@ fn build_units(
     cc: &CampaignConfig,
 ) -> Vec<Unit> {
     let width = effective_lane_width(cc);
+    let packing = ladder.map(|l| l.subset(PACK_RUNGS));
     let mut units: Vec<Unit> = Vec::new();
     let mut groups: Vec<((Target, usize), Vec<usize>)> = Vec::new();
     for &i in order {
@@ -1033,7 +1095,7 @@ fn build_units(
             continue;
         }
         let FaultModel::Transient { cycle } = m.model else { unreachable!("packable ⇒ transient") };
-        let seg = ladder.map(|l| l.partition_at(cycle)).unwrap_or(0);
+        let seg = packing.as_ref().map_or(0, |l| l.partition_at(cycle));
         match groups.iter_mut().find(|(k, _)| *k == (m.target, seg)) {
             Some((_, v)) => v.push(i),
             None => groups.push(((m.target, seg), vec![i])),
@@ -1118,16 +1180,17 @@ fn run_lane_pass(
         FaultModel::Permanent { .. } => unreachable!("lane passes are transient-only"),
     };
 
-    // Base selection: identical to the scalar path; every pack member
-    // shares the segment, so the first mask picks the rung for all.
-    let base = select_base(&golden.ckpt, golden.ckpt_cycle, ladder, Some(inject_of(pack[0])));
+    // Base selection: the scalar path's rung for the earliest injection,
+    // which every pack member may start from.
+    let first = pack.iter().map(|&i| inject_of(i)).min().expect("a pack holds lanes");
+    let base = select_base(&golden.ckpt, golden.ckpt_cycle, ladder, Some(first));
     for &i in pack {
         record_prefix(&tel.registry, golden.ckpt_cycle, &base, Some(inject_of(i)));
     }
     let mut ahead = base.ahead;
 
     let mut owned: Option<Box<System>> = None;
-    let sys: &mut System = acquire(base.state, base.cycle, tel, ctx, &mut owned, lane);
+    let sys: &mut System = acquire(&base, tel, ctx, &mut owned, lane);
     if cc.collect_hvf {
         sys.core.trace_mode = TraceMode::Check(golden.trace.clone());
     }
@@ -1147,6 +1210,7 @@ fn run_lane_pass(
     let mut forked: Vec<usize> = Vec::new();
     let mut diverged: u64 = 0;
     let mut remaining = lanes.len();
+    let mut deferred = [0u64; Deferral::ALL.len()];
 
     sys.lane_begin();
     lane.enter(PhaseId::SimStepLane);
@@ -1232,24 +1296,28 @@ fn run_lane_pass(
                         continue;
                     }
                     let fate = eng.fates[li];
-                    // Fate split (scalar parity): a dead fault with early
-                    // termination on exits at the fate poll, which reports
-                    // the shorter cycle count.
-                    if cc.early_termination && fate.is_masked_early() {
-                        continue;
-                    }
-                    if cc.collect_hvf && diverged & (1u64 << li) != 0 {
-                        continue;
-                    }
                     let diff_alive =
                         diffs & (1u64 << li) != 0 || (cache_target && fate == FaultFate::Pending);
-                    if !diff_alive {
+                    // Scalar parity, check for check: a diverged commit
+                    // trace, then the fate split — a dead fault with early
+                    // termination on exits at the fate poll, which reports
+                    // the shorter cycle count — then the lane's state.
+                    let deferral = if cc.collect_hvf && diverged & (1u64 << li) != 0 {
+                        Deferral::Hvf
+                    } else if cc.early_termination && fate.is_masked_early() {
+                        Deferral::FateSplit
+                    } else if diff_alive {
+                        Deferral::State
+                    } else {
                         cand.push(li);
-                    }
+                        continue;
+                    };
+                    deferred[deferral as usize] += 1;
                 }
                 if !cand.is_empty() {
                     lane.enter(PhaseId::ConvergenceDiff);
-                    let golden_matches = sys.state_converged(&rung.state);
+                    let golden_matches =
+                        sys.state_converged(RungView::new(&golden.ckpt, Some(&rung.state)));
                     lane.exit(PhaseId::ConvergenceDiff);
                     if golden_matches {
                         for li in cand {
@@ -1258,6 +1326,8 @@ fn run_lane_pass(
                             remaining -= 1;
                             out.push((lr.idx, lane_record(cc, golden.exec_cycles, false, true, false)));
                         }
+                    } else {
+                        deferred[Deferral::State as usize] += cand.len() as u64;
                     }
                 }
             }
@@ -1326,6 +1396,9 @@ fn run_lane_pass(
     }
     debug_assert_eq!(remaining, 0);
     sys.lane_end();
+    for (d, n) in Deferral::ALL.into_iter().zip(deferred) {
+        d.count(&tel.registry, n);
+    }
     forked
 }
 
@@ -1349,7 +1422,9 @@ pub struct DriveOutcome {
 /// campaign service, journaled CLI runs) can take the ladder once and
 /// reuse it across many incremental [`drive_masks`] calls.
 pub fn build_campaign_ladder(golden: &Golden, cc: &CampaignConfig) -> Option<Ladder> {
-    build_timed(cc, |n| golden.ladder.subset(n))
+    let ladder = build_timed(cc, |n| golden.ladder.subset(n))?;
+    cc.telemetry.registry.publish("campaign.ladder_bytes", ladder.held_bytes());
+    Some(ladder)
 }
 
 /// One worker's effect tallies and cycle samples since its last flush to
@@ -1386,6 +1461,7 @@ pub(crate) fn drive_pool<U, S, F>(
 ) -> DriveOutcome
 where
     U: Sync,
+    S: RunState,
     F: Fn(&U, &mut WorkerCtx<S>, &mut SpanLane, &mut Vec<(usize, RunRecord)>) + Sync,
 {
     let workers = if cc.workers == 0 {
@@ -1572,6 +1648,8 @@ pub fn drive_masks(
     // cost, never results (the lane differential test pins this).
     let units = build_units(masks, &order, ladder, cc);
     let reg = &cc.telemetry.registry;
+    // Registered up front, so drives where no run defers export them too.
+    Deferral::ALL.iter().for_each(|d| drop(reg.counter(d.metric())));
     let lane_occupancy = reg.histogram("campaign.lane_occupancy");
     let (lane_passes, lane_packed, lane_forks) =
         (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));

@@ -12,9 +12,7 @@ use crate::campaign::{
     WATCHDOG_FACTOR,
 };
 use crate::fault::{FaultMask, FaultModel, MaskGenerator};
-use crate::ladder::{
-    build_timed, record_prefix, select_base, Freeze, Ladder, RunState, Rung, FROZEN_RUNGS,
-};
+use crate::ladder::{build_timed, record_prefix, select_base, Freeze, Ladder, RunState, Rung};
 use marvel_accel::{Accelerator, DmaJob, HostInterface, HostPhase, SramFate};
 use marvel_soc::Target;
 use marvel_telemetry::{Event, FlightRecorder, PhaseId, Registry, Scope, SpanCollector, SpanLane};
@@ -317,8 +315,14 @@ impl RunState for DsaHarness {
     const RUNG_AT_INJECTION: bool = false;
     type Marks = ();
     type Frozen = DsaHarness;
-    fn reset_from(&mut self, pristine: &DsaHarness) -> u64 {
-        DsaHarness::reset_from(self, pristine)
+    /// A rung is a full harness. The SPM watermarks cover only this
+    /// harness's own writes, so a move to another rung copies every SPM
+    /// and register-bank byte.
+    fn restore(&mut self, ckpt: &DsaHarness, from: Option<&DsaHarness>, to: Option<&DsaHarness>) -> u64 {
+        if from.map(std::ptr::from_ref) != to.map(std::ptr::from_ref) {
+            self.accel.mark_memories();
+        }
+        self.reset_from(to.unwrap_or(ckpt))
     }
     fn advance_to(&mut self, cycle: u64) -> bool {
         self.begin();
@@ -328,9 +332,6 @@ impl RunState for DsaHarness {
     fn absorb(_: &mut (), _: &()) {}
     fn freeze(&mut self, _: &()) -> DsaHarness {
         self.clone()
-    }
-    fn thaw(frozen: DsaHarness, _: &DsaHarness) -> DsaHarness {
-        frozen
     }
 }
 
@@ -443,11 +444,11 @@ impl DsaGolden {
         // The run length is known here, so snapshot at the even spacing
         // itself: K snapshots, as many as the ladder keeps, so the replay
         // holds no more harness clones than the rungs it hands out.
-        let mut freeze = Freeze::new(0, self.cycles.div_ceil(FROZEN_RUNGS as u64 + 1));
+        let mut freeze = Freeze::new(0, self.cycles.div_ceil(DsaHarness::RUNGS as u64 + 1));
         while freeze.next_cycle() < self.cycles && h.advance_to(freeze.next_cycle()) {
             freeze.take(&mut h);
         }
-        freeze.finish(self.cycles, &self.harness).subset(n_rungs)
+        freeze.finish(self.cycles).subset(n_rungs)
     }
 }
 
@@ -540,7 +541,7 @@ fn run_dsa_one(
     let base = select_base(&golden.harness, 0, ladder, inject_at);
     record_prefix(&tel.registry, 0, &base, inject_at);
     let mut owned: Option<Box<DsaHarness>> = None;
-    let h = acquire(base.state, base.cycle, tel, ctx, &mut owned, lane);
+    let h = acquire(&base, tel, ctx, &mut owned, lane);
     // Pin the drive engine after positioning — resets copy the base's
     // engine, and the pristine golden harness stays on the cycle oracle.
     let event = dsa_event_engine(golden, cc);
@@ -783,6 +784,27 @@ mod tests {
         assert!(!cycles.is_empty());
         assert!(cycles.windows(2).all(|w| w[0] < w[1]));
         assert!(cycles.iter().all(|&c| c > 0 && c < g.cycles));
+    }
+
+    #[test]
+    fn a_worker_moves_between_rungs_in_place() {
+        // The SPM watermarks cover only a harness's own writes, so a move
+        // to another rung must copy every SPM byte: up, down, and back
+        // to the cycle-0 harness.
+        let g = DsaGolden::prepare(triple_harness(), 100_000);
+        let ladder = g.build_ladder_engine(6, false);
+        let rung = |k: usize| {
+            let c = ladder.cycles()[k];
+            select_base(&g.harness, 0, Some(&ladder), Some(c + 1)).laid.expect("a rung below")
+        };
+        let mut w = g.harness.clone();
+        let mut laid: Option<&DsaHarness> = None;
+        for to in [Some(0), Some(4), Some(1), None] {
+            let to = to.map(|k| &**rung(k));
+            w.restore(&g.harness, laid, to);
+            assert!(w.state_eq(to.unwrap_or(&g.harness)), "moved to {:?}", to.map(|h| h.host.cycle()));
+            laid = to;
+        }
     }
 
     #[test]

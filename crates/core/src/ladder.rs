@@ -7,38 +7,32 @@
 //! [`DsaHarness`](crate::dsa::DsaHarness) — so both targets share one
 //! ladder type, one freeze, one placement rule and one base selection.
 //! What differs per target is a trait item, not a branch here: the rung
-//! rule, the metric names, the in-flight snapshot form and the CPU's
-//! golden-segment dirty marks.
+//! count, the rung rule, the metric names, the snapshot form, how a
+//! worker's state moves to a rung and the CPU's golden-segment dirty
+//! marks. A CPU rung is a compact [`SysSnapshot`] that workers restore
+//! and compare laid over the checkpoint; a DSA rung is a full harness.
 //!
 //! Rungs are frozen while the fault-free run itself runs ([`Freeze`]),
 //! whose length is known only when it ends: snapshots every `P` cycles,
 //! and whenever 4K+4 exist every other one is dropped (its segment marks
 //! going to the next) and `P` doubles. 2K+2 to 4K+3 evenly spaced
 //! snapshots survive, and the K nearest `i·span/(K+1)` become the rungs
-//! ([`place`]), each within `P/2 ≤ span/(4K+4)` of that even position. A campaign asking for fewer rungs gets a subset placed by
-//! the same rule ([`Ladder::subset`]); one asking for more gets the K.
+//! ([`place`]), each within `P/2 ≤ span/(4K+4)` of that even position.
+//! A campaign asking for fewer rungs gets a subset placed by the same
+//! rule ([`Ladder::subset`]); one asking for more gets the K.
 
 use crate::campaign::CampaignConfig;
-use marvel_soc::{SysDirtyMarks, SysEvent, SysSnapshot, System};
+use marvel_soc::{RungView, SysDirtyMarks, SysEvent, SysSnapshot, System};
 use marvel_telemetry::{PhaseId, Registry, Scope};
 use std::sync::Arc;
 
-/// Rungs a fault-free run freezes (K): the shipped `ladder_rungs`, and
-/// the most a campaign's ladder holds.
+/// Rungs a fault-free run freezes (K) unless its target says otherwise
+/// ([`RunState::RUNGS`]).
 pub(crate) const FROZEN_RUNGS: usize = 8;
-
-/// Snapshots at which a [`Freeze`] drops every other one and doubles its
-/// pitch. At least 2K+2 survive, so the final pitch is at most half an
-/// even segment, `span/(2K+2)`: no two rungs share a snapshot, and every
-/// segment between rungs is within one pitch of `span/(K+1)`. (With K+1
-/// survivors, thinning at 2K+2, sha/Arm's segments alternated between one
-/// and two pitches and its mean residual prefix grew 10 %.)
-const THIN_AT: usize = 4 * FROZEN_RUNGS + 4;
 
 /// Run state a campaign worker keeps alive across runs and a ladder
 /// freezes: the CPU [`System`] or the accelerator
-/// [`DsaHarness`](crate::dsa::DsaHarness). Both rewind to the pristine
-/// base they were cloned from through `reset_from`. Public only so
+/// [`DsaHarness`](crate::dsa::DsaHarness). Public only so
 /// [`Ladder`] may name it; the module is private, so nothing outside the
 /// crate can implement or call it.
 pub trait RunState: Clone {
@@ -60,16 +54,21 @@ pub trait RunState: Clone {
     /// where the flip lands, so yes; a DSA rung is frozen after its
     /// cycle's step, past the top of the cycle where the fault applies.
     const RUNG_AT_INJECTION: bool;
+    /// Rungs a fault-free run freezes (K): the most a campaign's ladder
+    /// holds.
+    const RUNGS: usize = FROZEN_RUNGS;
     /// What a rung keeps of the golden segment since the previous rung,
     /// for a run to merge at the rung crossing (CPU: dirty marks).
     type Marks: Clone + Default + std::fmt::Debug;
-    /// What the freeze holds of a snapshot until the fault-free run ends
-    /// (CPU: a [`SysSnapshot`], without RAM or cache lines; DSA: the
-    /// harness itself).
-    type Frozen;
-    /// Undo every write since `pristine`; returns state bytes copied.
-    fn reset_from(&mut self, pristine: &Self) -> u64;
-    /// Arm the write journals of a fresh clone for later resets.
+    /// What a freeze takes of a snapshot and a ladder keeps as a rung
+    /// (CPU: a [`SysSnapshot`], without RAM or cache lines, laid over the
+    /// checkpoint; DSA: the harness itself).
+    type Frozen: std::fmt::Debug;
+    /// Put this state — a clone of `ckpt` — at the rung `to` (`None`: at
+    /// `ckpt`), undoing every write since it was last put at the rung
+    /// `from`; returns state bytes copied.
+    fn restore(&mut self, ckpt: &Self, from: Option<&Self::Frozen>, to: Option<&Self::Frozen>) -> u64;
+    /// Arm the write journals of a fresh clone for later restores.
     fn track_writes(&mut self) {}
     /// Advance the fault-free run to `cycle`; `false` if it ended first.
     fn advance_to(&mut self, cycle: u64) -> bool;
@@ -80,8 +79,6 @@ pub trait RunState: Clone {
     /// Snapshot the fault-free run; `since` is the union of every segment
     /// since it left its base.
     fn freeze(&mut self, since: &Self::Marks) -> Self::Frozen;
-    /// The full state of a snapshot of a run that left `base`.
-    fn thaw(frozen: Self::Frozen, base: &Self) -> Self;
 }
 
 impl RunState for System {
@@ -93,10 +90,13 @@ impl RunState for System {
     const PREFIX_SKIPPED: &'static str = "campaign.prefix_cycles_skipped";
     const RESTORE_RUNG: &'static str = "campaign.restore_rung";
     const RUNG_AT_INJECTION: bool = true;
+    /// A compact rung holds a few hundred KiB of a 5.3 MiB system, so
+    /// the CPU ladder affords four times the default.
+    const RUNGS: usize = 4 * FROZEN_RUNGS;
     type Marks = SysDirtyMarks;
     type Frozen = SysSnapshot;
-    fn reset_from(&mut self, pristine: &System) -> u64 {
-        System::reset_from(self, pristine)
+    fn restore(&mut self, ckpt: &System, from: Option<&SysSnapshot>, to: Option<&SysSnapshot>) -> u64 {
+        self.reset_from(RungView::new(ckpt, to), from)
     }
     fn track_writes(&mut self) {
         self.enable_dirty_tracking();
@@ -118,17 +118,14 @@ impl RunState for System {
     fn freeze(&mut self, since: &SysDirtyMarks) -> SysSnapshot {
         self.snapshot(since)
     }
-    fn thaw(frozen: SysSnapshot, base: &System) -> System {
-        frozen.thaw(base)
-    }
 }
 
-/// One ladder rung: the fault-free run state at `cycle` — shared by every
-/// ladder handed out of the same freeze, or in flight ([`RunState::Frozen`])
-/// while a [`Freeze`] holds it — plus the marks of the golden segment
+/// One ladder rung: the fault-free run's snapshot at `cycle` — shared by
+/// every ladder handed out of the same freeze, or owned while a
+/// [`Freeze`] holds it — plus the marks of the golden segment
 /// `(previous rung, cycle]`.
 #[derive(Debug, Clone)]
-pub(crate) struct Rung<S: RunState, St = Arc<S>> {
+pub(crate) struct Rung<S: RunState, St = Arc<<S as RunState>::Frozen>> {
     pub(crate) cycle: u64,
     pub(crate) state: St,
     pub(crate) seg: S::Marks,
@@ -177,6 +174,22 @@ impl<S: RunState> Ladder<S> {
     /// target's rung rule — also the index of the first rung it crosses.
     pub(crate) fn partition_at(&self, cycle: u64) -> usize {
         self.rungs.partition_point(|r| r.cycle < cycle || (S::RUNG_AT_INJECTION && r.cycle == cycle))
+    }
+}
+
+impl Ladder<System> {
+    /// Rung `k` (counted from 0): a compact snapshot of the golden run at
+    /// `cycles()[k]`, to lay over the checkpoint ([`RungView`]).
+    ///
+    /// # Panics
+    /// Panics when `k >= len()`.
+    pub fn rung(&self, k: usize) -> &SysSnapshot {
+        &self.rungs[k].state
+    }
+
+    /// Bytes the rungs hold ([`SysSnapshot::held_bytes`]).
+    pub fn held_bytes(&self) -> u64 {
+        self.rungs.iter().map(|r| r.state.held_bytes()).sum()
     }
 }
 
@@ -256,7 +269,13 @@ impl<S: RunState> Freeze<S> {
         S::absorb(&mut self.since, &seg);
         let frozen = s.freeze(&self.since);
         self.snaps.push(Rung { cycle, state: frozen, seg });
-        if self.snaps.len() == THIN_AT {
+        // At least 2K+2 survive a thinning, so the final pitch is at most
+        // half an even segment, `span/(2K+2)`: no two rungs share a
+        // snapshot, and every segment between rungs is within one pitch
+        // of `span/(K+1)`. (With K+1 survivors, thinning at 2K+2,
+        // sha/Arm's segments alternated between one and two pitches and
+        // its mean residual prefix grew 10 %.)
+        if self.snaps.len() == 4 * S::RUNGS + 4 {
             // Keep the multiples of the doubled pitch.
             let odd: Vec<usize> = (1..self.snaps.len()).step_by(2).collect();
             self.snaps = keep_merged(std::mem::take(&mut self.snaps), &odd);
@@ -265,13 +284,13 @@ impl<S: RunState> Freeze<S> {
     }
 
     /// The ladder of a run that ended `span` cycles after `start`: the
-    /// [`FROZEN_RUNGS`] snapshots [`place`] picks, in full over `base`.
-    pub(crate) fn finish(self, span: u64, base: &S) -> Ladder<S> {
+    /// [`RunState::RUNGS`] snapshots [`place`] picks, kept as taken.
+    pub(crate) fn finish(self, span: u64) -> Ladder<S> {
         let cycles: Vec<u64> = self.snaps.iter().map(|s| s.cycle).collect();
-        let keep = place(&cycles, self.start, span, FROZEN_RUNGS);
+        let keep = place(&cycles, self.start, span, S::RUNGS);
         let rungs = keep_merged(self.snaps, &keep)
             .into_iter()
-            .map(|r| Rung { cycle: r.cycle, state: Arc::new(S::thaw(r.state, base)), seg: r.seg })
+            .map(|r| Rung { cycle: r.cycle, state: Arc::new(r.state), seg: r.seg })
             .collect();
         Ladder { rungs, start: self.start, span }
     }
@@ -298,33 +317,35 @@ pub(crate) fn build_timed<S: RunState>(
     })
 }
 
-/// Where a run (or a lane pass) starts: the base state and its cycle,
-/// which rung it is (0: the pristine base; k: rung k, counted from 1),
-/// and the rungs above it, which the run crosses in order.
+/// Where a run (or a lane pass) starts: the rung laid over the pristine
+/// checkpoint (`None`: the checkpoint itself) and its cycle, which rung
+/// it is (0: the checkpoint; k: rung k, counted from 1), and the rungs
+/// above it, which the run crosses in order.
 pub(crate) struct Base<'a, S: RunState> {
-    pub(crate) state: &'a S,
+    pub(crate) ckpt: &'a S,
+    pub(crate) laid: Option<&'a Arc<S::Frozen>>,
     pub(crate) cycle: u64,
     pub(crate) rung: usize,
     pub(crate) ahead: &'a [Rung<S>],
 }
 
 /// Where a run injecting at `inject` starts: the deepest rung it may
-/// start from, else the `pristine` base at `pristine_cycle` (always for
-/// permanents, `inject: None`).
+/// start from, else the pristine checkpoint `ckpt` at `ckpt_cycle`
+/// (always for permanents, `inject: None`).
 pub(crate) fn select_base<'a, S: RunState>(
-    pristine: &'a S,
-    pristine_cycle: u64,
+    ckpt: &'a S,
+    ckpt_cycle: u64,
     ladder: Option<&'a Ladder<S>>,
     inject: Option<u64>,
 ) -> Base<'a, S> {
     let Some(l) = ladder else {
-        return Base { state: pristine, cycle: pristine_cycle, rung: 0, ahead: &[] };
+        return Base { ckpt, laid: None, cycle: ckpt_cycle, rung: 0, ahead: &[] };
     };
     match inject.map_or(0, |c| l.partition_at(c)) {
-        0 => Base { state: pristine, cycle: pristine_cycle, rung: 0, ahead: &l.rungs[..] },
+        0 => Base { ckpt, laid: None, cycle: ckpt_cycle, rung: 0, ahead: &l.rungs[..] },
         k => {
             let r = &l.rungs[k - 1];
-            Base { state: &r.state, cycle: r.cycle, rung: k, ahead: &l.rungs[k..] }
+            Base { ckpt, laid: Some(&r.state), cycle: r.cycle, rung: k, ahead: &l.rungs[k..] }
         }
     }
 }
@@ -374,9 +395,9 @@ mod tests {
         const RESTORE_RUNG: &'static str = "test.restore_rung";
         const RUNG_AT_INJECTION: bool = true;
         type Marks = Vec<(u64, u64)>;
-        type Frozen = u64;
-        fn reset_from(&mut self, pristine: &Counter) -> u64 {
-            *self = pristine.clone();
+        type Frozen = Counter;
+        fn restore(&mut self, ckpt: &Counter, _from: Option<&Counter>, to: Option<&Counter>) -> u64 {
+            *self = to.unwrap_or(ckpt).clone();
             0
         }
         fn advance_to(&mut self, cycle: u64) -> bool {
@@ -391,11 +412,8 @@ mod tests {
             into.extend_from_slice(other);
             into.sort_unstable();
         }
-        fn freeze(&mut self, _since: &Vec<(u64, u64)>) -> u64 {
-            self.cycle
-        }
-        fn thaw(cycle: u64, _base: &Counter) -> Counter {
-            Counter { cycle, stepped: Vec::new() }
+        fn freeze(&mut self, _since: &Vec<(u64, u64)>) -> Counter {
+            self.clone()
         }
     }
 
@@ -408,7 +426,7 @@ mod tests {
             f.take(&mut run);
         }
         let pitch = f.pitch;
-        (f.finish(span, &Counter::default()), pitch)
+        (f.finish(span), pitch)
     }
 
     #[test]

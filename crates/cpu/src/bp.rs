@@ -71,6 +71,11 @@ impl BranchPredictor {
         self.counters == pristine.counters && self.ras == pristine.ras
     }
 
+    /// Bytes the counters and the return-address stack hold.
+    pub fn held_bytes(&self) -> u64 {
+        (self.counters.len() + self.ras.len() * 8) as u64
+    }
+
     /// Restore from `pristine`, reusing this predictor's allocations.
     /// Returns state bytes copied (zero-copy campaign reset accounting).
     pub fn reset_from(&mut self, pristine: &BranchPredictor) -> u64 {

@@ -40,13 +40,54 @@ pub struct CacheLines {
     data: Vec<u8>,
 }
 
-/// Copies of the lines of some sets of a cache, to lay over another copy
-/// of the cache they were written since ([`Cache::restore_lines`]).
+/// Copies of the lines of some sets of a cache ([`Cache::copy_sets`]), to
+/// lay over the line array of the checkpoint they were written since
+/// ([`RungLines`]).
 #[derive(Debug)]
 pub struct CacheSets {
+    /// Set indices, ascending.
     sets: Vec<usize>,
     lines: Vec<Line>,
     data: Vec<u8>,
+}
+
+impl CacheSets {
+    /// Bytes the copies hold: set indices, line metadata and line bytes.
+    pub fn held_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (self.sets.len() * size_of::<usize>() + self.lines.len() * size_of::<Line>() + self.data.len())
+            as u64
+    }
+}
+
+/// A cache's line array as a ladder rung holds it: the checkpoint's line
+/// array with the sets the rung copied laid over it. The checkpoint
+/// itself lays nothing over its own lines.
+#[derive(Debug, Clone, Copy)]
+pub struct RungLines<'a> {
+    ckpt: &'a Cache,
+    laid: Option<&'a CacheSets>,
+}
+
+impl<'a> RungLines<'a> {
+    /// `laid` over `ckpt`'s lines; `laid` must have been copied from a
+    /// run that started at `ckpt`.
+    pub fn new(ckpt: &'a Cache, laid: Option<&'a CacheSets>) -> Self {
+        RungLines { ckpt, laid }
+    }
+
+    /// Line metadata and bytes of `set`: the rung's copy when it holds
+    /// one, else the checkpoint's.
+    fn set(&self, set: usize) -> (&'a [Line], &'a [u8]) {
+        let c = self.ckpt;
+        let (assoc, set_bytes) = (c.cfg.assoc, c.cfg.assoc * c.cfg.line);
+        let laid = self.laid.and_then(|l| l.sets.binary_search(&set).ok().map(|k| (l, k)));
+        let (lines, data, k) = match laid {
+            Some((l, k)) => (&l.lines, &l.data, k),
+            None => (&c.lines, &c.data, set),
+        };
+        (&lines[k * assoc..(k + 1) * assoc], &data[k * set_bytes..(k + 1) * set_bytes])
+    }
 }
 
 /// Line metadata; the line's bytes live in [`Cache::data`].
@@ -97,7 +138,7 @@ pub struct Cache {
     sets: usize,
     lines: Vec<Line>,
     /// Every line's bytes, line after line (one allocation, so cloning a
-    /// cache — a checkpoint, a rung, a worker's reclone — is two copies).
+    /// cache — a checkpoint, a worker's copy of it — is two copies).
     data: Vec<u8>,
     /// Tree-PLRU state bits, one word per set (supports assoc ≤ 8).
     plru: Vec<u8>,
@@ -632,37 +673,37 @@ impl Cache {
         }
     }
 
-    /// Restore this cache to `pristine` by undoing only the journaled sets
-    /// (full sweep when tracking is off). Returns the number of state bytes
-    /// copied, the currency of the campaign perf-guard.
+    /// Restore this cache to `pristine`, whose line array is `lines`, by
+    /// undoing only the journaled sets (full sweep when tracking is off).
+    /// Returns the number of state bytes copied, the currency of the
+    /// campaign perf-guard.
     ///
-    /// `pristine` must be the checkpoint this cache was cloned from (same
-    /// geometry); per-run fault state (armed fate, stuck list, taint shadow)
-    /// is restored wholesale since the pristine checkpoint never carries it.
-    pub fn reset_from(&mut self, pristine: &Cache) -> u64 {
-        debug_assert_eq!(self.lines.len(), pristine.lines.len());
+    /// `pristine` must have this cache's geometry; per-run fault state
+    /// (armed fate, stuck list, taint shadow) is restored wholesale since
+    /// the pristine state never carries it.
+    pub fn reset_from(&mut self, pristine: &Cache, lines: RungLines<'_>) -> u64 {
         let assoc = self.cfg.assoc;
         let line_bytes = self.cfg.line as u64;
         // tag + valid + dirty bookkeeping ≈ 10 bytes per line, 1 PLRU byte
         // per set — counted so the perf-guard sees metadata traffic too.
-        let per_line = line_bytes + 10;
+        let per_set = assoc as u64 * (line_bytes + 10) + 1;
+        let set_bytes = assoc * self.cfg.line;
+        let restore = |c: &mut Cache, set: usize| {
+            let (l, d) = lines.set(set);
+            c.lines[set * assoc..(set + 1) * assoc].copy_from_slice(l);
+            c.data[set * set_bytes..(set + 1) * set_bytes].copy_from_slice(d);
+            c.plru[set] = pristine.plru[set];
+        };
         let mut bytes = 0u64;
         if let Some(mut j) = self.journal.take() {
-            let set_bytes = assoc * self.cfg.line;
             j.drain(|set| {
-                let ways = set * assoc..(set + 1) * assoc;
-                self.lines[ways.clone()].copy_from_slice(&pristine.lines[ways]);
-                let range = set * set_bytes..(set + 1) * set_bytes;
-                self.data[range.clone()].copy_from_slice(&pristine.data[range]);
-                self.plru[set] = pristine.plru[set];
-                bytes += assoc as u64 * per_line + 1;
+                restore(self, set);
+                bytes += per_set;
             });
             self.journal = Some(j);
         } else {
-            self.lines.copy_from_slice(&pristine.lines);
-            self.data.copy_from_slice(&pristine.data);
-            self.plru.copy_from_slice(&pristine.plru);
-            bytes += self.lines.len() as u64 * per_line + self.plru.len() as u64;
+            (0..self.sets).for_each(|set| restore(self, set));
+            bytes += self.sets as u64 * per_set;
         }
         self.hits = pristine.hits;
         self.misses = pristine.misses;
@@ -676,6 +717,12 @@ impl Cache {
             self.shadow.clone_from(&pristine.shadow);
         }
         bytes
+    }
+
+    /// Journal every set `laid` holds, so the next
+    /// [`reset_from`](Self::reset_from) restores it too.
+    pub fn mark_laid(&mut self, laid: &CacheSets) {
+        laid.sets.iter().for_each(|&set| self.mark_set(set));
     }
 
     // ---- golden-run snapshots ----
@@ -697,27 +744,13 @@ impl Cache {
     pub fn copy_sets(&self, sets: &DirtyMarks) -> CacheSets {
         let (assoc, set_bytes) = (self.cfg.assoc, self.cfg.assoc * self.cfg.line);
         let mut out = CacheSets { sets: Vec::new(), lines: Vec::new(), data: Vec::new() };
-        sets.for_each(self.sets, |set| {
-            out.sets.push(set);
+        sets.for_each(self.sets, |set| out.sets.push(set));
+        out.sets.sort_unstable();
+        for &set in &out.sets {
             out.lines.extend_from_slice(&self.lines[set * assoc..(set + 1) * assoc]);
             out.data.extend_from_slice(&self.data[set * set_bytes..(set + 1) * set_bytes]);
-        });
-        out
-    }
-
-    /// Give this cache, taken without lines, `base`'s line array with
-    /// `sets` laid over it. `sets` must cover every set written since the
-    /// cache was `base`.
-    pub fn restore_lines(&mut self, base: &Cache, sets: CacheSets) {
-        let (assoc, set_bytes) = (self.cfg.assoc, self.cfg.assoc * self.cfg.line);
-        self.lines.clone_from(&base.lines);
-        self.data.clone_from(&base.data);
-        for (k, &set) in sets.sets.iter().enumerate() {
-            self.lines[set * assoc..(set + 1) * assoc]
-                .copy_from_slice(&sets.lines[k * assoc..(k + 1) * assoc]);
-            self.data[set * set_bytes..(set + 1) * set_bytes]
-                .copy_from_slice(&sets.data[k * set_bytes..(k + 1) * set_bytes]);
         }
+        out
     }
 
     /// Drain the set journal into a detached capture (ladder construction).
@@ -732,30 +765,30 @@ impl Cache {
         }
     }
 
-    /// Functional-state equality against the rung snapshot `pristine`,
-    /// restricted to the journaled dirty sets (clean sets are equal by the
-    /// journal's soundness contract; full sweep when tracking is off).
+    /// Functional-state equality against the rung `pristine`, whose line
+    /// array is `lines`, restricted to the journaled dirty sets (clean
+    /// sets are equal by the journal's soundness contract; full sweep when
+    /// tracking is off).
     ///
     /// Deliberately ignores observational state — hit/miss counters, armed
     /// fate, the stuck list and the taint shadow — none of which can change
     /// future data-plane behaviour for a transient fault (the taint plane is
     /// checked separately via [`taint_quiescent`](Self::taint_quiescent)).
-    pub fn converged_with(&self, pristine: &Cache) -> bool {
-        debug_assert_eq!(self.lines.len(), pristine.lines.len());
+    pub fn converged_with(&self, pristine: &Cache, lines: RungLines<'_>) -> bool {
         let assoc = self.cfg.assoc;
         let set_eq = |set: usize| {
             if self.plru[set] != pristine.plru[set] {
                 return false;
             }
+            let (rl, rd) = lines.set(set);
             (0..assoc).all(|way| {
-                let idx = set * assoc + way;
-                let (a, b) = (&self.lines[idx], &pristine.lines[idx]);
-                let bytes = self.bytes(idx);
+                let (a, b) = (&self.lines[set * assoc + way], &rl[way]);
+                let bytes = way * self.cfg.line..(way + 1) * self.cfg.line;
                 a.valid == b.valid
                     && (!a.valid
                         || (a.tag == b.tag
                             && a.dirty == b.dirty
-                            && self.data[bytes.clone()] == pristine.data[bytes]))
+                            && self.data[self.bytes(set * assoc + way)] == rd[bytes]))
             })
         };
         match &self.journal {
@@ -766,6 +799,15 @@ impl Cache {
             }
             None => (0..self.sets).all(set_eq),
         }
+    }
+
+    /// Bytes this cache holds: line metadata and bytes (none once
+    /// [`take_lines`](Self::take_lines) moved them out), PLRU bits and
+    /// the set journal.
+    pub fn held_bytes(&self) -> u64 {
+        let journal = self.journal.as_ref().map_or(0, |j| j.len());
+        (self.lines.len() * std::mem::size_of::<Line>() + self.data.len() + self.plru.len() + journal)
+            as u64
     }
 
     /// True when the taint shadow plane carries no set bit (or is off):
@@ -809,8 +851,9 @@ mod tests {
 
     #[test]
     fn restored_lines_equal_the_copied_cache() {
-        // The copied sets are the ones written since `base`, so laying
-        // them over `base`'s lines rebuilds the cache as it was.
+        // The copied sets are the ones written since `base`, so a copy of
+        // `base` restored to them laid over `base`'s lines is the cache
+        // as it was, and compares equal to that rung.
         let mut base = small();
         base.fill(0x4000_0040, &[1u8; 64]);
         base.enable_dirty_tracking();
@@ -823,8 +866,14 @@ mod tests {
         assert_eq!(sets.sets, vec![0], "only set 0 was written since base");
         let mut snap = c.clone();
         let _ = snap.take_lines();
-        snap.restore_lines(&base, sets);
-        assert_eq!((&snap.lines, &snap.data), (&c.lines, &c.data));
+        let rung = RungLines::new(&base, Some(&sets));
+        let mut w = base.clone();
+        w.mark_laid(&sets);
+        let _ = w.reset_from(&snap, rung);
+        assert_eq!((&w.lines, &w.data, &w.plru), (&c.lines, &c.data, &c.plru));
+        assert!(w.converged_with(&snap, rung));
+        w.write(0x4000_0008, 8, 0, w.probe(0x4000_0000).unwrap());
+        assert!(!w.converged_with(&snap, rung), "a laid set differs");
     }
 
     #[test]
@@ -999,7 +1048,7 @@ mod tests {
         c.write(0x4000_0000, 8, 0xDEAD, way);
         c.flip_bit(3);
         c.enable_taint();
-        let bytes = c.reset_from(&pristine);
+        let bytes = c.reset_from(&pristine, RungLines::new(&pristine, None));
         assert!(bytes > 0);
         assert_eq!(c.fate(), None);
         assert!(!c.taint_on());
@@ -1020,12 +1069,13 @@ mod tests {
         }
         let mut c = pristine.clone();
         c.enable_dirty_tracking();
-        let _ = c.reset_from(&pristine); // flush the clone's clean journal
+        let lines = RungLines::new(&pristine, None);
+        let _ = c.reset_from(&pristine, lines); // flush the clone's clean journal
         let way = c.lookup(0x4000_0000).unwrap();
         c.write(0x4000_0000, 1, 0xFF, way);
-        let one_set = c.reset_from(&pristine);
+        let one_set = c.reset_from(&pristine, lines);
         c.invalidate_all();
-        let all_sets = c.reset_from(&pristine);
+        let all_sets = c.reset_from(&pristine, lines);
         assert!(one_set < all_sets, "one dirty set ({one_set}B) vs full sweep ({all_sets}B)");
     }
 }

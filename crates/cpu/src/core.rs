@@ -8,7 +8,7 @@
 //! execution, overwrites, cache evictions, decode don't-cares.
 
 use crate::bp::BranchPredictor;
-use crate::cache::{Cache, CacheLaneEvent, CacheLines, CacheSets, FaultFate};
+use crate::cache::{Cache, CacheLaneEvent, CacheLines, CacheSets, FaultFate, RungLines};
 use crate::config::CoreConfig;
 use crate::dirty::DirtyMarks;
 use crate::lane::{LaneEngine, LaneEvent};
@@ -515,16 +515,17 @@ impl Core {
         self.l2.enable_dirty_tracking();
     }
 
-    /// Restore this core to the pristine checkpoint it was cloned from,
-    /// undoing journaled state where possible and copying the small
-    /// unjournaled structures wholesale (reusing their allocations).
-    /// Returns state bytes copied — the perf-guard's cost measure.
-    pub fn reset_from(&mut self, pristine: &Core) -> u64 {
+    /// Restore this core to `pristine`, whose L1I, L1D and L2 line arrays
+    /// are `lines` ([`rung_lines`](Self::rung_lines)), undoing journaled
+    /// state where possible and copying the small unjournaled structures
+    /// wholesale (reusing their allocations). Returns state bytes copied —
+    /// the perf-guard's cost measure.
+    pub fn reset_from(&mut self, pristine: &Core, [l1i, l1d, l2]: [RungLines<'_>; 3]) -> u64 {
         let mut bytes = self.prf.reset_from(&pristine.prf);
         bytes += self.prf_fp.reset_from(&pristine.prf_fp);
-        bytes += self.l1i.reset_from(&pristine.l1i);
-        bytes += self.l1d.reset_from(&pristine.l1d);
-        bytes += self.l2.reset_from(&pristine.l2);
+        bytes += self.l1i.reset_from(&pristine.l1i, l1i);
+        bytes += self.l1d.reset_from(&pristine.l1d, l1d);
+        bytes += self.l2.reset_from(&pristine.l2, l2);
         bytes += self.bp.reset_from(&pristine.bp);
 
         self.cycle = pristine.cycle;
@@ -609,12 +610,48 @@ impl Core {
         [self.l1i.copy_sets(&marks.l1i), self.l1d.copy_sets(&marks.l1d), self.l2.copy_sets(&marks.l2)]
     }
 
-    /// Give this core, cloned without cache lines, `base`'s cache lines
-    /// with `sets` laid over them ([`Cache::restore_lines`]).
-    pub fn restore_cache_lines(&mut self, base: &Core, [l1i, l1d, l2]: [CacheSets; 3]) {
-        self.l1i.restore_lines(&base.l1i, l1i);
-        self.l1d.restore_lines(&base.l1d, l1d);
-        self.l2.restore_lines(&base.l2, l2);
+    /// The line arrays of a ladder rung whose copied sets `laid` lie over
+    /// this (checkpoint) core's lines; `None` is this core's own lines.
+    pub fn rung_lines<'a>(&'a self, laid: Option<&'a [CacheSets; 3]>) -> [RungLines<'a>; 3] {
+        let [l1i, l1d, l2] = laid.map(|[a, b, c]| [Some(a), Some(b), Some(c)]).unwrap_or_default();
+        [RungLines::new(&self.l1i, l1i), RungLines::new(&self.l1d, l1d), RungLines::new(&self.l2, l2)]
+    }
+
+    /// Journal everything a ladder rung may hold apart from the
+    /// checkpoint — every register, and the sets `laid` copied — so the
+    /// next [`reset_from`](Self::reset_from) restores it when a worker
+    /// moves between rungs.
+    pub fn mark_rung(&mut self, laid: Option<&[CacheSets; 3]>) {
+        self.prf.mark_all();
+        self.prf_fp.mark_all();
+        if let Some([l1i, l1d, l2]) = laid {
+            self.l1i.mark_laid(l1i);
+            self.l1d.mark_laid(l1d);
+            self.l2.mark_laid(l2);
+        }
+    }
+
+    /// Bytes this core holds in its register files, caches (line arrays
+    /// included while present), pipeline structures and predictors.
+    pub fn held_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let caches = self.l1i.held_bytes() + self.l1d.held_bytes() + self.l2.held_bytes();
+        let pipeline = self.fq.len() * size_of::<FetchedUop>()
+            + self.rob.len() * size_of::<RobEntry>()
+            + self.iq.len() * 8
+            + self.events.len() * size_of::<Event>()
+            + self.pending_loads.len() * 16
+            + self.lq.entries.len() * size_of::<crate::lsq::LqEntry>()
+            + self.sq.entries.len() * size_of::<crate::lsq::SqEntry>()
+            + (self.rename.entries().len() * 2 + self.freelist.len()) * 2
+            + self.mdp.len()
+            + self.trace.len() * size_of::<CommitRecord>()
+            + size_of::<Core>();
+        self.prf.held_bytes()
+            + self.prf_fp.held_bytes()
+            + caches
+            + self.bp.held_bytes()
+            + pipeline as u64
     }
 
     /// Fold a golden-segment capture into the live journals at a ladder-rung
@@ -628,15 +665,16 @@ impl Core {
         self.l2.merge_marks(&m.l2);
     }
 
-    /// Functional-state equality against a ladder rung at the same cycle:
-    /// true means every future tick of `self` behaves exactly like the
-    /// golden run's, so the fault is masked. Journaled structures compare
-    /// only their dirty indices; small pipeline structures compare
-    /// wholesale. Observational state (stats, armed fates, trace contents,
+    /// Functional-state equality against a ladder rung at the same cycle,
+    /// `pristine` with the L1I, L1D and L2 line arrays `lines`: true means
+    /// every future tick of `self` behaves exactly like the golden run's,
+    /// so the fault is masked. Journaled structures compare only their
+    /// dirty indices (every index when `self` tracks no writes); small
+    /// pipeline structures compare wholesale. Observational state (stats, armed fates, trace contents,
     /// taint shadows, tracers) is excluded — it cannot steer the data
     /// plane. `fq` entries ignore their `fetched_at` pipeline-trace stamp;
     /// invalid LSQ entries are wildcards (stale payload).
-    pub fn state_converged(&self, pristine: &Core) -> bool {
+    pub fn state_converged(&self, pristine: &Core, [l1i, l1d, l2]: [RungLines<'_>; 3]) -> bool {
         let fuop_eq = |a: &FetchedUop, b: &FetchedUop| {
             a.uop == b.uop
                 && a.pc == b.pc
@@ -675,9 +713,9 @@ impl Core {
             && self.bp.converged_with(&pristine.bp)
             && self.prf.converged_with(&pristine.prf)
             && self.prf_fp.converged_with(&pristine.prf_fp)
-            && self.l1i.converged_with(&pristine.l1i)
-            && self.l1d.converged_with(&pristine.l1d)
-            && self.l2.converged_with(&pristine.l2)
+            && self.l1i.converged_with(&pristine.l1i, l1i)
+            && self.l1d.converged_with(&pristine.l1d, l1d)
+            && self.l2.converged_with(&pristine.l2, l2)
     }
 
     /// True when no core-side taint shadow carries a set bit, so the

@@ -27,7 +27,7 @@ pub mod testbus;
 pub use crate::core::{
     Bus, CommitEffect, CommitRecord, Core, CoreDirtyMarks, CoreStats, StepEvent, TraceMode,
 };
-pub use cache::{Cache, CacheLaneEvent, CacheLines, CacheSets, FaultFate};
+pub use cache::{Cache, CacheLaneEvent, CacheLines, CacheSets, FaultFate, RungLines};
 pub use config::{CacheConfig, CoreConfig};
 pub use dirty::{DirtyMap, DirtyMarks};
 pub use lane::{LaneEngine, LaneEvent, LanePlane, MAX_LANES};

@@ -175,6 +175,21 @@ impl PhysRegFile {
         bytes
     }
 
+    /// Journal every register, so the next
+    /// [`reset_from`](Self::reset_from) restores the whole file (a ladder
+    /// rung holds every register).
+    pub fn mark_all(&mut self) {
+        if let Some(j) = &mut self.journal {
+            j.mark_all();
+        }
+    }
+
+    /// Bytes this register file holds: values, ready bits and journal.
+    pub fn held_bytes(&self) -> u64 {
+        let journal = self.journal.as_ref().map_or(0, |j| j.len());
+        (self.vals.len() * 9 + self.taint.len() * 8 + journal) as u64
+    }
+
     /// Drain the register journal into a detached capture (ladder
     /// construction).
     pub fn take_marks(&mut self) -> DirtyMarks {

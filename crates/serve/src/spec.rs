@@ -593,7 +593,7 @@ mod tests {
         );
         assert_eq!(spec.n_faults, 8);
         assert_eq!(spec.seed, 7);
-        assert_eq!(spec.ladder_rungs, 8);
+        assert_eq!(spec.ladder_rungs, 32);
         assert_eq!(spec.to_config(TelemetryConfig::default()).reset_mode, ResetMode::Dirty);
     }
 

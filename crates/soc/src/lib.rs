@@ -17,5 +17,5 @@ pub mod system;
 pub use hosted::{DmaPlanEntry, HostedAccel};
 pub use irq::{IrqController, IrqCtrlKind};
 pub use system::{
-    thread_ticks, RunOutcome, SocBus, SysDirtyMarks, SysEvent, SysSnapshot, System, Target,
+    thread_ticks, RunOutcome, RungView, SocBus, SysDirtyMarks, SysEvent, SysSnapshot, System, Target,
 };

@@ -8,7 +8,7 @@ use crate::isr::build_isr;
 use marvel_accel::{AccelSite, MemRef};
 use marvel_cpu::{
     Bus, CacheSets, Core, CoreConfig, CoreDirtyMarks, DirtyMap, DirtyMarks, FaultFate, LaneEngine,
-    LaneEvent, StepEvent, TraceMode,
+    LaneEvent, RungLines, StepEvent, TraceMode,
 };
 use marvel_ir::memmap::{
     ACCEL_MMR_BASE, ACCEL_MMR_STRIDE, CONSOLE_ADDR, IRQ_CTRL_BASE, IRQ_CTRL_SIZE, IRQ_VECTOR, RAM_BASE,
@@ -244,12 +244,13 @@ impl SysDirtyMarks {
     }
 }
 
-/// A golden-run snapshot kept while the run goes on: the [`System`]
-/// without its RAM, its caches' line arrays and its commit trace, plus
-/// copies of the RAM pages and cache sets written since the checkpoint
-/// the run started from. A full clone copies the 4 MiB RAM and the
-/// 1.3 MiB of cache lines; a run writes a small share of either.
-/// [`thaw`](Self::thaw) rebuilds the full system over that checkpoint.
+/// A compact snapshot of a golden run, as the run's ladder freeze takes
+/// it and a ladder keeps it as a rung: the [`System`] without its RAM,
+/// its caches' line arrays and its commit trace, plus copies of the RAM
+/// pages and cache sets written since the checkpoint the run started
+/// from. A full clone copies the 4 MiB RAM and the 1.3 MiB of cache
+/// lines; a run writes a small share of either. Workers restore and
+/// compare against it laid over that checkpoint ([`RungView`]).
 #[derive(Debug)]
 pub struct SysSnapshot {
     sys: System,
@@ -261,20 +262,50 @@ pub struct SysSnapshot {
 }
 
 impl SysSnapshot {
-    /// The full system: `base`'s RAM and cache lines with the snapshot's
-    /// pages and sets restored. `base` must be the checkpoint the
-    /// snapshotted run started from.
-    pub fn thaw(self, base: &System) -> System {
-        let SysSnapshot { mut sys, sets, pages, bytes } = self;
-        sys.core.restore_cache_lines(&base.core, sets);
-        sys.bus.ram = base.bus.ram.clone();
-        let mut at = 0;
-        for p in pages {
-            let (lo, hi) = page_range(p, sys.bus.ram.len());
-            sys.bus.ram[lo..hi].copy_from_slice(&bytes[at..at + hi - lo]);
-            at += hi - lo;
+    /// Bytes the snapshot holds: its copied pages and cache sets, and the
+    /// state of the system without RAM or cache lines.
+    pub fn held_bytes(&self) -> u64 {
+        let sets: u64 = self.sets.iter().map(CacheSets::held_bytes).sum();
+        let pages = self.bytes.len() + self.pages.len() * std::mem::size_of::<usize>();
+        sets + pages as u64 + self.sys.held_bytes()
+    }
+}
+
+/// A ladder rung as workers restore and compare it: the checkpoint with
+/// a compact snapshot of the golden run laid over it — the snapshot's
+/// own state, RAM pages and cache sets in place of the checkpoint's — or,
+/// without a snapshot, the checkpoint itself.
+#[derive(Debug, Clone, Copy)]
+pub struct RungView<'a> {
+    ckpt: &'a System,
+    rung: Option<&'a SysSnapshot>,
+}
+
+impl<'a> RungView<'a> {
+    /// `rung` laid over `ckpt`, the checkpoint the snapshotted run
+    /// started from; `None` is `ckpt` itself.
+    pub fn new(ckpt: &'a System, rung: Option<&'a SysSnapshot>) -> Self {
+        RungView { ckpt, rung }
+    }
+
+    /// Everything but RAM and cache lines.
+    fn own(&self) -> &'a System {
+        self.rung.map_or(self.ckpt, |r| &r.sys)
+    }
+
+    /// The bytes of RAM page `p`: the rung's copy when it holds one,
+    /// else the checkpoint's.
+    fn page(&self, p: usize) -> &'a [u8] {
+        let (lo, hi) = page_range(p, self.ckpt.bus.ram.len());
+        match self.rung.and_then(|r| r.pages.binary_search(&p).ok().map(|k| (r, k))) {
+            // Every page before the last is whole, so copy k starts at k pages.
+            Some((r, k)) => &r.bytes[k << RAM_PAGE_SHIFT..(k << RAM_PAGE_SHIFT) + hi - lo],
+            None => &self.ckpt.bus.ram[lo..hi],
         }
-        sys
+    }
+
+    fn lines(&self) -> [RungLines<'a>; 3] {
+        self.ckpt.core.rung_lines(self.rung.map(|r| &r.sets))
     }
 }
 
@@ -415,47 +446,78 @@ impl System {
         }
     }
 
-    /// Restore this system to the pristine checkpoint it was cloned from,
-    /// undoing journaled state (dirty RAM pages, dirty cache sets and
-    /// registers) and copying small unjournaled structures wholesale.
-    /// Returns state bytes copied — the zero-copy campaign's cost measure.
+    /// Restore this system — a clone of `to`'s checkpoint — to the rung
+    /// `to`, undoing journaled state (dirty RAM pages, dirty cache sets
+    /// and registers) and copying small unjournaled structures wholesale;
+    /// without dirty tracking, every page and set is restored. Returns
+    /// state bytes copied — the zero-copy campaign's cost measure.
+    ///
+    /// `from` is the rung this system was last restored to (`None`: the
+    /// checkpoint). When `to` lays a different rung, every location
+    /// either rung holds is restored too — their pages, their sets and
+    /// every register — and hosted accelerators, whose write watermarks
+    /// cover only this system's own writes, are copied whole.
     ///
     /// Soundness relies on every RAM mutation being visible to the page
     /// journal: `write_line` marks pages directly, and DMA ToRam drains
     /// (raw-slice writes) are folded in here from each engine's watermark.
-    pub fn reset_from(&mut self, pristine: &System) -> u64 {
-        let mut bytes = self.core.reset_from(&pristine.core);
-        self.fold_dma_watermarks();
-        if let Some(mut j) = self.bus.ram_journal.take() {
-            let ram_len = self.bus.ram.len();
-            j.drain(|p| {
-                let (lo, hi) = page_range(p, ram_len);
-                self.bus.ram[lo..hi].copy_from_slice(&pristine.bus.ram[lo..hi]);
-                bytes += (hi - lo) as u64;
-            });
-            self.bus.ram_journal = Some(j);
-        } else {
-            self.bus.ram.copy_from_slice(&pristine.bus.ram);
-            bytes += self.bus.ram.len() as u64;
+    pub fn reset_from(&mut self, to: RungView<'_>, from: Option<&SysSnapshot>) -> u64 {
+        let moved = match (from, to.rung) {
+            (Some(a), Some(b)) => !std::ptr::eq(a, b),
+            (a, b) => a.is_some() != b.is_some(),
+        };
+        if moved {
+            self.mark_rung(from);
+            self.mark_rung(to.rung);
+            self.bus.accels.iter_mut().for_each(|h| h.accel.mark_memories());
         }
-        self.bus.console.clone_from(&pristine.bus.console);
-        bytes += pristine.bus.console.len() as u64;
-        self.bus.irq_ctrl = pristine.bus.irq_ctrl.clone();
-        for (h, p) in self.bus.accels.iter_mut().zip(&pristine.bus.accels) {
+        let own = to.own();
+        let mut bytes = self.core.reset_from(&own.core, to.lines());
+        self.fold_dma_watermarks();
+        let ram_len = self.bus.ram.len();
+        let pages = ram_len.div_ceil(1 << RAM_PAGE_SHIFT);
+        let mut restore = |ram: &mut [u8], p: usize| {
+            let (lo, hi) = page_range(p, ram_len);
+            ram[lo..hi].copy_from_slice(to.page(p));
+            bytes += (hi - lo) as u64;
+        };
+        match self.bus.ram_journal.as_mut() {
+            Some(j) => j.drain(|p| restore(&mut self.bus.ram, p)),
+            None => (0..pages).for_each(|p| restore(&mut self.bus.ram, p)),
+        }
+        self.bus.console.clone_from(&own.bus.console);
+        bytes += own.bus.console.len() as u64;
+        self.bus.irq_ctrl = own.bus.irq_ctrl.clone();
+        for (h, p) in self.bus.accels.iter_mut().zip(&own.bus.accels) {
             bytes += h.reset_from(p);
         }
-        // Per-run taint shadow: the pristine checkpoint never carries one.
-        if pristine.bus.ram_shadow.is_empty() {
+        // Per-run taint shadow: neither the checkpoint nor a rung carries one.
+        if own.bus.ram_shadow.is_empty() {
             self.bus.ram_shadow.clear();
         } else {
-            self.bus.ram_shadow.clone_from(&pristine.bus.ram_shadow);
+            self.bus.ram_shadow.clone_from(&own.bus.ram_shadow);
         }
-        self.cycle = pristine.cycle;
-        self.checkpoint_cycle = pristine.checkpoint_cycle;
-        self.switch_cycle = pristine.switch_cycle;
-        self.traps = pristine.traps;
-        self.lockstep.clone_from(&pristine.lockstep);
+        self.cycle = own.cycle;
+        self.checkpoint_cycle = own.checkpoint_cycle;
+        self.switch_cycle = own.switch_cycle;
+        self.traps = own.traps;
+        self.lockstep.clone_from(&own.lockstep);
         bytes + 40 // SoC scalars + IRQ controller
+    }
+
+    /// Journal every location `rung` holds apart from its checkpoint
+    /// (nothing but the registers for the checkpoint itself).
+    fn mark_rung(&mut self, rung: Option<&SysSnapshot>) {
+        self.core.mark_rung(rung.map(|r| &r.sets));
+        if let (Some(j), Some(r)) = (&mut self.bus.ram_journal, rung) {
+            r.pages.iter().for_each(|&p| j.mark(p));
+        }
+    }
+
+    /// Bytes this system holds: RAM, console, taint shadow and the core.
+    fn held_bytes(&self) -> u64 {
+        let bus = self.bus.ram.len() + self.bus.console.len() + self.bus.ram_shadow.len();
+        (bus + std::mem::size_of::<System>()) as u64 + self.core.held_bytes()
     }
 
     /// Fold each DMA engine's RAM-write watermark into the page journal so
@@ -507,13 +569,15 @@ impl System {
         self.core.put_cache_lines(lines);
         sys.core.trace_mode = TraceMode::Off;
         let sets = self.core.copy_cache_sets(&written.core);
-        let (mut pages, mut bytes) = (Vec::new(), Vec::new());
         let len = self.bus.ram.len();
-        written.ram.for_each(len.div_ceil(1 << RAM_PAGE_SHIFT), |p| {
+        let mut pages = Vec::new();
+        written.ram.for_each(len.div_ceil(1 << RAM_PAGE_SHIFT), |p| pages.push(p));
+        pages.sort_unstable();
+        let mut bytes = Vec::new();
+        for &p in &pages {
             let (lo, hi) = page_range(p, len);
-            pages.push(p);
             bytes.extend_from_slice(&self.bus.ram[lo..hi]);
-        });
+        }
         SysSnapshot { sys, sets, pages, bytes }
     }
 
@@ -530,33 +594,38 @@ impl System {
     }
 
     /// Dirty-diff convergence check: does this system's functional state
-    /// equal `pristine`'s (a golden-run snapshot at the same cycle)?
+    /// equal `rung`'s (a golden-run snapshot at the same cycle, laid over
+    /// its checkpoint)?
     ///
     /// Journaled structures (RAM pages, cache sets, physical registers)
-    /// are compared only at dirty locations — sound as long as golden
-    /// segment marks have been [`merge_dirty_marks`](Self::merge_dirty_marks)-ed
-    /// in at every rung crossing since restore, so the union covers every
-    /// location either run wrote. Unjournaled structures are compared
-    /// wholesale. Observational state (statistics, armed fault fates,
-    /// journals, taint shadows) is excluded: it never steers execution.
-    pub fn state_converged(&mut self, pristine: &System) -> bool {
-        if self.cycle != pristine.cycle
-            || self.checkpoint_cycle != pristine.checkpoint_cycle
-            || self.switch_cycle != pristine.switch_cycle
-            || self.traps != pristine.traps
-            || self.bus.console != pristine.bus.console
-            || !self.bus.irq_ctrl.state_eq(&pristine.bus.irq_ctrl)
+    /// are compared only at dirty locations, each against the rung's copy
+    /// when the rung holds one and the checkpoint's otherwise — sound as
+    /// long as golden segment marks have been
+    /// [`merge_dirty_marks`](Self::merge_dirty_marks)-ed in at every rung
+    /// crossing since restore, so the union covers every location either
+    /// run wrote. Without dirty tracking every location is compared.
+    /// Unjournaled structures are compared wholesale. Observational state
+    /// (statistics, armed fault fates, journals, taint shadows) is
+    /// excluded: it never steers execution.
+    pub fn state_converged(&mut self, rung: RungView<'_>) -> bool {
+        let own = rung.own();
+        if self.cycle != own.cycle
+            || self.checkpoint_cycle != own.checkpoint_cycle
+            || self.switch_cycle != own.switch_cycle
+            || self.traps != own.traps
+            || self.bus.console != own.bus.console
+            || !self.bus.irq_ctrl.state_eq(&own.bus.irq_ctrl)
         {
             return false;
         }
-        if !self.bus.accels.iter().zip(&pristine.bus.accels).all(|(h, p)| h.state_eq(p)) {
+        if !self.bus.accels.iter().zip(&own.bus.accels).all(|(h, p)| h.state_eq(p)) {
             return false;
         }
         self.fold_dma_watermarks();
         let ram_len = self.bus.ram.len();
         let page_eq = |p: usize| {
             let (lo, hi) = page_range(p, ram_len);
-            self.bus.ram[lo..hi] == pristine.bus.ram[lo..hi]
+            self.bus.ram[lo..hi] == *rung.page(p)
         };
         let ram_ok = match &self.bus.ram_journal {
             Some(j) => {
@@ -564,9 +633,9 @@ impl System {
                 j.peek(|p| ok = ok && page_eq(p));
                 ok
             }
-            None => self.bus.ram == pristine.bus.ram,
+            None => (0..ram_len.div_ceil(1 << RAM_PAGE_SHIFT)).all(page_eq),
         };
-        ram_ok && self.core.state_converged(&pristine.core)
+        ram_ok && self.core.state_converged(&own.core, rung.lines())
     }
 
     /// True when no tracked state carries taint (or tracking is off) —
@@ -959,7 +1028,8 @@ mod tests {
         let o1 = worker.run(1_000_000);
         assert_eq!(o1, o_ref);
         let run_output = worker.output().to_vec();
-        let bytes = worker.reset_from(&ckpt);
+        let at_ckpt = RungView::new(&ckpt, None);
+        let bytes = worker.reset_from(at_ckpt, None);
         assert!(bytes > 0);
         assert_eq!(worker.cycle, ckpt.cycle);
         assert_eq!(worker.output(), ckpt.output());
@@ -968,20 +1038,21 @@ mod tests {
         assert_eq!(worker.output(), &run_output[..]);
         assert_eq!(worker.cycle, cloned.cycle);
         // Faulted run followed by reset also converges back.
-        worker.reset_from(&ckpt);
+        worker.reset_from(at_ckpt, None);
         worker.flip(Target::PrfInt, 5 * 64 + 1);
         let _ = worker.run(2_000_000);
-        worker.reset_from(&ckpt);
+        worker.reset_from(at_ckpt, None);
         let o3 = worker.run(1_000_000);
         assert_eq!(o3, o_ref);
         assert_eq!(worker.output(), &run_output[..]);
     }
 
     #[test]
-    fn snapshot_thaws_to_the_ram_it_was_taken_at() {
+    fn snapshot_restores_to_the_ram_it_was_taken_at() {
         // RAM written after the checkpoint (here straight through the bus,
         // as a writeback does) travels in the snapshot's pages; RAM
-        // written after the snapshot must not leak into the thawed system.
+        // written after the snapshot must not leak into a system restored
+        // to the snapshot laid over the checkpoint.
         let bin = assemble(&hello_module(), Isa::RiscV).unwrap();
         let mut sys = System::new(CoreConfig::table2(Isa::RiscV));
         sys.load_binary(&bin);
@@ -996,7 +1067,9 @@ mod tests {
         let want = (sys.bus.ram.clone(), sys.cycle);
         assert!(sys.bus.write_line(RAM_BASE + 5 * 4096, &[0xCD; 64]));
         let _ = sys.run(1_000_000);
-        let got = snap.thaw(&ckpt);
+        let mut got = ckpt.clone();
+        got.enable_dirty_tracking();
+        got.reset_from(RungView::new(&ckpt, Some(&snap)), None);
         assert_eq!((got.bus.ram, got.cycle), want);
         assert_eq!(got.core.trace_mode, TraceMode::Off);
     }

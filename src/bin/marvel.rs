@@ -43,9 +43,9 @@
 //! `--phase-report` prints the per-phase wall-time attribution table
 //! (calls, total/self µs, p50/p95) with a coverage line. Either flag
 //! enables the collector; with both absent the span hooks stay no-ops.
-//! `--ladder-rungs` (default 8, at most the 8 rungs the golden run
-//! freezes) gives transient campaigns N checkpoints of the fault-free
-//! run at nearly even spacing; each injection run then
+//! `--ladder-rungs` (default 32, at most the rungs the golden run
+//! freezes: 32 on the CPU, 8 on the DSA) gives transient campaigns N
+//! checkpoints of the fault-free run at nearly even spacing; each injection run then
 //! restores a rung near its injection cycle instead of re-simulating the
 //! fault-free prefix, and at every later rung it crosses diffs its
 //! journaled dirty state against the golden rung, ending as Masked the

@@ -173,7 +173,7 @@ fn hosted_accelerator_campaigns_match_their_ladderless_oracle() {
         };
         let oracle = records(0, ResetMode::Clone, 1);
         assert_eq!(oracle.len(), 32);
-        for rungs in [0, 8] {
+        for rungs in [0, 8, CampaignConfig::default().ladder_rungs] {
             for mode in [ResetMode::Clone, ResetMode::Dirty] {
                 for workers in [1, 2] {
                     assert_eq!(

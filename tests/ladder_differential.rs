@@ -50,8 +50,9 @@ fn cpu_exports_byte_identical_with_ladder_and_convergence() {
         let g = Golden::prepare(sys, 80_000_000).unwrap();
         for target in [Target::PrfInt, Target::L1D] {
             let oracle = export("ladder", &g, target, &config(0, false, 1));
+            let shipped = CampaignConfig::default().ladder_rungs;
             for workers in [1usize, 2, 8] {
-                for (rungs, conv) in [(8usize, false), (8, true)] {
+                for (rungs, conv) in [(8usize, false), (8, true), (shipped, false), (shipped, true)] {
                     let got = export("ladder", &g, target, &config(rungs, conv, workers));
                     assert_eq!(
                         oracle, got,

@@ -103,24 +103,23 @@ fn assert_residual_prefix_bounded(registry: &Registry, scope: &str, n: usize, cy
     );
 }
 
+/// The CPU twin, on the shipped config and its 32 rungs, so a ladder
+/// that quietly falls back to fewer rungs fails the exec/32 budget.
 #[test]
 fn ladder_bounds_residual_prefix_on_late_injections() {
     let g = crc32_golden();
 
     let registry = Registry::new();
-    const RUNGS: u64 = 8;
     // lane_width 0: the guard asserts one prefix_cycles sample per run,
     // which is a scalar-engine invariant — a lane pass simulates the
     // residual prefix once for every lane it carries.
     let cc = CampaignConfig {
         workers: 2,
-        reset_mode: ResetMode::Dirty,
-        ladder_rungs: RUNGS as usize,
-        convergence_exit: true,
         lane_width: 0,
         telemetry: TelemetryConfig { registry: registry.clone(), ..Default::default() },
-        ..Default::default()
+        ..CampaignConfig::default()
     };
+    let rungs = cc.ladder_rungs as u64;
     // Masks windowed into the last fifth of the injection window — the
     // worst case for the full-prefix engine (each run used to re-simulate
     // ≥80% of the golden run fault-free before the flip even landed).
@@ -131,7 +130,7 @@ fn ladder_bounds_residual_prefix_on_late_injections() {
     let masks =
         gen.single_bit(Target::PrfInt, g.ckpt.bit_len(Target::PrfInt), FaultKind::Transient, late, n);
     assert_eq!(run_masks(&g, &masks, &cc).len(), n);
-    assert_residual_prefix_bounded(&registry, "campaign", n, g.exec_cycles, RUNGS);
+    assert_residual_prefix_bounded(&registry, "campaign", n, g.exec_cycles, rungs);
 }
 
 fn fft_golden() -> DsaGolden {
@@ -192,7 +191,7 @@ fn shipped_config_ends_masked_lq_runs_at_a_rung() {
 
 /// Ladder guard: a permanent campaign's runs all start at the checkpoint,
 /// so it builds no ladder and publishes no `*.ladder_rungs`; a transient
-/// campaign builds the shipped 8 rungs. Both the CPU and the DSA ladder.
+/// campaign builds the shipped rungs, 32 on the CPU and 8 on the DSA.
 #[test]
 fn only_transient_campaigns_build_a_ladder() {
     let rungs = |reg: &Registry, name: &str| {
@@ -208,20 +207,22 @@ fn only_transient_campaigns_build_a_ladder() {
     let g = crc32_golden();
     let d = accel::design("FFT");
     let dg = DsaGolden::prepare((d.make)(FuConfig::default()), 50_000_000);
-    for (kind, want) in [(FaultKind::Permanent, None), (FaultKind::Transient, Some(8))] {
+    for (kind, cpu, dsa) in
+        [(FaultKind::Permanent, None, None), (FaultKind::Transient, Some(32), Some(8))]
+    {
         let registry = Registry::new();
         run_campaign(&g, Target::L1D, &config(kind, &registry));
-        assert_eq!(rungs(&registry, "campaign.ladder_rungs"), want, "CPU {kind:?}");
+        assert_eq!(rungs(&registry, "campaign.ladder_rungs"), cpu, "CPU {kind:?}");
         let registry = Registry::new();
         run_dsa_campaign(&dg, d.components[0].target, &config(kind, &registry));
-        assert_eq!(rungs(&registry, "dsa.ladder_rungs"), want, "DSA {kind:?}");
+        assert_eq!(rungs(&registry, "dsa.ladder_rungs"), dsa, "DSA {kind:?}");
     }
 }
 
 /// One golden simulation per CPU program, in simulated cycles: preparing
 /// the golden run ticks the program once — warm-up to the checkpoint,
 /// then the golden run, which freezes the ladder as it goes — and handing
-/// a transient campaign its 8 rungs ticks nothing. Replaying the golden
+/// a transient campaign its 32 rungs ticks nothing. Replaying the golden
 /// run to build rungs fails the second count.
 #[test]
 fn campaign_ladder_simulates_no_cycle() {
@@ -236,9 +237,39 @@ fn campaign_ladder_simulates_no_cycle() {
     let cc = CampaignConfig { n_faults: 4, workers: 1, ..CampaignConfig::default() };
     let before = ticks();
     let ladder = build_campaign_ladder(&g, &cc).expect("a transient campaign has a ladder");
-    assert_eq!(ladder.len(), 8);
+    assert_eq!(ladder.len(), 32);
     let replayed = ticks() - before;
     assert_eq!(replayed, 0, "building the campaign's ladder simulated {replayed} cycles");
+}
+
+/// Compact-rung guard, in bytes: the shipped crc32 ladder has 32 rungs,
+/// each a snapshot without RAM or cache lines plus the pages and sets
+/// written since the checkpoint. No rung may hold as much as the L2's
+/// line array (1 MiB), which a rung holding the full RAM or full cache
+/// line arrays would, and all 32 together stay under one system's RAM
+/// (4 MiB), which a single thawed rung (5.3 MiB) would break alone.
+/// `campaign.ladder_bytes` publishes the total.
+#[test]
+fn shipped_cpu_ladder_holds_compact_rungs() {
+    let g = crc32_golden();
+    let registry = Registry::new();
+    let cc = CampaignConfig {
+        n_faults: 4,
+        workers: 1,
+        telemetry: TelemetryConfig { registry: registry.clone(), ..Default::default() },
+        ..CampaignConfig::default()
+    };
+    let ladder = build_campaign_ladder(&g, &cc).expect("a transient campaign has a ladder");
+    assert_eq!(ladder.len(), 32);
+    let held = registry.counter("campaign.ladder_bytes").get();
+    assert_eq!(held, ladder.held_bytes());
+    let l2_lines = CoreConfig::table2(Isa::RiscV).l2.size as u64;
+    for k in 0..ladder.len() {
+        let rung = ladder.rung(k).held_bytes();
+        assert!(rung < l2_lines, "rung {k} holds {rung} B, as much as the L2's line array");
+    }
+    let ram = gem5_marvel::ir::memmap::RAM_SIZE;
+    assert!(held <= ram, "the 32 rungs hold {held} B, more than one system's RAM ({ram} B)");
 }
 
 /// Lane-utilization guard, in counters rather than wall-clock: on a
@@ -270,9 +301,10 @@ fn lane_packing_sustains_occupancy_and_bounded_forks() {
     // Single-bit transients on one target are all eligible; only chunks
     // of one (a ladder segment holding a lone mask) may fall out.
     assert!(packed >= n as u64 * 3 / 4, "only {packed} of {n} eligible runs were lane-packed");
-    // Mean lanes per pass: the shipped 8 rungs split the masks over 9
-    // ladder segments, so ~n/9 ≈ 10.7 lanes share each pass; 8 is far
-    // above the ~2-lane break-even of a shared golden pass.
+    // Mean lanes per pass: packs group by the 9 segments of 8 rungs
+    // placed over the shipped 32-rung ladder, so ~n/9 ≈ 10.7 lanes share
+    // each pass; 8 is far above the ~2-lane break-even of a shared
+    // golden pass.
     let occupancy = packed as f64 / passes as f64;
     assert!(
         occupancy >= 8.0,

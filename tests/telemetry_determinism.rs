@@ -158,11 +158,16 @@ fn campaign_drives_publish_pinned_metric_names() {
         counters,
         [
             "campaign.bit_population",
+            "campaign.convergence_deferred.fate_split",
+            "campaign.convergence_deferred.hvf",
+            "campaign.convergence_deferred.state",
+            "campaign.convergence_deferred.taint",
             "campaign.convergence_exits",
             "campaign.crash",
             "campaign.early_terminated",
             "campaign.golden_exec_cycles",
             "campaign.ladder_build_ns",
+            "campaign.ladder_bytes",
             "campaign.ladder_rungs",
             "campaign.lane_forks",
             "campaign.lane_passes",
