@@ -6,7 +6,7 @@ use crate::fault::{FaultKind, FaultMask, FaultModel, MaskGenerator};
 pub use crate::ladder::Ladder;
 use crate::ladder::{build_timed, record_prefix, select_base, Base, Freeze, RunState, FROZEN_RUNGS};
 use crate::stats::{error_margin, CONFIDENCE};
-use marvel_cpu::{CoreStats, FaultFate, LaneEvent, TraceMode, MAX_LANES};
+use marvel_cpu::{each_lane, CoreStats, FaultFate, ForkCause, TraceMode, MAX_LANES};
 use marvel_soc::{RunOutcome, RungView, SysEvent, System, Target};
 use marvel_telemetry::{
     Attribution, Event, FlightDump, FlightRecorder, PhaseId, ProgressMeter, Registry, Scope,
@@ -170,7 +170,7 @@ pub struct CampaignConfig {
     pub dsa_engine: DsaEngine,
     /// Lane-packed execution width for CPU campaigns: up to this many
     /// single-bit transient faults on the same target and ladder segment
-    /// share one golden pass as bit-plane lanes, each forked out to an
+    /// share one golden pass as lanes, each forked out to an
     /// ordinary scalar run the moment its divergence could touch control
     /// flow, a memory address or store data. `0` disables packing (the
     /// scalar oracle); values are clamped to `2..=64`. Records are
@@ -1025,8 +1025,18 @@ pub(crate) fn claim_order(masks: &[FaultMask], skip: &[bool], laddered: bool) ->
 // lane-packed execution
 // ----------------------------------------------------------------------
 
+/// `campaign.lane_forks.<cause>`: why lane passes handed lanes back for
+/// scalar re-runs, one per engine [`ForkCause`] in its order, then
+/// `unfinished` for a lane handed back without an engine fork (not yet
+/// armed at the halt, or any lane at the trap/watchdog escape). They sum
+/// to `campaign.lane_forks`.
+fn lane_fork_metrics() -> Vec<String> {
+    let causes = ForkCause::ALL.iter().map(|c| c.name()).chain(["unfinished"]);
+    causes.map(|c| format!("campaign.lane_forks.{c}")).collect()
+}
+
 /// Effective lane width: `0`/`1` disable packing, everything else clamps
-/// to the bit-plane word width.
+/// to the lane mask width.
 fn effective_lane_width(cc: &CampaignConfig) -> usize {
     if cc.lane_width < 2 {
         0
@@ -1144,20 +1154,22 @@ struct LaneRun {
     /// Mask index in the campaign order.
     idx: usize,
     inject: u64,
-    armed: bool,
     /// Next early-termination fate-poll cycle (mirrors the scalar run's
     /// `inject + 256`, then `+1024` cadence, so a lane retired by the
     /// poll reports the exact cycle count the scalar run would).
     check_at: u64,
-    /// Retired in-pass or handed to a scalar re-run.
-    done: bool,
 }
 
+/// A lane a pass hands back for a scalar re-run, with the engine's
+/// [`ForkCause`], or `None` when it hands the lane back without an engine
+/// fork (`unfinished`).
+type HandBack = (usize, Option<ForkCause>);
+
 /// Execute one lane pass: run the shared golden control flow once from
-/// the pack's base rung, arming each mask as a bit-plane lane at its
-/// injection cycle. Lanes retire in place through the same shortcuts as
-/// scalar runs (arm-time early termination, fate-poll early termination,
-/// rung convergence, halt) with identical records; lanes whose divergence
+/// the pack's base rung, arming each mask as a lane at its injection
+/// cycle. Lanes retire in place through the same shortcuts as scalar runs
+/// (arm-time early termination, fate-poll early termination, rung
+/// convergence, halt) with identical records; lanes whose divergence
 /// reaches beyond the data plane fork out and are returned for ordinary
 /// scalar re-runs. Pushes `(mask index, record)` pairs for every lane
 /// retired in-pass onto `out`.
@@ -1171,7 +1183,7 @@ fn run_lane_pass(
     ctx: Option<&mut WorkerCtx<System>>,
     lane: &mut SpanLane,
     out: &mut Vec<(usize, RunRecord)>,
-) -> Vec<usize> {
+) -> Vec<HandBack> {
     debug_assert!((2..=MAX_LANES).contains(&pack.len()));
     let tel = &cc.telemetry;
     let target = masks[pack[0]].target;
@@ -1199,72 +1211,46 @@ fn run_lane_pass(
 
     let mut lanes: Vec<LaneRun> = pack
         .iter()
-        .map(|&i| LaneRun {
-            idx: i,
-            inject: inject_of(i),
-            armed: false,
-            check_at: u64::MAX,
-            done: false,
+        .map(|&i| {
+            let inject = inject_of(i);
+            LaneRun { idx: i, inject, check_at: inject + 256 }
         })
         .collect();
-    let mut forked: Vec<usize> = Vec::new();
-    let mut diverged: u64 = 0;
-    let mut remaining = lanes.len();
+    let all = u64::MAX >> (MAX_LANES - lanes.len());
+    // Lane masks of the pass: armed so far, and retired in-pass or handed
+    // back. An armed lane that is not done rides the pass.
+    let (mut armed, mut done) = (0u64, 0u64);
+    let mut forked: Vec<HandBack> = Vec::new();
     let mut deferred = [0u64; Deferral::ALL.len()];
 
     sys.lane_begin();
     lane.enter(PhaseId::SimStepLane);
-
-    // Arm every lane due at `sys.cycle` — mirrors the scalar prefix loop
-    // (`while cycle < inject { tick }` then flip), including the
-    // immediate early termination of a flip landing in an invalid entry.
-    #[allow(clippy::too_many_arguments)]
-    fn arm_due(
-        sys: &mut System,
-        lanes: &mut [LaneRun],
-        masks: &[FaultMask],
-        target: Target,
-        cc: &CampaignConfig,
-        golden: &Golden,
-        out: &mut Vec<(usize, RunRecord)>,
-        remaining: &mut usize,
-    ) {
+    let mut halted = false;
+    loop {
+        // Arm every lane due at `sys.cycle` — mirrors the scalar prefix
+        // loop (`while cycle < inject { tick }` then flip), including the
+        // immediate early termination of a flip landing in an invalid
+        // entry.
         let now = sys.cycle;
-        for (l, lr) in lanes.iter_mut().enumerate() {
-            if lr.armed || lr.inject != now {
-                continue;
-            }
-            lr.armed = true;
-            lr.check_at = now + 256;
+        for (l, lr) in lanes.iter().enumerate().filter(|(_, lr)| lr.inject == now) {
+            armed |= 1 << l;
             let fate = sys.lane_arm(l as u8, target, masks[lr.idx].bits[0]);
             if cc.early_termination && fate.is_masked_early() {
-                lr.done = true;
-                *remaining -= 1;
+                done |= 1 << l;
                 out.push((lr.idx, lane_record(cc, now - golden.ckpt_cycle, true, false, false)));
             }
         }
-    }
-
-    arm_due(sys, &mut lanes, masks, target, cc, golden, out, &mut remaining);
-    let mut halted = false;
-    while remaining > 0 {
-        let ev = sys.tick();
-        // Divergence monitor first: forks triggered by this very tick
-        // leave the pass before any retirement below could misclaim them.
-        for e in sys.lane_drain_events() {
-            match e {
-                LaneEvent::Fork(l) => {
-                    let lr = &mut lanes[l as usize];
-                    if !lr.done {
-                        lr.done = true;
-                        remaining -= 1;
-                        forked.push(lr.idx);
-                    }
-                }
-                LaneEvent::Diverged(l) => diverged |= 1u64 << l,
-                LaneEvent::Fate(..) => {}
-            }
+        if done == all {
+            break;
         }
+        let ev = sys.tick();
+        // Divergence monitor first: a lane forked during this very tick
+        // leaves the pass before any retirement below could misclaim it.
+        // From here on every riding lane is live.
+        let eng = sys.lane_engine().expect("pass engine armed");
+        let left = armed & !done & !eng.live;
+        done |= left;
+        forked.extend(each_lane(left).map(|l| (lanes[l].idx, eng.fork_causes[l])));
         match ev {
             SysEvent::Halted => {
                 halted = true;
@@ -1290,11 +1276,8 @@ fn run_lane_pass(
             if cc.convergence_exit {
                 let eng = sys.lane_engine().expect("pass engine armed");
                 let diffs = eng.diffs_live();
-                let mut cand: Vec<usize> = Vec::new();
-                for (li, lr) in lanes.iter().enumerate() {
-                    if lr.done || !lr.armed || eng.live & (1u64 << li) == 0 {
-                        continue;
-                    }
+                let mut cand = 0u64;
+                for li in each_lane(armed & !done) {
                     let fate = eng.fates[li];
                     let diff_alive =
                         diffs & (1u64 << li) != 0 || (cache_target && fate == FaultFate::Pending);
@@ -1302,50 +1285,47 @@ fn run_lane_pass(
                     // trace, then the fate split — a dead fault with early
                     // termination on exits at the fate poll, which reports
                     // the shorter cycle count — then the lane's state.
-                    let deferral = if cc.collect_hvf && diverged & (1u64 << li) != 0 {
+                    let deferral = if cc.collect_hvf && eng.diverged & (1u64 << li) != 0 {
                         Deferral::Hvf
                     } else if cc.early_termination && fate.is_masked_early() {
                         Deferral::FateSplit
                     } else if diff_alive {
                         Deferral::State
                     } else {
-                        cand.push(li);
+                        cand |= 1 << li;
                         continue;
                     };
                     deferred[deferral as usize] += 1;
                 }
-                if !cand.is_empty() {
+                if cand != 0 {
                     lane.enter(PhaseId::ConvergenceDiff);
                     let golden_matches =
                         sys.state_converged(RungView::new(&golden.ckpt, Some(&rung.state)));
                     lane.exit(PhaseId::ConvergenceDiff);
                     if golden_matches {
-                        for li in cand {
-                            let lr = &mut lanes[li];
-                            lr.done = true;
-                            remaining -= 1;
-                            out.push((lr.idx, lane_record(cc, golden.exec_cycles, false, true, false)));
-                        }
+                        done |= cand;
+                        out.extend(each_lane(cand).map(|li| {
+                            (lanes[li].idx, lane_record(cc, golden.exec_cycles, false, true, false))
+                        }));
                     } else {
-                        deferred[Deferral::State as usize] += cand.len() as u64;
+                        deferred[Deferral::State as usize] += cand.count_ones() as u64;
                     }
                 }
             }
         }
         // Early-termination fate polls, on each lane's own scalar cadence.
         if cc.early_termination {
-            let (fates, live) = {
-                let eng = sys.lane_engine().expect("pass engine armed");
-                (eng.fates, eng.live)
-            };
-            for (li, lr) in lanes.iter_mut().enumerate() {
-                if lr.done || !lr.armed || sys.cycle < lr.check_at || live & (1u64 << li) == 0 {
+            let eng = sys.lane_engine().expect("pass engine armed");
+            for li in each_lane(armed & !done) {
+                let lr = &mut lanes[li];
+                if sys.cycle < lr.check_at {
                     continue;
                 }
                 lr.check_at = sys.cycle + 1024;
-                if fates[li].is_masked_early() && !(cc.collect_hvf && diverged & (1u64 << li) != 0) {
-                    lr.done = true;
-                    remaining -= 1;
+                if eng.fates[li].is_masked_early()
+                    && !(cc.collect_hvf && eng.diverged & (1u64 << li) != 0)
+                {
+                    done |= 1 << li;
                     out.push((
                         lr.idx,
                         lane_record(cc, sys.cycle - golden.ckpt_cycle, true, false, false),
@@ -1353,7 +1333,6 @@ fn run_lane_pass(
                 }
             }
         }
-        arm_due(sys, &mut lanes, masks, target, cc, golden, out, &mut remaining);
     }
     lane.exit(PhaseId::SimStepLane);
 
@@ -1364,37 +1343,17 @@ fn run_lane_pass(
         // HVF Corruption exactly for lanes that committed a corrupt
         // result along the way.
         debug_assert_eq!(sys.bus.console, golden.output, "live lanes must replay golden output");
-        for (li, lr) in lanes.iter_mut().enumerate() {
-            if lr.done {
-                continue;
-            }
-            lr.done = true;
-            remaining -= 1;
-            if lr.armed {
-                out.push((
-                    lr.idx,
-                    lane_record(
-                        cc,
-                        sys.cycle - golden.ckpt_cycle,
-                        false,
-                        false,
-                        diverged & (1u64 << li) != 0,
-                    ),
-                ));
-            } else {
-                forked.push(lr.idx);
-            }
-        }
-    } else {
-        // Trap/watchdog escape (defensive — golden execution does
-        // neither): every unfinished lane re-runs scalar.
-        for lr in lanes.iter_mut().filter(|lr| !lr.done) {
-            lr.done = true;
-            remaining -= 1;
-            forked.push(lr.idx);
-        }
+        let diverged = sys.lane_engine().expect("pass engine armed").diverged;
+        let cycles = sys.cycle - golden.ckpt_cycle;
+        out.extend(each_lane(armed & !done).map(|li| {
+            (lanes[li].idx, lane_record(cc, cycles, false, false, diverged & (1u64 << li) != 0))
+        }));
+        done |= armed;
     }
-    debug_assert_eq!(remaining, 0);
+    // Every unfinished lane re-runs scalar: one not yet armed at the halt,
+    // or any lane at the trap/watchdog escape (defensive — golden
+    // execution does neither).
+    forked.extend(each_lane(all & !done).map(|li| (lanes[li].idx, None)));
     sys.lane_end();
     for (d, n) in Deferral::ALL.into_iter().zip(deferred) {
         d.count(&tel.registry, n);
@@ -1648,11 +1607,17 @@ pub fn drive_masks(
     // cost, never results (the lane differential test pins this).
     let units = build_units(masks, &order, ladder, cc);
     let reg = &cc.telemetry.registry;
-    // Registered up front, so drives where no run defers export them too.
-    Deferral::ALL.iter().for_each(|d| drop(reg.counter(d.metric())));
+    // Registered up front, so drives where no run defers or no lane forks
+    // export them too.
+    let fork_metrics = lane_fork_metrics();
+    Deferral::ALL
+        .iter()
+        .map(|d| d.metric())
+        .chain(fork_metrics.iter().map(String::as_str))
+        .for_each(|m| drop(reg.counter(m)));
     let lane_occupancy = reg.histogram("campaign.lane_occupancy");
-    let (lane_passes, lane_packed, lane_forks) =
-        (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+    let (lane_passes, lane_packed) = (AtomicU64::new(0), AtomicU64::new(0));
+    let lane_forks: [AtomicU64; ForkCause::ALL.len() + 1] = Default::default();
     let dirty = cc.reset_mode == ResetMode::Dirty;
     let run_unit = |unit: &Unit,
                     ctx: &mut WorkerCtx<System>,
@@ -1679,14 +1644,15 @@ pub fn drive_masks(
             lane.end_run();
             lane_passes.fetch_add(1, Ordering::Relaxed);
             lane_packed.fetch_add(pack.len() as u64, Ordering::Relaxed);
-            lane_forks.fetch_add(fk.len() as u64, Ordering::Relaxed);
             if let Some(h) = &lane_occupancy {
                 h.record(pack.len() as u64);
             }
             // Forked lanes fall back to ordinary scalar runs — same mask,
             // same worker context, same record the pure scalar path would
             // produce.
-            for i in fk {
+            for (i, cause) in fk {
+                lane_forks[cause.map_or(ForkCause::ALL.len(), |c| c as usize)]
+                    .fetch_add(1, Ordering::Relaxed);
                 lane.enter(PhaseId::LaneFork);
                 lane.begin_run(i as u64);
                 let c = dirty.then_some(&mut *ctx);
@@ -1703,7 +1669,11 @@ pub fn drive_masks(
     let scope = Scope::new("campaign");
     reg.publish_scoped(&scope, "lane_passes", lane_passes.into_inner());
     reg.publish_scoped(&scope, "lane_runs_packed", lane_packed.into_inner());
-    reg.publish_scoped(&scope, "lane_forks", lane_forks.into_inner());
+    let forks = lane_forks.map(AtomicU64::into_inner);
+    reg.publish_scoped(&scope, "lane_forks", forks.iter().sum());
+    for (m, n) in fork_metrics.iter().zip(forks) {
+        reg.publish(m, n);
+    }
     outcome
 }
 

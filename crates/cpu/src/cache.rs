@@ -110,7 +110,7 @@ struct Armed {
 /// mutated — the pass runs pure golden execution and this entry only
 /// watches for the access that would make the scalar run diverge.
 #[derive(Debug, Clone, Copy)]
-struct LaneArmed {
+struct LaneMonitor {
     lane: u8,
     set: usize,
     way: usize,
@@ -118,17 +118,19 @@ struct LaneArmed {
     fate: FaultFate,
 }
 
-/// Events the lane monitor reports to the campaign pass driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheLaneEvent {
-    /// The armed byte was consumed while the flip was still live: a
-    /// scalar run would have seen corrupt data here (read overlap), or
-    /// would have written the flipped byte downstream (dirty eviction).
-    /// The lane can no longer ride the golden pass and must fork.
-    Fork(u8),
-    /// Fate transition that keeps the lane packed (the flip died without
-    /// ever being observed: clean overwrite or clean refill).
-    Fate(u8, FaultFate),
+/// Lanes whose monitor fired since the core last folded them into the
+/// lane engine.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LaneMasks {
+    /// The armed byte was read while the flip was still live: a scalar
+    /// run would have seen corrupt data here. The lane must fork.
+    pub read: u64,
+    /// A dirty victim carried the flipped byte downstream. The lane must
+    /// fork.
+    pub evicted: u64,
+    /// The flip died unobserved (clean overwrite or clean refill): the
+    /// lane stays packed.
+    pub overwritten: u64,
 }
 
 /// One cache level.
@@ -147,8 +149,8 @@ pub struct Cache {
     armed: Option<Armed>,
     /// Lane-packed armed bits (campaign lane passes). Empty in scalar
     /// runs, so the hot-path hook is a single `is_empty` test.
-    lane_armed: Vec<LaneArmed>,
-    lane_events: Vec<CacheLaneEvent>,
+    lane_monitors: Vec<LaneMonitor>,
+    lane_fired: LaneMasks,
     pub hits: u64,
     pub misses: u64,
     /// marvel-taint shadow plane: one shadow byte array per line
@@ -177,8 +179,8 @@ impl Cache {
             plru: vec![0; sets],
             stuck: Vec::new(),
             armed: None,
-            lane_armed: Vec::new(),
-            lane_events: Vec::new(),
+            lane_monitors: Vec::new(),
+            lane_fired: LaneMasks::default(),
             hits: 0,
             misses: 0,
             shadow: Vec::new(),
@@ -326,7 +328,7 @@ impl Cache {
                 a.fate = FaultFate::Overwritten;
             }
         }
-        if !self.lane_armed.is_empty() {
+        if !self.lane_monitors.is_empty() {
             // A clean victim discards the flip with the line (the pass's
             // golden fill data is the scalar run's fill data — addresses
             // and PLRU are identical for live lanes). A dirty victim is
@@ -336,14 +338,14 @@ impl Cache {
                 let l = &self.lines[self.idx(set, way)];
                 l.valid && l.dirty
             };
-            for a in &mut self.lane_armed {
+            for a in &mut self.lane_monitors {
                 if a.fate == FaultFate::Pending && a.set == set && a.way == way {
                     if dirty_escape {
                         a.fate = FaultFate::Read;
-                        self.lane_events.push(CacheLaneEvent::Fork(a.lane));
+                        self.lane_fired.evicted |= 1 << a.lane;
                     } else {
                         a.fate = FaultFate::Overwritten;
-                        self.lane_events.push(CacheLaneEvent::Fate(a.lane, FaultFate::Overwritten));
+                        self.lane_fired.overwritten |= 1 << a.lane;
                     }
                 }
             }
@@ -400,7 +402,7 @@ impl Cache {
                 a.fate = if is_write { FaultFate::Overwritten } else { FaultFate::Read };
             }
         }
-        if !self.lane_armed.is_empty() {
+        if !self.lane_monitors.is_empty() {
             self.note_lane_access(set, way, off, n, is_write);
         }
     }
@@ -411,7 +413,7 @@ impl Cache {
     /// place and the lane stays packed. A read overlap is the moment the
     /// scalar run would have consumed the corrupt byte: the lane forks.
     fn note_lane_access(&mut self, set: usize, way: usize, off: usize, n: usize, is_write: bool) {
-        for a in &mut self.lane_armed {
+        for a in &mut self.lane_monitors {
             if a.fate == FaultFate::Pending
                 && a.set == set
                 && a.way == way
@@ -420,10 +422,10 @@ impl Cache {
             {
                 if is_write {
                     a.fate = FaultFate::Overwritten;
-                    self.lane_events.push(CacheLaneEvent::Fate(a.lane, FaultFate::Overwritten));
+                    self.lane_fired.overwritten |= 1 << a.lane;
                 } else {
                     a.fate = FaultFate::Read;
-                    self.lane_events.push(CacheLaneEvent::Fork(a.lane));
+                    self.lane_fired.read |= 1 << a.lane;
                 }
             }
         }
@@ -493,19 +495,19 @@ impl Cache {
         let (set, way, byte, _) = self.locate(bit);
         let valid = self.lines[self.idx(set, way)].valid;
         let fate = if valid { FaultFate::Pending } else { FaultFate::InvalidAtInjection };
-        self.lane_armed.push(LaneArmed { lane, set, way, byte, fate });
+        self.lane_monitors.push(LaneMonitor { lane, set, way, byte, fate });
         fate
     }
 
-    /// Drop all lane monitors and queued events (pass teardown).
+    /// Drop all lane monitors and their fired masks (pass teardown).
     pub fn lane_clear(&mut self) {
-        self.lane_armed.clear();
-        self.lane_events.clear();
+        self.lane_monitors.clear();
+        self.lane_fired = LaneMasks::default();
     }
 
-    /// Drain events queued since the last call.
-    pub fn drain_lane_events(&mut self) -> Vec<CacheLaneEvent> {
-        std::mem::take(&mut self.lane_events)
+    /// Take the lanes whose monitor fired since the last call.
+    pub(crate) fn take_lane_masks(&mut self) -> LaneMasks {
+        std::mem::take(&mut self.lane_fired)
     }
 
     fn locate(&self, bit: u64) -> (usize, usize, usize, u8) {
@@ -709,8 +711,7 @@ impl Cache {
         self.misses = pristine.misses;
         self.stuck.clone_from(&pristine.stuck);
         self.armed = pristine.armed;
-        self.lane_armed.clear();
-        self.lane_events.clear();
+        self.lane_clear();
         if pristine.shadow.is_empty() {
             self.shadow.clear();
         } else {

@@ -8,10 +8,10 @@
 //! execution, overwrites, cache evictions, decode don't-cares.
 
 use crate::bp::BranchPredictor;
-use crate::cache::{Cache, CacheLaneEvent, CacheLines, CacheSets, FaultFate, RungLines};
+use crate::cache::{Cache, CacheLines, CacheSets, FaultFate, RungLines};
 use crate::config::CoreConfig;
 use crate::dirty::DirtyMarks;
-use crate::lane::{LaneEngine, LaneEvent};
+use crate::lane::{each_lane, ForkCause, LaneEngine};
 use crate::lsq::{LoadQueue, StoreQueue};
 use crate::prf::{FreeList, PhysRegFile, RenameMap};
 use marvel_isa::{AluOp, Isa, MicroOp, Op, Trap, REG_NONE};
@@ -448,20 +448,6 @@ impl Core {
         }
     }
 
-    /// Taint everything an already-armed ROB fault will touch (called by
-    /// the SoC when the taint plane is enabled after `rob_flip_bit`).
-    pub fn seed_rob_taint(&mut self) {
-        if let Some((bit, _)) = self.rob_armed {
-            let slot = bit / 64;
-            let cap = self.cfg.rob_entries as u64;
-            for e in &mut self.rob {
-                if e.seq % cap == slot {
-                    e.result_taint |= 1 << (bit % 64);
-                }
-            }
-        }
-    }
-
     /// The per-run propagation tracer, when taint is enabled.
     pub fn taint_tracer(&self) -> Option<&TaintTracer> {
         self.taint.as_deref().map(|tp| &tp.tracer)
@@ -750,6 +736,23 @@ impl Core {
 
     /// Advance one cycle.
     pub fn tick(&mut self, bus: &mut dyn Bus) -> StepEvent {
+        let ev = self.step(bus);
+        if let Some(le) = self.lanes.as_deref_mut() {
+            // Fold the cache lane monitors in, so the pass reads this
+            // tick's forks and fates from the engine alone.
+            for c in [&mut self.l1i, &mut self.l1d, &mut self.l2] {
+                let m = c.take_lane_masks();
+                le.fork(m.read, ForkCause::CacheRead);
+                le.fork(m.evicted, ForkCause::CacheEvict);
+                le.note_fates(m.overwritten, FaultFate::Overwritten);
+            }
+        }
+        ev
+    }
+
+    /// One cycle of the pipeline: writeback, commit, store drain, issue,
+    /// dispatch, fetch.
+    fn step(&mut self, bus: &mut dyn Bus) -> StepEvent {
         self.cycle += 1;
         self.stats.cycles += 1;
         self.stats.lq_occ_accum += self.lq.occupancy() as u64;
@@ -1509,7 +1512,7 @@ impl Core {
                     // Golden divided by zero here: an operand diff could
                     // turn the trap into a value (or vice versa) — the
                     // data-flow overlay cannot express that.
-                    le.fork(dam | dbm);
+                    le.fork(dam | dbm, ForkCause::Trap);
                     return;
                 }
                 let (diff, nz) = if matches!(ent.uop.op, Op::Alu(_)) {
@@ -1523,10 +1526,7 @@ impl Core {
                 let keep = !(0xFFFFu64 << sh);
                 let mut diff = [0u64; 64];
                 let mut nz = 0u64;
-                let mut m = dam & le.live;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
+                for l in each_lane(dam & le.live) {
                     diff[l] = da[l] & keep;
                     if diff[l] != 0 {
                         nz |= 1 << l;
@@ -1538,22 +1538,16 @@ impl Core {
             // diff can flow in.
             Op::LoadImm | Op::Auipc | Op::LinkAddr | Op::Jal => {}
             // Any diff on the target register moves the jump target.
-            Op::Jalr => le.fork(dam),
+            Op::Jalr => le.fork(dam, ForkCause::Jump),
             Op::Branch(c) => {
                 // Fork exactly the lanes whose branch outcome flips; a
                 // diff that leaves the decision unchanged never escapes
                 // (branches produce no result).
                 let golden_taken = c.eval(a, b);
-                let mut forkm = 0u64;
-                let mut m = (dam | dbm) & le.live;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if c.eval(a ^ da[l], b ^ db[l]) != golden_taken {
-                        forkm |= 1 << l;
-                    }
-                }
-                le.fork(forkm);
+                let flips = each_lane((dam | dbm) & le.live)
+                    .filter(|&l| c.eval(a ^ da[l], b ^ db[l]) != golden_taken)
+                    .fold(0, |m, l| m | 1 << l);
+                le.fork(flips, ForkCause::Branch);
             }
             // Nothing else reaches issue_alu with register operands.
             _ => {}
@@ -1616,7 +1610,7 @@ impl Core {
             if ent.uop.reg_offset && ent.psrc[1] != PNONE {
                 m |= le.reg_mask(false, ent.psrc[1]);
             }
-            le.fork(m);
+            le.fork(m, ForkCause::Address);
         }
 
         let (w, is_load) = match ent.uop.op {
@@ -1721,7 +1715,7 @@ impl Core {
                 // Diverged store data would land in golden memory.
                 if ent.psrc[2] != PNONE {
                     let m = le.reg_mask(false, ent.psrc[2]);
-                    le.fork(m);
+                    le.fork(m, ForkCause::StoreData);
                 }
             }
             let data_taint = if self.taint.is_some() {
@@ -2193,10 +2187,6 @@ impl Core {
         self.commit_log = Some(Vec::new());
     }
 
-    pub fn commit_effects_enabled(&self) -> bool {
-        self.commit_log.is_some()
-    }
-
     /// Take the effects committed since the previous drain.
     pub fn drain_commit_effects(&mut self) -> Vec<CommitEffect> {
         self.commit_log.as_mut().map(std::mem::take).unwrap_or_default()
@@ -2342,22 +2332,8 @@ impl Core {
         let le = self.lanes.as_deref_mut().expect("lane_begin before cache arming");
         le.arm_cache(lane);
         if fate != FaultFate::Pending {
-            le.note_fate(lane, fate);
+            le.note_fates(1 << lane, fate);
         }
-    }
-
-    /// Drain lane events from the overlay and every cache monitor.
-    pub fn lane_drain_events(&mut self) -> Vec<LaneEvent> {
-        let Some(le) = self.lanes.as_deref_mut() else { return Vec::new() };
-        for c in [&mut self.l1i, &mut self.l1d, &mut self.l2] {
-            for ev in c.drain_lane_events() {
-                match ev {
-                    CacheLaneEvent::Fork(l) => le.fork(1u64 << l),
-                    CacheLaneEvent::Fate(l, f) => le.note_fate(l, f),
-                }
-            }
-        }
-        le.drain_events()
     }
 
     /// Access the speculative rename map (fault-injection target).

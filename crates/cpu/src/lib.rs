@@ -27,9 +27,9 @@ pub mod testbus;
 pub use crate::core::{
     Bus, CommitEffect, CommitRecord, Core, CoreDirtyMarks, CoreStats, StepEvent, TraceMode,
 };
-pub use cache::{Cache, CacheLaneEvent, CacheLines, CacheSets, FaultFate, RungLines};
+pub use cache::{Cache, CacheLines, CacheSets, FaultFate, RungLines};
 pub use config::{CacheConfig, CoreConfig};
 pub use dirty::{DirtyMap, DirtyMarks};
-pub use lane::{LaneEngine, LaneEvent, LanePlane, MAX_LANES};
+pub use lane::{each_lane, ForkCause, LaneEngine, MAX_LANES};
 pub use lsq::{LoadQueue, StoreQueue};
 pub use prf::{FreeList, PhysRegFile, RenameMap};

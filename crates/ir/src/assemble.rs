@@ -20,7 +20,8 @@ pub struct Binary {
     pub image: Vec<u8>,
     /// Entry point (== [`RAM_BASE`]; the synthesised `_start`).
     pub entry: u64,
-    /// Length of the code portion of `image` in bytes.
+    /// Length of the code portion of `image` in bytes: the static code
+    /// footprint, the paper's L1I-residency driver.
     pub code_len: usize,
     /// Absolute address of each function (same indexing as the module).
     pub func_addrs: Vec<u64>,
@@ -28,13 +29,6 @@ pub struct Binary {
     pub global_addrs: Vec<u64>,
     /// Number of machine instructions emitted.
     pub inst_count: usize,
-}
-
-impl Binary {
-    /// Static code footprint in bytes (the paper's L1I-residency driver).
-    pub fn code_size(&self) -> usize {
-        self.code_len
-    }
 }
 
 /// Compile a module for an ISA: validate → lower → lay out → encode.

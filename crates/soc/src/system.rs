@@ -8,7 +8,7 @@ use crate::isr::build_isr;
 use marvel_accel::{AccelSite, MemRef};
 use marvel_cpu::{
     Bus, CacheSets, Core, CoreConfig, CoreDirtyMarks, DirtyMap, DirtyMarks, FaultFate, LaneEngine,
-    LaneEvent, RungLines, StepEvent, TraceMode,
+    RungLines, StepEvent, TraceMode,
 };
 use marvel_ir::memmap::{
     ACCEL_MMR_BASE, ACCEL_MMR_STRIDE, CONSOLE_ADDR, IRQ_CTRL_BASE, IRQ_CTRL_SIZE, IRQ_VECTOR, RAM_BASE,
@@ -882,9 +882,9 @@ impl System {
     // lane-packed injection surface
     // ------------------------------------------------------------------
 
-    /// True when `t` supports bit-plane lane packing: single-bit transients
-    /// on these structures leave golden control flow, memory addressing and
-    /// timing untouched until the divergence monitor forks the lane out.
+    /// True when `t` supports lane packing: single-bit transients on these
+    /// structures leave golden control flow, memory addressing and timing
+    /// untouched until the divergence monitor forks the lane out.
     pub fn lane_packable(t: Target) -> bool {
         matches!(
             t,
@@ -932,13 +932,9 @@ impl System {
         }
     }
 
-    /// Drain lane fork/fate/divergence events accumulated since the last
-    /// drain (including cache-monitor events folded through the core).
-    pub fn lane_drain_events(&mut self) -> Vec<LaneEvent> {
-        self.core.lane_drain_events()
-    }
-
-    /// The live lane-divergence overlay, when armed.
+    /// The live lane-divergence overlay, when armed: after every tick its
+    /// `live`, `fates` and `diverged` masks hold that tick's forks
+    /// (cache monitors folded in), fate latches and trace divergences.
     pub fn lane_engine(&self) -> Option<&LaneEngine> {
         self.core.lane_engine()
     }

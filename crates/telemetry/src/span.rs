@@ -52,7 +52,7 @@ pub enum PhaseId {
     /// Post-injection cycle-level CPU simulation to a terminal outcome.
     SimStepCpu,
     /// Lane-packed CPU pass: one shared golden execution carrying up to
-    /// 64 bit-plane fault lanes, retiring them in place.
+    /// 64 fault lanes, retiring them in place.
     SimStepLane,
     /// A lane left its pass (divergence reached control flow, a memory
     /// address, store data or a corrupt byte was read) and is handed to
@@ -281,11 +281,6 @@ impl SpanCollector {
 
     pub fn is_enabled(&self) -> bool {
         self.shared.is_some()
-    }
-
-    /// Microseconds since the collector was created. 0 when disabled.
-    pub fn uptime_us(&self) -> u64 {
-        self.shared.as_ref().map_or(0, |s| s.epoch.elapsed().as_micros() as u64)
     }
 
     /// Open a span lane for one worker thread. Lanes from a disabled

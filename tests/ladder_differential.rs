@@ -7,7 +7,8 @@
 
 use gem5_marvel::core::{
     attribution_by_structure, attribution_csv, attribution_jsonl, csv_row, run_campaign,
-    run_dsa_campaign, CampaignConfig, DsaGolden, Golden, TelemetryConfig, CSV_HEADER,
+    run_dsa_campaign, run_dsa_masks, CampaignConfig, DsaGolden, FaultKind, Golden, MaskGenerator,
+    RunRecord, TelemetryConfig, CSV_HEADER, DSA_GOLDEN_BUDGET,
 };
 use gem5_marvel::cpu::CoreConfig;
 use gem5_marvel::ir::assemble;
@@ -64,6 +65,12 @@ fn cpu_exports_byte_identical_with_ladder_and_convergence() {
     }
 }
 
+/// A DSA record as the oracle can reproduce it (a ladderless run never
+/// converges, so `converged` is left out).
+fn dsa_row(r: &RunRecord) -> String {
+    format!("{:?},{:?},{},{}\n", r.effect, r.trap, r.cycles, r.early_terminated)
+}
+
 #[test]
 fn dsa_exports_byte_identical_with_ladder_and_convergence() {
     let d = accel::design("FFT");
@@ -71,11 +78,7 @@ fn dsa_exports_byte_identical_with_ladder_and_convergence() {
     let target = d.components[0].target;
     let export = |rungs, conv, workers| {
         let res = run_dsa_campaign(&g, target, &config(rungs, conv, workers));
-        let mut out: String = res
-            .records
-            .iter()
-            .map(|r| format!("{:?},{:?},{},{}\n", r.effect, r.trap, r.cycles, r.early_terminated))
-            .collect();
+        let mut out: String = res.records.iter().map(dsa_row).collect();
         if let Some(map) = attribution_by_structure(&res.records) {
             out.push_str(&attribution_csv(&map));
             out.push_str(&attribution_jsonl(&map));
@@ -92,4 +95,33 @@ fn dsa_exports_byte_identical_with_ladder_and_convergence() {
             );
         }
     }
+}
+
+/// A DSA worker that moves to a rung it did not write. One worker takes
+/// every run, on the shipped ladder and exit, and SPMV's VAL transients
+/// land in the last two ninths of the run: the worker's first run starts
+/// from a late rung, and none of its own writes covers the SPM bytes the
+/// golden run wrote before that rung. (The FFT cell above cannot see
+/// this: its first run starts at the checkpoint, and each of its runs
+/// writes past the next rung.) Runs that end by early termination would
+/// not see it either, since that decision reads only the fault's fate.
+#[test]
+fn dsa_worker_moves_to_a_rung_it_did_not_write() {
+    let d = accel::design("SPMV");
+    let g = DsaGolden::prepare((d.make)(FuConfig::default()), DSA_GOLDEN_BUDGET);
+    let target = d.components[0].target;
+    let n = 32;
+    let masks = MaskGenerator::new(0x5EED).single_bit(
+        target,
+        g.harness.bit_len(target),
+        FaultKind::Transient,
+        g.cycles * 7 / 9..g.cycles,
+        n,
+    );
+    let rows = |cc: &CampaignConfig| -> String {
+        run_dsa_masks(&g, target, &masks, cc).records.iter().map(dsa_row).collect()
+    };
+    let shipped = CampaignConfig { n_faults: n, workers: 1, ..Default::default() };
+    let oracle = CampaignConfig { ladder_rungs: 0, ..shipped.clone() };
+    assert_eq!(rows(&oracle), rows(&shipped));
 }

@@ -303,8 +303,13 @@ fn lane_packing_sustains_occupancy_and_bounded_forks() {
     assert!(packed >= n as u64 * 3 / 4, "only {packed} of {n} eligible runs were lane-packed");
     // Mean lanes per pass: packs group by the 9 segments of 8 rungs
     // placed over the shipped 32-rung ladder, so ~n/9 ≈ 10.7 lanes share
-    // each pass; 8 is far above the ~2-lane break-even of a shared
-    // golden pass.
+    // each pass. A shared golden pass breaks even with scalar runs
+    // somewhere between about 4 and 12 lanes: on the six packable
+    // `cpu_transient` campaigns (`marvel campaign`, 2 workers, whole-command
+    // wall time with ~2.9 s of golden prep, alternating runs), 36 faults
+    // (~4 lanes per pass) took 6.00 s with lanes and 5.56 s scalar, while
+    // 108 faults took 8.41 s with lanes and 10.75 s scalar. The floor of 8
+    // keeps packs out of the losing end of that range.
     let occupancy = packed as f64 / passes as f64;
     assert!(
         occupancy >= 8.0,
@@ -314,6 +319,12 @@ fn lane_packing_sustains_occupancy_and_bounded_forks() {
     // campaign is overwhelmingly masked, so at most a quarter of packed
     // lanes may leave their pass for a scalar re-run.
     assert!(forks * 4 <= packed, "{forks} of {packed} packed lanes forked to scalar re-runs");
+    // Every fork is counted under exactly one cause.
+    let causes =
+        ["trap", "jump", "branch", "address", "store_data", "cache_read", "cache_evict", "unfinished"];
+    let by_cause: u64 =
+        causes.iter().map(|c| registry.counter(&format!("campaign.lane_forks.{c}")).get()).sum();
+    assert_eq!(by_cause, forks, "fork causes must sum to campaign.lane_forks");
 }
 
 /// Elementwise OUT[i] = IN[i] * 3 over `n` elements — a workload where a

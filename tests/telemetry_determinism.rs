@@ -170,6 +170,14 @@ fn campaign_drives_publish_pinned_metric_names() {
             "campaign.ladder_bytes",
             "campaign.ladder_rungs",
             "campaign.lane_forks",
+            "campaign.lane_forks.address",
+            "campaign.lane_forks.branch",
+            "campaign.lane_forks.cache_evict",
+            "campaign.lane_forks.cache_read",
+            "campaign.lane_forks.jump",
+            "campaign.lane_forks.store_data",
+            "campaign.lane_forks.trap",
+            "campaign.lane_forks.unfinished",
             "campaign.lane_passes",
             "campaign.lane_runs_packed",
             "campaign.masked",
