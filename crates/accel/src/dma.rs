@@ -106,48 +106,38 @@ impl DmaEngine {
         let mem_lo = job.mem_off + self.progress;
         match job.dir {
             DmaDir::ToSram => {
-                let chunk = ram[ram_lo..ram_lo + n].to_vec();
-                if accel.mem(job.mem).fill(mem_lo, &chunk).is_none() {
+                if accel.mem(job.mem).fill(mem_lo, &ram[ram_lo..ram_lo + n]).is_none() {
                     return false;
                 }
                 if accel.taint_enabled() {
-                    let zeros;
-                    let sh: &[u8] = match &ram_shadow {
-                        Some(s) if s.len() >= ram_lo + n => &s[ram_lo..ram_lo + n],
-                        _ => {
-                            zeros = vec![0u8; n];
-                            &zeros
-                        }
-                    };
+                    let sh = ram_shadow.as_deref().and_then(|s| s.get(ram_lo..ram_lo + n));
                     let mname = accel.mem_ref(job.mem).kind.name();
-                    accel.mem(job.mem).taint_fill(mem_lo, sh);
-                    if sh.iter().any(|&b| b != 0) {
+                    accel.mem(job.mem).taint_fill(mem_lo, n, sh);
+                    if sh.is_some_and(|s| s.iter().any(|&b| b != 0)) {
                         accel.taint_hop("RAM", mname);
                     }
                 }
             }
-            DmaDir::ToRam => match accel.mem(job.mem).drain(mem_lo, n) {
-                Some(chunk) => {
-                    self.ram_lo = self.ram_lo.min(ram_lo);
-                    self.ram_hi = self.ram_hi.max(ram_lo + n);
-                    ram[ram_lo..ram_lo + n].copy_from_slice(&chunk);
-                    if accel.taint_enabled() {
-                        let sh =
-                            accel.mem_ref(job.mem).taint_drain(mem_lo, n).unwrap_or_else(|| vec![0; n]);
-                        if let Some(rs) = ram_shadow {
-                            if rs.len() >= ram_lo + n {
-                                rs[ram_lo..ram_lo + n].copy_from_slice(&sh);
-                            }
-                        }
-                        if sh.iter().any(|&b| b != 0) {
-                            let mname = accel.mem_ref(job.mem).kind.name();
-                            accel.taint_hop(mname, "RAM");
-                            accel.taint_arch(mname);
+            DmaDir::ToRam => {
+                let Some(chunk) = accel.mem(job.mem).drain(mem_lo, n) else { return false };
+                ram[ram_lo..ram_lo + n].copy_from_slice(chunk);
+                self.ram_lo = self.ram_lo.min(ram_lo);
+                self.ram_hi = self.ram_hi.max(ram_lo + n);
+                if accel.taint_enabled() {
+                    let sh = accel.mem_ref(job.mem).taint_drain(mem_lo, n);
+                    if let Some(rs) = ram_shadow.and_then(|rs| rs.get_mut(ram_lo..ram_lo + n)) {
+                        match sh {
+                            Some(sh) => rs.copy_from_slice(sh),
+                            None => rs.fill(0),
                         }
                     }
+                    if sh.is_some_and(|s| s.iter().any(|&b| b != 0)) {
+                        let mname = accel.mem_ref(job.mem).kind.name();
+                        accel.taint_hop(mname, "RAM");
+                        accel.taint_arch(mname);
+                    }
                 }
-                None => return false,
-            },
+            }
         }
         self.progress += n;
         self.bytes_moved += n as u64;

@@ -121,6 +121,45 @@ pub struct AccelStats {
     pub memo_hits: u64,
     /// Block instances collapsed whole by the warp fast path.
     pub warp_blocks: u64,
+    /// Fresh block instances the warp path declined, indexed by
+    /// [`WarpAbort`] (the first eligibility check that failed).
+    pub warp_aborts: [u64; WarpAbort::ALL.len()],
+}
+
+/// Why the whole-block warp declined a fresh block instance: the first
+/// eligibility check that failed, in check order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarpAbort {
+    /// Control flow is poisoned (a tainted value decided a branch).
+    Ctl,
+    /// No replay is armed, or the run left the golden control path.
+    Misaligned,
+    /// An entry argument carries taint.
+    TaintedArgs,
+    /// The block does not end inside the caller's cycle budget.
+    Budget,
+    /// A load would read a tainted byte at its golden address.
+    TaintedLoad,
+}
+
+impl WarpAbort {
+    pub const ALL: [WarpAbort; 5] = [
+        WarpAbort::Ctl,
+        WarpAbort::Misaligned,
+        WarpAbort::TaintedArgs,
+        WarpAbort::Budget,
+        WarpAbort::TaintedLoad,
+    ];
+
+    pub fn name(self) -> &'static str {
+        match self {
+            WarpAbort::Ctl => "ctl",
+            WarpAbort::Misaligned => "misaligned",
+            WarpAbort::TaintedArgs => "tainted_args",
+            WarpAbort::Budget => "budget",
+            WarpAbort::TaintedLoad => "tainted_load",
+        }
+    }
 }
 
 /// Which stepping strategy [`Accelerator::advance`] uses. The cycle
@@ -149,7 +188,7 @@ struct ReplayCtl {
     aligned: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct BlockExec {
     block: usize,
     args: Vec<u64>,
@@ -192,6 +231,56 @@ impl BlockExec {
     fn taint_quiescent(&self) -> bool {
         self.args_taint.iter().all(|&t| t == 0) && self.vals_taint.iter().all(|&t| t == 0)
     }
+
+    /// Nothing issued or in flight yet.
+    fn fresh(&self, n_nodes: usize) -> bool {
+        self.sched_pos == 0 && self.pending.is_empty() && self.remaining == n_nodes
+    }
+
+    /// Become a copy of `other`, reusing this instance's buffers.
+    fn copy_from(&mut self, other: &BlockExec) {
+        self.block = other.block;
+        self.args.clone_from(&other.args);
+        self.vals.clone_from(&other.vals);
+        self.done.clone_from(&other.done);
+        self.started.clone_from(&other.started);
+        self.pending.clone_from(&other.pending);
+        self.remaining = other.remaining;
+        self.entry_cycle = other.entry_cycle;
+        self.sched_pos = other.sched_pos;
+        self.args_taint.clone_from(&other.args_taint);
+        self.vals_taint.clone_from(&other.vals_taint);
+    }
+}
+
+/// Buffers the per-cycle loops reuse instead of allocating: finished
+/// block instances (the next block entry takes one over; at most two
+/// exist, the running one included, since a terminator fills the next
+/// instance while the last one is still live) and the cycle engine's
+/// per-memory port tally. Scratch, not state: no compare, reset byte
+/// count or clone reads it — a clone starts empty, so ladder rungs and
+/// worker checkpoints never copy it.
+#[derive(Debug, Default)]
+struct Scratch {
+    blocks: Vec<BlockExec>,
+    ports: Vec<usize>,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl Scratch {
+    /// A block instance to fill in: a finished one's buffers.
+    fn take_block(&mut self) -> BlockExec {
+        self.blocks.pop().unwrap_or_default()
+    }
+
+    fn keep_block(&mut self, ex: BlockExec) {
+        self.blocks.push(ex);
+    }
 }
 
 /// A SALAM-style accelerator instance.
@@ -220,6 +309,7 @@ pub struct Accelerator {
     replay: Option<ReplayCtl>,
     /// In-progress golden trace recording (golden prep only).
     recording: Option<Box<GoldenTrace>>,
+    scratch: Scratch,
 }
 
 impl Accelerator {
@@ -250,6 +340,7 @@ impl Accelerator {
             schedule: None,
             replay: None,
             recording: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -341,10 +432,12 @@ impl Accelerator {
         // zeroed planes — the fault-free prefix carries no taint.
         if let Some(ex) = self.exec.as_mut() {
             if ex.args_taint.len() < ex.args.len() {
-                ex.args_taint = vec![0; ex.args.len()];
+                ex.args_taint.clear();
+                ex.args_taint.resize(ex.args.len(), 0);
             }
             if ex.vals_taint.len() < ex.vals.len() {
-                ex.vals_taint = vec![0; ex.vals.len()];
+                ex.vals_taint.clear();
+                ex.vals_taint.resize(ex.vals.len(), 0);
             }
         }
         self.taint = Some(Box::new(AccelTaint { tracer: TaintTracer::new(seed), ctl: false }));
@@ -484,7 +577,14 @@ impl Accelerator {
         bytes += self.mmr.reset_from(&pristine.mmr);
         self.fu = pristine.fu;
         self.state = pristine.state;
-        self.exec.clone_from(&pristine.exec);
+        match &pristine.exec {
+            Some(p) => {
+                let mut ex = self.exec.take().unwrap_or_else(|| self.scratch.take_block());
+                ex.copy_from(p);
+                self.exec = Some(ex);
+            }
+            None => self.retire_exec(),
+        }
         self.cycle = pristine.cycle;
         self.irq = pristine.irq;
         self.stats = pristine.stats.clone();
@@ -542,19 +642,29 @@ impl Accelerator {
     /// Reset to idle (keeps memory contents).
     pub fn reset(&mut self) {
         self.state = AccelState::Idle;
-        self.exec = None;
+        self.retire_exec();
         self.mmr.poke(MMR_CTRL, 0);
         self.mmr.poke(MMR_STATUS, 0);
         self.irq = false;
         self.stats = AccelStats::default();
     }
 
-    fn enter_block(&mut self, block: usize, args: Vec<u64>, args_taint: Vec<u64>) {
+    /// Keep the running block instance's buffers for the next block entry.
+    fn retire_exec(&mut self) {
+        if let Some(ex) = self.exec.take() {
+            self.scratch.keep_block(ex);
+        }
+    }
+
+    /// Enter `block` with the instance `ex`, whose `args` (and, with
+    /// taint on, `args_taint`) the caller has filled in.
+    fn enter_block(&mut self, block: usize, ex: BlockExec) {
         self.stats.blocks_executed += 1;
         let now = self.cycle;
         if let Some(rec) = self.recording.as_mut() {
             rec.entries.push((block as u32, now));
-            rec.entry_args.push(args.clone());
+            rec.entry_arg_at.push(rec.entry_arg_vals.len());
+            rec.entry_arg_vals.extend_from_slice(&ex.args);
         }
         // Replay alignment: the golden trace is only valid while the run
         // enters the same blocks at the same cycles. The cursor advances
@@ -570,30 +680,32 @@ impl Accelerator {
                 }
             }
         }
-        self.materialize_block(block, args, args_taint);
+        self.materialize_block(block, ex);
     }
 
-    /// Construct the per-instance execution state of `block` at the
-    /// current cycle. Split out of [`enter_block`] so the warp path can
-    /// materialize a block whose entry bookkeeping (instance counter,
-    /// replay-cursor consume) it has already performed itself.
-    fn materialize_block(&mut self, block: usize, args: Vec<u64>, args_taint: Vec<u64>) {
+    /// Make `ex` (its arguments already set) the fresh running instance
+    /// of `block` at the current cycle, reusing its buffers. Split out of
+    /// [`enter_block`] so the warp path can materialize a block whose
+    /// entry bookkeeping (instance counter, replay-cursor consume) it has
+    /// already performed itself.
+    fn materialize_block(&mut self, block: usize, mut ex: BlockExec) {
         let n = self.cdfg.blocks[block].nodes.len();
-        let track = self.taint.is_some();
-        let now = self.cycle;
-        self.exec = Some(BlockExec {
-            block,
-            args,
-            vals: vec![0; n],
-            done: vec![false; n],
-            started: vec![false; n],
-            pending: Vec::new(),
-            remaining: n,
-            entry_cycle: now,
-            sched_pos: 0,
-            args_taint,
-            vals_taint: if track { vec![0; n] } else { Vec::new() },
-        });
+        ex.block = block;
+        ex.vals.clear();
+        ex.vals.resize(n, 0);
+        ex.done.clear();
+        ex.done.resize(n, false);
+        ex.started.clear();
+        ex.started.resize(n, false);
+        ex.pending.clear();
+        ex.remaining = n;
+        ex.entry_cycle = self.cycle;
+        ex.sched_pos = 0;
+        ex.vals_taint.clear();
+        if self.taint.is_some() {
+            ex.vals_taint.resize(n, 0);
+        }
+        self.exec = Some(ex);
     }
 
     /// Advance one cycle.
@@ -606,22 +718,20 @@ impl Accelerator {
                 // here).
                 if self.mmr.peek(MMR_CTRL) & CTRL_START != 0 {
                     let n_args = self.cdfg.blocks[0].n_args;
-                    let args: Vec<u64> =
-                        (0..n_args).map(|i| self.mmr.read(MMR_DATA0 + i).unwrap_or(0)).collect();
-                    let args_taint: Vec<u64> = if self.taint.is_some() {
-                        let t: Vec<u64> =
-                            (0..n_args).map(|i| self.mmr.taint_of(MMR_DATA0 + i)).collect();
-                        if t.iter().any(|&x| x != 0) {
+                    let mut ex = self.scratch.take_block();
+                    ex.args.clear();
+                    ex.args.extend((0..n_args).map(|i| self.mmr.read(MMR_DATA0 + i).unwrap_or(0)));
+                    ex.args_taint.clear();
+                    if self.taint.is_some() {
+                        ex.args_taint.extend((0..n_args).map(|i| self.mmr.taint_of(MMR_DATA0 + i)));
+                        if ex.args_taint.iter().any(|&x| x != 0) {
                             self.taint_hop("MMR", "FU");
                         }
-                        t
-                    } else {
-                        Vec::new()
-                    };
+                    }
                     self.mmr.poke(MMR_CTRL, 0);
                     self.mmr.poke(MMR_STATUS, 0);
                     self.state = AccelState::Running;
-                    self.enter_block(0, args, args_taint);
+                    self.enter_block(0, ex);
                 }
             }
             AccelState::Running => {
@@ -635,7 +745,7 @@ impl Accelerator {
 
     fn finish_with(&mut self, st: AccelState) {
         self.state = st;
-        self.exec = None;
+        self.retire_exec();
         let status = match st {
             AccelState::Done => STATUS_DONE,
             AccelState::Error(_) => STATUS_DONE | STATUS_ERROR,
@@ -671,7 +781,11 @@ impl Accelerator {
         let mut int_left = self.fu.int_alu;
         let mut fpa_left = self.fu.fp_add;
         let mut fpm_left = self.fu.fp_mul;
-        let mut mem_used: Vec<(MemRef, usize)> = Vec::new();
+        // Ports used this cycle, per memory (SPMs, then register banks).
+        let n_spms = self.spms.len();
+        let mut mem_used = std::mem::take(&mut self.scratch.ports);
+        mem_used.clear();
+        mem_used.resize(n_spms + self.regbanks.len(), 0);
 
         let block = ex.block;
         let n_nodes = self.cdfg.blocks[block].nodes.len();
@@ -720,72 +834,67 @@ impl Accelerator {
                     fpm_left -= 1;
                 }
                 FuClass::MemPort(m) => {
-                    let ports = self.mem_ref(m).ports;
-                    let used = mem_used.iter_mut().find(|(mm, _)| *mm == m);
-                    match used {
-                        Some((_, u)) => {
-                            if *u >= ports {
-                                continue;
-                            }
-                            *u += 1;
-                        }
-                        None => mem_used.push((m, 1)),
+                    // A memory without ports still takes one access.
+                    let ports = self.mem_ref(m).ports.max(1);
+                    let used = match m {
+                        MemRef::Spm(i) => &mut mem_used[i],
+                        MemRef::RegBank(i) => &mut mem_used[n_spms + i],
+                    };
+                    if *used >= ports {
+                        continue;
                     }
+                    *used += 1;
                 }
             }
 
             // Execute.
             if !self.exec_node(&mut ex, ni, now) {
+                self.scratch.ports = mem_used;
                 return;
             }
         }
 
+        self.scratch.ports = mem_used;
         self.exec = Some(ex);
     }
 
     /// Block terminator: finish, or pass block arguments (with taint and
     /// control-poison bookkeeping) to the successor. Shared verbatim by
     /// both engines — branch direction is the one control decision replay
-    /// cannot precompute.
+    /// cannot precompute. The successor's arguments go into the buffers of
+    /// the previous finished instance, and `ex`'s buffers are kept for the
+    /// next entry.
     fn run_terminator(&mut self, ex: BlockExec) {
-        let track = self.taint.is_some();
-        let term = self.cdfg.blocks[ex.block].term.clone();
-        let taint_of = |ex: &BlockExec, a: u32, ctl: bool| -> u64 {
-            ex.vals_taint.get(a as usize).copied().unwrap_or(0) | if ctl { !0 } else { 0 }
-        };
-        match term {
+        let (target, args) = match &self.cdfg.blocks[ex.block].term {
             Terminator::Finish => {
+                self.scratch.keep_block(ex);
                 self.finish_with(AccelState::Done);
+                return;
             }
-            Terminator::Jump { target, args } => {
-                let vals: Vec<u64> = args.iter().map(|&a| ex.vals[a as usize]).collect();
-                let ctl = self.taint.as_deref().is_some_and(|t| t.ctl);
-                let vt: Vec<u64> = if track {
-                    args.iter().map(|&a| taint_of(&ex, a, ctl)).collect()
-                } else {
-                    Vec::new()
-                };
-                self.enter_block(target, vals, vt);
-            }
+            Terminator::Jump { target, args } => (*target, args),
             Terminator::Branch { cond, then_, else_ } => {
                 // A tainted condition poisons control flow for good:
                 // the very choice of path is now fault-dependent.
-                if ex.vals_taint.get(cond as usize).copied().unwrap_or(0) != 0 {
+                if ex.vals_taint.get(*cond as usize).copied().unwrap_or(0) != 0 {
                     if let Some(t) = self.taint.as_deref_mut() {
                         t.ctl = true;
                     }
                 }
-                let (t, args) = if ex.vals[cond as usize] != 0 { then_ } else { else_ };
-                let vals: Vec<u64> = args.iter().map(|&a| ex.vals[a as usize]).collect();
-                let ctl = self.taint.as_deref().is_some_and(|t| t.ctl);
-                let vt: Vec<u64> = if track {
-                    args.iter().map(|&a| taint_of(&ex, a, ctl)).collect()
-                } else {
-                    Vec::new()
-                };
-                self.enter_block(t, vals, vt);
+                let (t, args) = if ex.vals[*cond as usize] != 0 { then_ } else { else_ };
+                (*t, args)
             }
+        };
+        let mut next = self.scratch.take_block();
+        next.args.clear();
+        next.args.extend(args.iter().map(|&a| ex.vals[a as usize]));
+        next.args_taint.clear();
+        if let Some(t) = self.taint.as_deref() {
+            let ctl = if t.ctl { !0 } else { 0 };
+            next.args_taint
+                .extend(args.iter().map(|&a| ex.vals_taint.get(a as usize).copied().unwrap_or(0) | ctl));
         }
+        self.scratch.keep_block(ex);
+        self.enter_block(target, next);
     }
 
     /// Fire node `ni` of the running block at cycle `now`: the shared
@@ -1107,26 +1216,45 @@ impl Accelerator {
             return 0;
         }
         let Some(t) = self.taint.as_deref() else { return 0 };
-        if t.ctl {
+        let Some(ex) = self.exec.as_ref() else { return 0 };
+        if !ex.fresh(self.cdfg.blocks[ex.block].nodes.len()) {
             return 0;
         }
-        if !matches!(self.replay.as_ref(), Some(r) if r.aligned) || self.schedule.is_none() {
-            return 0;
-        }
-        let (mut block, mut entry_cycle) = {
-            let Some(ex) = self.exec.as_ref() else { return 0 };
-            let n = self.cdfg.blocks[ex.block].nodes.len();
-            if ex.sched_pos != 0
-                || !ex.pending.is_empty()
-                || ex.remaining != n
-                || ex.args_taint.iter().any(|&x| x != 0)
-            {
-                return 0;
-            }
-            (ex.block, ex.entry_cycle)
+        let decline = if t.ctl {
+            Some(WarpAbort::Ctl)
+        } else if !matches!(self.replay.as_ref(), Some(r) if r.aligned) || self.schedule.is_none() {
+            Some(WarpAbort::Misaligned)
+        } else if ex.args_taint.iter().any(|&x| x != 0) {
+            Some(WarpAbort::TaintedArgs)
+        } else {
+            None
         };
-        let sched = Arc::clone(self.schedule.as_ref().unwrap());
-        let trace = Arc::clone(&self.replay.as_ref().unwrap().trace);
+        if let Some(why) = decline {
+            self.stats.warp_aborts[why as usize] += 1;
+            return 0;
+        }
+        let (block, entry_cycle) = (ex.block, ex.entry_cycle);
+        // Lend the shared schedule and the replay cursor (with its trace)
+        // to the chain: moved out and back, so no refcount is touched.
+        let sched = self.schedule.take().expect("checked above");
+        let mut replay = self.replay.take().expect("checked above");
+        let consumed = self.warp_chain(&sched, &mut replay, block, entry_cycle, left);
+        self.schedule = Some(sched);
+        self.replay = Some(replay);
+        consumed
+    }
+
+    /// The body of [`try_warp`](Self::try_warp): warp `block`, entered at
+    /// `entry_cycle`, and every successor that stays eligible.
+    fn warp_chain(
+        &mut self,
+        sched: &StaticSchedule,
+        r: &mut ReplayCtl,
+        mut block: usize,
+        mut entry_cycle: u64,
+        left: u64,
+    ) -> u64 {
+        let trace = &*r.trace;
         let mut consumed = 0u64;
         // `chained_at`: index into `trace.entries` of the current block's
         // entry when the chain has logically entered it (counter bumped,
@@ -1136,28 +1264,41 @@ impl Accelerator {
         loop {
             let bs = &sched.blocks[block];
             let delta = (entry_cycle + bs.term_rel as u64).saturating_sub(self.cycle);
-            let r = self.replay.as_ref().unwrap();
             let (load_pos, store_pos) = (r.load_pos, r.store_pos);
-            let fits = delta > 0
-                && delta <= left - consumed
-                && r.fire_pos + bs.fires.len() <= trace.fire_vals.len()
-                && load_pos + bs.loads.len() <= trace.load_addrs.len()
-                && store_pos + bs.stores.len() <= trace.store_ops.len()
+            let decline = if delta == 0 || delta > left - consumed {
+                Some(WarpAbort::Budget)
+            } else if r.fire_pos + bs.fires.len() > trace.fire_vals.len()
+                || load_pos + bs.loads.len() > trace.load_addrs.len()
+                || store_pos + bs.stores.len() > trace.store_ops.len()
+            {
+                Some(WarpAbort::Misaligned)
+            } else if bs.loads.iter().enumerate().any(|(i, &(mem, w))| {
                 // Phase A (read-only): every load must see untainted data
                 // at its golden address. Checked before anything mutates.
-                && bs.loads.iter().enumerate().all(|(i, &(mem, w))| {
-                    let addr = trace.load_addrs[load_pos + i] as usize;
-                    !self.mem_ref(mem).taint_any(addr, w as usize)
-                });
-            if !fits {
+                let addr = trace.load_addrs[load_pos + i] as usize;
+                self.mem_ref(mem).taint_any(addr, w as usize)
+            }) {
+                Some(WarpAbort::TaintedLoad)
+            } else {
+                None
+            };
+            if let Some(why) = decline {
                 // Chain breaks before this block commits: hand it to the
                 // per-fire engine. Its entry bookkeeping already happened
                 // (at `enter_block` for the first block, inline below for
-                // chained ones), so only the exec state is materialized.
-                if let Some(ei) = chained_at {
-                    let args = trace.entry_args[ei].clone();
-                    let zt = vec![0u64; args.len()];
-                    self.materialize_block(block, args, zt);
+                // chained ones), so only the exec state is materialized;
+                // the next `try_warp` sees it fresh and counts its
+                // decline.
+                match chained_at {
+                    None => self.stats.warp_aborts[why as usize] += 1,
+                    Some(ei) => {
+                        let mut ex = self.scratch.take_block();
+                        ex.args.clear();
+                        ex.args.extend_from_slice(trace.entry_args(ei));
+                        ex.args_taint.clear();
+                        ex.args_taint.resize(ex.args.len(), 0);
+                        self.materialize_block(block, ex);
+                    }
                 }
                 return consumed;
             }
@@ -1183,15 +1324,12 @@ impl Accelerator {
             self.cycle += delta;
             consumed += delta;
             if chained_at.is_none() {
-                self.exec = None;
+                self.retire_exec();
             }
-            let block_pos = {
-                let r = self.replay.as_mut().unwrap();
-                r.fire_pos += bs.fires.len();
-                r.load_pos += bs.loads.len();
-                r.store_pos += bs.stores.len();
-                r.block_pos
-            };
+            r.fire_pos += bs.fires.len();
+            r.load_pos += bs.loads.len();
+            r.store_pos += bs.stores.len();
+            let block_pos = r.block_pos;
             // The recorded successor entry stands in for the terminator:
             // with every value golden, the branch goes exactly where the
             // golden run went. No next entry means the golden run
@@ -1200,7 +1338,7 @@ impl Accelerator {
             match trace.entries.get(block_pos).copied() {
                 Some((b2, c2)) => {
                     debug_assert_eq!(c2, self.cycle, "warped terminator out of step with the trace");
-                    self.replay.as_mut().unwrap().block_pos += 1;
+                    r.block_pos += 1;
                     self.stats.blocks_executed += 1;
                     block = b2 as usize;
                     entry_cycle = c2;
@@ -1236,17 +1374,14 @@ impl Accelerator {
         if self.engine != AccelEngine::Event || self.recording.is_some() {
             return 0;
         }
-        let Some(sched) = self.schedule.clone() else { return 0 };
+        let Some(sched) = self.schedule.as_deref() else { return 0 };
         {
             // Fresh block instance only (nothing issued or in flight),
             // and the whole block must fit the budget so DMA stop
             // patterns, ladder rungs and early-termination polls observe
             // identical cycle boundaries to per-fire stepping.
             let Some(ex) = self.exec.as_ref() else { return 0 };
-            if ex.sched_pos != 0
-                || !ex.pending.is_empty()
-                || ex.remaining != self.cdfg.blocks[ex.block].nodes.len()
-            {
+            if !ex.fresh(self.cdfg.blocks[ex.block].nodes.len()) {
                 return 0;
             }
             let delta =
@@ -1255,7 +1390,13 @@ impl Accelerator {
                 return 0;
             }
         }
-        let mut ex = self.exec.take().expect("checked above");
+        let ex = self.exec.take().expect("checked above");
+        self.with_schedule(|a, sched| a.cone_block(sched, ex))
+    }
+
+    /// The body of [`try_cone`](Self::try_cone): run every fire of the
+    /// fresh instance `ex`, then its terminator.
+    fn cone_block(&mut self, sched: &StaticSchedule, mut ex: BlockExec) -> u64 {
         let bs = &sched.blocks[ex.block];
         let start = self.cycle;
         for &(r, ni) in &bs.fires {
@@ -1285,6 +1426,16 @@ impl Accelerator {
         debug_assert_eq!(ex.remaining, 0, "one-pass block left nodes unfired");
         self.run_terminator(ex);
         self.cycle - start
+    }
+
+    /// Lend the shared schedule to `f`: moved out of `self` and back, so
+    /// the per-event loops touch no refcount. Nothing `f` reaches reads
+    /// `self.schedule`.
+    fn with_schedule<R>(&mut self, f: impl FnOnce(&mut Self, &StaticSchedule) -> R) -> R {
+        let sched = self.schedule.take().expect("event engine without schedule");
+        let r = f(self, &sched);
+        self.schedule = Some(sched);
+        r
     }
 
     /// The next cycle at which anything fires or the terminator runs.
@@ -1323,19 +1474,20 @@ impl Accelerator {
             self.run_terminator(ex);
             return;
         }
-        let sched = self.schedule.clone().expect("event engine without schedule");
-        let bs = &sched.blocks[ex.block];
-        let rel = (now - ex.entry_cycle) as u32;
-        while let Some(&(r, ni)) = bs.fires.get(ex.sched_pos as usize) {
-            if r != rel {
-                break;
+        self.with_schedule(|a, sched| {
+            let bs = &sched.blocks[ex.block];
+            let rel = (now - ex.entry_cycle) as u32;
+            while let Some(&(r, ni)) = bs.fires.get(ex.sched_pos as usize) {
+                if r != rel {
+                    break;
+                }
+                ex.sched_pos += 1;
+                if !a.exec_node(&mut ex, ni as usize, now) {
+                    return;
+                }
             }
-            ex.sched_pos += 1;
-            if !self.exec_node(&mut ex, ni as usize, now) {
-                return;
-            }
-        }
-        self.exec = Some(ex);
+            a.exec = Some(ex);
+        });
     }
 }
 

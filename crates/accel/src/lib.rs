@@ -50,7 +50,9 @@ pub mod sram;
 
 pub use air::{Cdfg, CdfgBuilder, MemRef, NodeId, NodeOp};
 pub use dma::{DmaDir, DmaEngine, DmaJob};
-pub use engine::{AccelEngine, AccelError, AccelSite, AccelState, AccelStats, Accelerator, FuConfig};
+pub use engine::{
+    AccelEngine, AccelError, AccelSite, AccelState, AccelStats, Accelerator, FuConfig, WarpAbort,
+};
 pub use host::{HostInterface, HostPhase};
 pub use mmr::Mmr;
 pub use schedule::{build_schedule, BlockSchedule, GoldenTrace, MemTiming, StaticSchedule};

@@ -159,7 +159,7 @@ impl Mmr {
     /// conservatively taints the whole armed register).
     pub fn enable_taint(&mut self) {
         if self.shadow.is_empty() {
-            self.shadow = vec![0; self.regs.len()];
+            self.shadow.resize(self.regs.len(), 0);
         }
         if let Some((idx, _)) = self.armed {
             self.shadow[idx] = !0;

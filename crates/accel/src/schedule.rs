@@ -67,7 +67,7 @@ pub struct StaticSchedule {
 /// bit-identical to the golden run and can take their value from
 /// `fire_vals` instead of re-evaluating.
 ///
-/// `entry_args`, `load_addrs` and `store_ops` feed the whole-block warp
+/// The entry arguments, `load_addrs` and `store_ops` feed the whole-block warp
 /// path: with the per-load golden addresses a block instance can be
 /// proven untainted up front (addresses are golden as long as every
 /// *earlier* load in fire order was clean), after which only the
@@ -77,12 +77,24 @@ pub struct StaticSchedule {
 pub struct GoldenTrace {
     pub fire_vals: Vec<u64>,
     pub entries: Vec<(u32, u64)>,
-    /// Block-entry argument values, parallel to `entries`.
-    pub entry_args: Vec<Vec<u64>>,
+    /// Block-entry argument values of every entry, concatenated in entry
+    /// order (see [`entry_args`](Self::entry_args)).
+    pub entry_arg_vals: Vec<u64>,
+    /// Start of each entry's arguments in `entry_arg_vals`, parallel to
+    /// `entries`.
+    pub entry_arg_at: Vec<usize>,
     /// Golden address of every load, in global fire order.
     pub load_addrs: Vec<u64>,
     /// Golden `(address, value)` of every store, in global fire order.
     pub store_ops: Vec<(u64, u64)>,
+}
+
+impl GoldenTrace {
+    /// Argument values of block entry `i`.
+    pub fn entry_args(&self, i: usize) -> &[u64] {
+        let end = self.entry_arg_at.get(i + 1).copied().unwrap_or(self.entry_arg_vals.len());
+        &self.entry_arg_vals[self.entry_arg_at[i]..end]
+    }
 }
 
 /// Bound on the relative cycles a single block may take before the

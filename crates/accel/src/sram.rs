@@ -169,8 +169,9 @@ impl Sram {
         Some(())
     }
 
-    /// Bulk copy out (DMA drain). Marks the range as read.
-    pub fn drain(&mut self, off: usize, len: usize) -> Option<Vec<u8>> {
+    /// Bulk copy out (DMA drain): the bytes to copy. Marks the range as
+    /// read.
+    pub fn drain(&mut self, off: usize, len: usize) -> Option<&[u8]> {
         if off + len > self.bytes.len() {
             return None;
         }
@@ -180,7 +181,7 @@ impl Sram {
                 *fate = SramFate::Read;
             }
         }
-        Some(self.bytes[off..off + len].to_vec())
+        Some(&self.bytes[off..off + len])
     }
 
     /// Raw contents (tests/verification).
@@ -268,11 +269,12 @@ impl Sram {
 
     // ---- marvel-taint shadow plane ----
 
-    /// Allocate the per-byte shadow. Call before fault arming; enabling
-    /// after arming conservatively taints the whole armed byte.
+    /// Allocate the per-byte shadow (into the capacity a
+    /// [`reset_from`](Self::reset_from) kept). Call before fault arming;
+    /// enabling after arming conservatively taints the whole armed byte.
     pub fn enable_taint(&mut self) {
         if self.shadow.is_empty() {
-            self.shadow = vec![0; self.bytes.len()];
+            self.shadow.resize(self.bytes.len(), 0);
         }
         if let Some((byte, _)) = self.armed {
             self.shadow[byte] = 0xFF;
@@ -309,21 +311,20 @@ impl Sram {
         self.reapply_stuck_taint(off, n);
     }
 
-    /// Shadow counterpart of [`fill`](Self::fill) (DMA in).
-    pub fn taint_fill(&mut self, off: usize, shadow: &[u8]) {
-        if self.shadow.is_empty() || off + shadow.len() > self.shadow.len() {
-            return;
+    /// Shadow counterpart of [`fill`](Self::fill) (DMA in): `len` shadow
+    /// bytes from `shadow`, or clean ones when the source has no shadow.
+    pub fn taint_fill(&mut self, off: usize, len: usize, shadow: Option<&[u8]>) {
+        let Some(dst) = self.shadow.get_mut(off..off + len) else { return };
+        match shadow {
+            Some(src) => dst.copy_from_slice(src),
+            None => dst.fill(0),
         }
-        self.shadow[off..off + shadow.len()].copy_from_slice(shadow);
-        self.reapply_stuck_taint(off, shadow.len());
+        self.reapply_stuck_taint(off, len);
     }
 
     /// Shadow counterpart of [`drain`](Self::drain) (DMA out).
-    pub fn taint_drain(&self, off: usize, len: usize) -> Option<Vec<u8>> {
-        if self.shadow.is_empty() || off + len > self.shadow.len() {
-            return None;
-        }
-        Some(self.shadow[off..off + len].to_vec())
+    pub fn taint_drain(&self, off: usize, len: usize) -> Option<&[u8]> {
+        self.shadow.get(off..off + len)
     }
 
     /// Any tainted byte in `[off, off+len)`?
@@ -417,7 +418,7 @@ mod tests {
         s.taint_write(4, 1, 0);
         assert!(!s.taint_any(0, 8));
         // DMA shadow roundtrip.
-        s.taint_fill(16, &[0xFF, 0, 0xFF, 0]);
+        s.taint_fill(16, 4, Some(&[0xFF, 0, 0xFF, 0]));
         assert_eq!(s.taint_drain(16, 4).unwrap(), vec![0xFF, 0, 0xFF, 0]);
         // Stuck-at taint re-asserts across writes.
         s.set_stuck(8 * 2 + 1, true);

@@ -6,7 +6,7 @@ use crate::fault::{FaultKind, FaultMask, FaultModel, MaskGenerator};
 pub use crate::ladder::Ladder;
 use crate::ladder::{build_timed, record_prefix, select_base, Base, Freeze, RunState, FROZEN_RUNGS};
 use crate::stats::{error_margin, CONFIDENCE};
-use marvel_cpu::{each_lane, CoreStats, FaultFate, ForkCause, TraceMode, MAX_LANES};
+use marvel_cpu::{each_lane, CoreStats, FaultFate, ForkCause, StateDiff, TraceMode, MAX_LANES};
 use marvel_soc::{RunOutcome, RungView, SysEvent, System, Target};
 use marvel_telemetry::{
     Attribution, Event, FlightDump, FlightRecorder, PhaseId, ProgressMeter, Registry, Scope,
@@ -573,25 +573,61 @@ enum Deferral {
     Hvf,
     /// Taint is not quiescent, so the attribution could still change.
     Taint,
-    /// The state differs from the rung's.
-    State,
+    /// The state differs from the rung's, first in this structure.
+    State(StateDiff),
 }
 
+/// The `state` deferrals of every structure, summed.
+const DEFERRED_STATE: &str = "campaign.convergence_deferred.state";
+
 impl Deferral {
-    const ALL: [Deferral; 4] = [Deferral::FateSplit, Deferral::Hvf, Deferral::Taint, Deferral::State];
+    /// How many distinct deferrals [`index`](Self::index) tells apart.
+    const COUNT: usize = 3 + StateDiff::ALL.len();
+
+    /// Every deferral, in [`index`](Self::index) order.
+    fn all() -> impl Iterator<Item = Deferral> {
+        [Deferral::FateSplit, Deferral::Hvf, Deferral::Taint]
+            .into_iter()
+            .chain(StateDiff::ALL.map(Deferral::State))
+    }
+
+    fn index(self) -> usize {
+        match self {
+            Deferral::FateSplit => 0,
+            Deferral::Hvf => 1,
+            Deferral::Taint => 2,
+            Deferral::State(s) => 3 + s as usize,
+        }
+    }
 
     fn metric(self) -> &'static str {
         match self {
             Deferral::FateSplit => "campaign.convergence_deferred.fate_split",
             Deferral::Hvf => "campaign.convergence_deferred.hvf",
             Deferral::Taint => "campaign.convergence_deferred.taint",
-            Deferral::State => "campaign.convergence_deferred.state",
+            Deferral::State(s) => match s {
+                StateDiff::Devices => "campaign.convergence_deferred.state.devices",
+                StateDiff::Ram => "campaign.convergence_deferred.state.ram",
+                StateDiff::Pipeline => "campaign.convergence_deferred.state.pipeline",
+                StateDiff::Rob => "campaign.convergence_deferred.state.rob",
+                StateDiff::Lsq => "campaign.convergence_deferred.state.lsq",
+                StateDiff::Rename => "campaign.convergence_deferred.state.rename",
+                StateDiff::Bp => "campaign.convergence_deferred.state.bp",
+                StateDiff::Prf => "campaign.convergence_deferred.state.prf",
+                StateDiff::L1i => "campaign.convergence_deferred.state.l1i",
+                StateDiff::L1d => "campaign.convergence_deferred.state.l1d",
+                StateDiff::L2 => "campaign.convergence_deferred.state.l2",
+            },
         }
     }
 
+    /// Add `n` to this deferral's counter (and to the `state` sum).
     fn count(self, reg: &Registry, n: u64) {
         if n > 0 {
             reg.counter(self.metric()).add(n);
+            if let Deferral::State(_) = self {
+                reg.counter(DEFERRED_STATE).add(n);
+            }
         }
     }
 }
@@ -748,7 +784,7 @@ pub fn run_one_spanned(
                         Some(Deferral::Taint)
                     } else {
                         let rung = RungView::new(&golden.ckpt, Some(&rung.state));
-                        (!sys.state_converged(rung)).then_some(Deferral::State)
+                        sys.state_diff(rung).map(Deferral::State)
                     };
                     lane.exit(PhaseId::ConvergenceDiff);
                     deferral
@@ -1207,7 +1243,13 @@ fn run_lane_pass(
         sys.core.trace_mode = TraceMode::Check(golden.trace.clone());
     }
     let watchdog = golden.watchdog();
-    let cache_target = matches!(target, Target::L1I | Target::L1D | Target::L2);
+    // A cache lane's armed byte is a diff until it is read or overwritten.
+    let cache_site = match target {
+        Target::L1I => Some(StateDiff::L1i),
+        Target::L1D => Some(StateDiff::L1d),
+        Target::L2 => Some(StateDiff::L2),
+        _ => None,
+    };
 
     let mut lanes: Vec<LaneRun> = pack
         .iter()
@@ -1221,7 +1263,7 @@ fn run_lane_pass(
     // back. An armed lane that is not done rides the pass.
     let (mut armed, mut done) = (0u64, 0u64);
     let mut forked: Vec<HandBack> = Vec::new();
-    let mut deferred = [0u64; Deferral::ALL.len()];
+    let mut deferred = [0u64; Deferral::COUNT];
 
     sys.lane_begin();
     lane.enter(PhaseId::SimStepLane);
@@ -1279,8 +1321,11 @@ fn run_lane_pass(
                 let mut cand = 0u64;
                 for li in each_lane(armed & !done) {
                     let fate = eng.fates[li];
-                    let diff_alive =
-                        diffs & (1u64 << li) != 0 || (cache_target && fate == FaultFate::Pending);
+                    let diff_site = if diffs & (1u64 << li) != 0 {
+                        Some(eng.diff_site(li).expect("a live diff has a site"))
+                    } else {
+                        cache_site.filter(|_| fate == FaultFate::Pending)
+                    };
                     // Scalar parity, check for check: a diverged commit
                     // trace, then the fate split — a dead fault with early
                     // termination on exits at the fate poll, which reports
@@ -1289,26 +1334,26 @@ fn run_lane_pass(
                         Deferral::Hvf
                     } else if cc.early_termination && fate.is_masked_early() {
                         Deferral::FateSplit
-                    } else if diff_alive {
-                        Deferral::State
+                    } else if let Some(site) = diff_site {
+                        Deferral::State(site)
                     } else {
                         cand |= 1 << li;
                         continue;
                     };
-                    deferred[deferral as usize] += 1;
+                    deferred[deferral.index()] += 1;
                 }
                 if cand != 0 {
                     lane.enter(PhaseId::ConvergenceDiff);
-                    let golden_matches =
-                        sys.state_converged(RungView::new(&golden.ckpt, Some(&rung.state)));
+                    let diff = sys.state_diff(RungView::new(&golden.ckpt, Some(&rung.state)));
                     lane.exit(PhaseId::ConvergenceDiff);
-                    if golden_matches {
-                        done |= cand;
-                        out.extend(each_lane(cand).map(|li| {
-                            (lanes[li].idx, lane_record(cc, golden.exec_cycles, false, true, false))
-                        }));
-                    } else {
-                        deferred[Deferral::State as usize] += cand.count_ones() as u64;
+                    match diff {
+                        None => {
+                            done |= cand;
+                            out.extend(each_lane(cand).map(|li| {
+                                (lanes[li].idx, lane_record(cc, golden.exec_cycles, false, true, false))
+                            }));
+                        }
+                        Some(s) => deferred[Deferral::State(s).index()] += cand.count_ones() as u64,
                     }
                 }
             }
@@ -1355,7 +1400,7 @@ fn run_lane_pass(
     // execution does neither).
     forked.extend(each_lane(all & !done).map(|li| (lanes[li].idx, None)));
     sys.lane_end();
-    for (d, n) in Deferral::ALL.into_iter().zip(deferred) {
+    for (d, n) in Deferral::all().zip(deferred) {
         d.count(&tel.registry, n);
     }
     forked
@@ -1610,11 +1655,8 @@ pub fn drive_masks(
     // Registered up front, so drives where no run defers or no lane forks
     // export them too.
     let fork_metrics = lane_fork_metrics();
-    Deferral::ALL
-        .iter()
-        .map(|d| d.metric())
-        .chain(fork_metrics.iter().map(String::as_str))
-        .for_each(|m| drop(reg.counter(m)));
+    Deferral::all().map(Deferral::metric).chain([DEFERRED_STATE]).for_each(|m| drop(reg.counter(m)));
+    fork_metrics.iter().for_each(|m| drop(reg.counter(m)));
     let lane_occupancy = reg.histogram("campaign.lane_occupancy");
     let (lane_passes, lane_packed) = (AtomicU64::new(0), AtomicU64::new(0));
     let lane_forks: [AtomicU64; ForkCause::ALL.len() + 1] = Default::default();

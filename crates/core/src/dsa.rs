@@ -13,10 +13,10 @@ use crate::campaign::{
 };
 use crate::fault::{FaultMask, FaultModel, MaskGenerator};
 use crate::ladder::{build_timed, record_prefix, select_base, Freeze, Ladder, RunState, Rung};
-use marvel_accel::{Accelerator, DmaJob, HostInterface, HostPhase, SramFate};
+use marvel_accel::{AccelStats, Accelerator, DmaJob, HostInterface, HostPhase, SramFate, WarpAbort};
 use marvel_soc::Target;
 use marvel_telemetry::{Event, FlightRecorder, PhaseId, Registry, Scope, SpanCollector, SpanLane};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A self-contained accelerator experiment: the accelerator, a private RAM
@@ -513,11 +513,45 @@ fn dsa_event_engine(golden: &DsaGolden, cc: &CampaignConfig) -> bool {
     cc.dsa_engine == DsaEngine::Event && golden.harness.accel.replay_armed()
 }
 
+/// The warp decisions of a drive's runs, summed: block instances warped
+/// whole, and fresh ones the warp declined, by [`WarpAbort`] (the run's
+/// own decisions, not those its rung carried from the ladder build).
+#[derive(Default)]
+struct WarpTally {
+    blocks: AtomicU64,
+    aborts: [AtomicU64; WarpAbort::ALL.len()],
+}
+
+impl WarpTally {
+    /// `dsa.warp_aborts.<reason>`, summing to `dsa.warp_aborts`.
+    fn abort_metrics() -> impl Iterator<Item = String> {
+        WarpAbort::ALL.into_iter().map(|w| format!("dsa.warp_aborts.{}", w.name()))
+    }
+
+    /// Add what a run did between its stats reading `before` and `after`.
+    fn add(&self, before: &AccelStats, after: &AccelStats) {
+        self.blocks.fetch_add(after.warp_blocks - before.warp_blocks, Ordering::Relaxed);
+        for (i, n) in self.aborts.iter().enumerate() {
+            n.fetch_add(after.warp_aborts[i] - before.warp_aborts[i], Ordering::Relaxed);
+        }
+    }
+
+    fn publish(self, reg: &Registry) {
+        reg.publish("dsa.warp_blocks", self.blocks.into_inner());
+        let aborts = self.aborts.map(AtomicU64::into_inner);
+        reg.publish("dsa.warp_aborts", aborts.iter().sum());
+        for (m, n) in Self::abort_metrics().zip(aborts) {
+            reg.publish(&m, n);
+        }
+    }
+}
+
 /// Execute one DSA injection run into `target`: start from the deepest
 /// ladder rung strictly below the injection cycle (the cycle-0 harness
 /// for permanents and early injections), dirty-reset the worker's
 /// harness when given a context, drive the run to an end and classify
 /// it. The DSA counterpart of [`crate::campaign::run_one_spanned`].
+#[allow(clippy::too_many_arguments)]
 fn run_dsa_one(
     golden: &DsaGolden,
     target: Target,
@@ -526,6 +560,7 @@ fn run_dsa_one(
     cc: &CampaignConfig,
     ctx: Option<&mut WorkerCtx<DsaHarness>>,
     lane: &mut SpanLane,
+    warps: &WarpTally,
 ) -> RunRecord {
     let tel = &cc.telemetry;
     let watchdog = golden.watchdog();
@@ -558,7 +593,9 @@ fn run_dsa_one(
         // matches enabling at cycle 0.
         h.accel.enable_taint(&target.name());
     }
+    let before = h.accel.stats.clone();
     let end = h.drive(Some(mask), watchdog, Some((cc, base.ahead)), &mut fr, lane);
+    warps.add(&before, &h.accel.stats);
     let (effect, trap, cycles, early_terminated, converged) = match end {
         DsaRunEnd::Finished(outcome) => {
             let (effect, trap) = match &outcome {
@@ -621,19 +658,30 @@ pub fn drive_dsa_masks(
     reg.histogram(DsaHarness::PREFIX_CYCLES);
     reg.histogram(DsaHarness::PREFIX_SKIPPED);
     reg.histogram(DsaHarness::RESTORE_RUNG);
+    let warp_metrics = ["dsa.warp_blocks", "dsa.warp_aborts", "dsa.engine_fallback"];
+    warp_metrics.into_iter().for_each(|m| drop(reg.counter(m)));
+    WarpTally::abort_metrics().for_each(|m| drop(reg.counter(&m)));
+    // A drive that asked for the event engine on a design the schedule
+    // builder rejected runs on the cycle oracle.
+    let fallback = cc.dsa_engine == DsaEngine::Event && !dsa_event_engine(golden, cc);
+    let warps = WarpTally::default();
     let dirty = cc.reset_mode == ResetMode::Dirty;
     let run_unit = |&i: &usize,
                     ctx: &mut WorkerCtx<DsaHarness>,
                     lane: &mut SpanLane,
                     retired: &mut Vec<(usize, RunRecord)>| {
         lane.begin_run(i as u64);
-        let rec = run_dsa_one(golden, target, ladder_ref, &masks[i], cc, dirty.then_some(ctx), lane);
+        let c = dirty.then_some(ctx);
+        let rec = run_dsa_one(golden, target, ladder_ref, &masks[i], cc, c, lane, &warps);
         lane.end_run();
         retired.push((i, rec));
     };
     let runs = order.len() as u64;
     let population = bit_len.saturating_mul(golden.cycles.max(1));
-    drive_pool("dsa", "dsa-worker", &order, runs, population, cc, cancel, sink, run_unit)
+    let outcome = drive_pool("dsa", "dsa-worker", &order, runs, population, cc, cancel, sink, run_unit);
+    warps.publish(reg);
+    reg.publish_scoped(&scope, "engine_fallback", fallback as u64);
+    outcome
 }
 
 #[cfg(test)]

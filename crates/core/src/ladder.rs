@@ -162,6 +162,16 @@ impl<S: RunState> Ladder<S> {
         self.rungs.iter().map(|r| r.cycle).collect()
     }
 
+    /// Rung `k` (counted from 0): the golden run at `cycles()[k]` — on the
+    /// CPU a compact snapshot to lay over the checkpoint ([`RungView`]),
+    /// on the DSA a whole harness.
+    ///
+    /// # Panics
+    /// Panics when `k >= len()`.
+    pub fn rung(&self, k: usize) -> &S::Frozen {
+        &self.rungs[k].state
+    }
+
     /// `min(n, len)` of these rungs, sharing their states: the ones
     /// [`place`] picks, each taking over the segment marks of the rungs
     /// skipped below it.
@@ -178,15 +188,6 @@ impl<S: RunState> Ladder<S> {
 }
 
 impl Ladder<System> {
-    /// Rung `k` (counted from 0): a compact snapshot of the golden run at
-    /// `cycles()[k]`, to lay over the checkpoint ([`RungView`]).
-    ///
-    /// # Panics
-    /// Panics when `k >= len()`.
-    pub fn rung(&self, k: usize) -> &SysSnapshot {
-        &self.rungs[k].state
-    }
-
     /// Bytes the rungs hold ([`SysSnapshot::held_bytes`]).
     pub fn held_bytes(&self) -> u64 {
         self.rungs.iter().map(|r| r.state.held_bytes()).sum()

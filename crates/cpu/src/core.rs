@@ -97,6 +97,52 @@ const QNONE: u16 = u16::MAX;
 /// made through the buffered LQ request bits.
 const REQUEST_DELAY: u64 = 4;
 
+/// The structure where a run's state first differs from a golden rung's
+/// (campaigns count it as `campaign.convergence_deferred.state.<structure>`,
+/// the variant's name in lower case). The convergence
+/// compare checks the SoC's counters (as `pipeline`), its devices and its
+/// RAM, then the core ([`Core::state_diff`]) in this order from
+/// `Pipeline` on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StateDiff {
+    /// Console, interrupt controller and hosted accelerators.
+    Devices,
+    /// System RAM.
+    Ram,
+    /// Fetch, issue and control state: cycle and sequence counters, the
+    /// fetch queue, the issue queue, in-flight results, interrupt and
+    /// commit-trace positions.
+    Pipeline,
+    Rob,
+    /// Load and store queues, deferred load accesses and the
+    /// memory-dependence predictor.
+    Lsq,
+    /// Speculative and retirement rename maps and the free list.
+    Rename,
+    Bp,
+    /// Integer and FP physical register files.
+    Prf,
+    L1i,
+    L1d,
+    L2,
+}
+
+impl StateDiff {
+    pub const ALL: [StateDiff; 11] = [
+        StateDiff::Devices,
+        StateDiff::Ram,
+        StateDiff::Pipeline,
+        StateDiff::Rob,
+        StateDiff::Lsq,
+        StateDiff::Rename,
+        StateDiff::Bp,
+        StateDiff::Prf,
+        StateDiff::L1i,
+        StateDiff::L1d,
+        StateDiff::L2,
+    ];
+}
+
 /// What happened during a [`Core::tick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepEvent {
@@ -478,7 +524,7 @@ impl Core {
         let spec = self.isa.reg_spec();
         self.rename = RenameMap::new(spec.total_regs as usize, self.cfg.int_prf as u16);
         self.retire = RenameMap::new(spec.total_regs as usize, self.cfg.int_prf as u16);
-        self.freelist = FreeList::new(self.cfg.int_prf as u16, &[0]);
+        self.freelist.rebuild(self.cfg.int_prf as u16, &[0]);
         self.prf.set_all_ready();
     }
 
@@ -660,7 +706,14 @@ impl Core {
     /// taint shadows, tracers) is excluded — it cannot steer the data
     /// plane. `fq` entries ignore their `fetched_at` pipeline-trace stamp;
     /// invalid LSQ entries are wildcards (stale payload).
-    pub fn state_converged(&self, pristine: &Core, [l1i, l1d, l2]: [RungLines<'_>; 3]) -> bool {
+    pub fn state_converged(&self, pristine: &Core, lines: [RungLines<'_>; 3]) -> bool {
+        self.state_diff(pristine, lines).is_none()
+    }
+
+    /// The compare behind [`state_converged`](Self::state_converged):
+    /// `None` when converged, otherwise the first structure that differs,
+    /// in [`StateDiff`] order.
+    pub fn state_diff(&self, pristine: &Core, [l1i, l1d, l2]: [RungLines<'_>; 3]) -> Option<StateDiff> {
         let fuop_eq = |a: &FetchedUop, b: &FetchedUop| {
             a.uop == b.uop
                 && a.pc == b.pc
@@ -671,7 +724,7 @@ impl Core {
                 && a.trap == b.trap
                 && a.tainted == b.tainted
         };
-        self.cycle == pristine.cycle
+        let pipeline = self.cycle == pristine.cycle
             && self.next_seq == pristine.next_seq
             && self.fetch_pc == pristine.fetch_pc
             && self.fetch_halted == pristine.fetch_halted
@@ -682,26 +735,46 @@ impl Core {
             && self.iret_pc == pristine.iret_pc
             && self.trace_pos == pristine.trace_pos
             && self.divergence == pristine.divergence
-            // A still-pending ROB flip would fire later: never converged.
-            && self.rob_flip == pristine.rob_flip
             && self.fq.len() == pristine.fq.len()
             && self.fq.iter().zip(&pristine.fq).all(|(a, b)| fuop_eq(a, b))
-            && self.rob == pristine.rob
             && self.iq == pristine.iq
-            && self.events == pristine.events
-            && self.pending_loads == pristine.pending_loads
-            && self.mdp == pristine.mdp
-            && self.rename == pristine.rename
-            && self.retire == pristine.retire
-            && self.freelist == pristine.freelist
-            && self.lq.converged_with(&pristine.lq)
-            && self.sq.converged_with(&pristine.sq)
-            && self.bp.converged_with(&pristine.bp)
-            && self.prf.converged_with(&pristine.prf)
-            && self.prf_fp.converged_with(&pristine.prf_fp)
-            && self.l1i.converged_with(&pristine.l1i, l1i)
-            && self.l1d.converged_with(&pristine.l1d, l1d)
-            && self.l2.converged_with(&pristine.l2, l2)
+            && self.events == pristine.events;
+        // A still-pending ROB flip would fire later: never converged.
+        let rob = || self.rob_flip == pristine.rob_flip && self.rob == pristine.rob;
+        let lsq = || {
+            self.pending_loads == pristine.pending_loads
+                && self.mdp == pristine.mdp
+                && self.lq.converged_with(&pristine.lq)
+                && self.sq.converged_with(&pristine.sq)
+        };
+        let rename = || {
+            self.rename == pristine.rename
+                && self.retire == pristine.retire
+                && self.freelist == pristine.freelist
+        };
+        let prf =
+            || self.prf.converged_with(&pristine.prf) && self.prf_fp.converged_with(&pristine.prf_fp);
+        if !pipeline {
+            Some(StateDiff::Pipeline)
+        } else if !rob() {
+            Some(StateDiff::Rob)
+        } else if !lsq() {
+            Some(StateDiff::Lsq)
+        } else if !rename() {
+            Some(StateDiff::Rename)
+        } else if !self.bp.converged_with(&pristine.bp) {
+            Some(StateDiff::Bp)
+        } else if !prf() {
+            Some(StateDiff::Prf)
+        } else if !self.l1i.converged_with(&pristine.l1i, l1i) {
+            Some(StateDiff::L1i)
+        } else if !self.l1d.converged_with(&pristine.l1d, l1d) {
+            Some(StateDiff::L1d)
+        } else if !self.l2.converged_with(&pristine.l2, l2) {
+            Some(StateDiff::L2)
+        } else {
+            None
+        }
     }
 
     /// True when no core-side taint shadow carries a set bit, so the
@@ -1045,12 +1118,11 @@ impl Core {
             // diffs and deferred ROB arms survive, like scalar state.
             le.flush();
         }
-        // Release in-flight destination registers.
-        let pdsts: Vec<u16> = self.rob.iter().filter(|e| e.pdst != PNONE).map(|e| e.pdst).collect();
-        for p in pdsts {
-            if p != 0 {
-                self.freelist.release(p);
-                self.prf.set_ready(p, true);
+        // In-flight destination registers become ready (the free list is
+        // rebuilt below).
+        for e in &self.rob {
+            if e.pdst != PNONE && e.pdst != 0 {
+                self.prf.set_ready(e.pdst, true);
             }
         }
         self.rob.clear();
@@ -1062,7 +1134,7 @@ impl Core {
         self.rename.copy_from(&self.retire);
         // Rebuild the free list from the retirement map to stay consistent
         // even after rename-map fault injection.
-        self.freelist = FreeList::new(self.cfg.int_prf as u16, self.retire.entries());
+        self.freelist.rebuild(self.cfg.int_prf as u16, self.retire.entries());
         // Speculative rename corruption is wiped by the copy above.
         if let Some(tp) = self.taint.as_deref_mut() {
             tp.rename.iter_mut().for_each(|t| *t = false);
@@ -1376,22 +1448,19 @@ impl Core {
         let mut alu_left = self.cfg.n_alu;
         let mut mem_left = self.cfg.n_mem_ports;
 
-        // Deferred load accesses first (they own the L1D ports this cycle).
-        let due: Vec<(u64, u64)> = {
-            let now = self.cycle;
-            let mut due = Vec::new();
-            let mut keep = Vec::new();
-            for &(at, seq) in &self.pending_loads {
-                if at <= now {
-                    due.push((at, seq));
-                } else {
-                    keep.push((at, seq));
-                }
+        // Deferred load accesses first (they own the L1D ports this cycle),
+        // in queue order. In place: entries not yet due move down to the
+        // front, a retried access is appended past the original entries,
+        // and the gap left by the due ones is closed at the end.
+        let queued = self.pending_loads.len();
+        let mut kept = 0;
+        for i in 0..queued {
+            let (at, seq) = self.pending_loads[i];
+            if at > self.cycle {
+                self.pending_loads[kept] = (at, seq);
+                kept += 1;
+                continue;
             }
-            self.pending_loads = keep;
-            due
-        };
-        for (_, seq) in due {
             if mem_left == 0 {
                 self.pending_loads.push((self.cycle + 1, seq));
                 continue;
@@ -1402,6 +1471,7 @@ impl Core {
                 self.pending_loads.push((self.cycle + REQUEST_DELAY, seq));
             }
         }
+        self.pending_loads.drain(kept..queued);
         let mut issued = 0usize;
         let mut i = 0;
         // IQ is kept in ascending seq order (oldest first).
@@ -1691,22 +1761,17 @@ impl Core {
             // they must replay (gem5 O3's LSQ violation check).
             let lo = addr;
             let hi = addr + size as u64;
-            let violators: Vec<u64> = self
-                .lq
-                .entries
-                .iter()
-                .filter(|l| {
-                    l.valid && l.seq > seq && l.addr_ready && l.done && {
-                        let llo = l.addr;
-                        let lhi = l.addr + l.size.clamp(1, 8) as u64;
-                        llo < hi && lo < lhi
+            for li in 0..self.lq.entries.len() {
+                let l = &self.lq.entries[li];
+                let violates = l.valid && l.seq > seq && l.addr_ready && l.done && {
+                    let llo = l.addr;
+                    let lhi = l.addr + l.size.clamp(1, 8) as u64;
+                    llo < hi && lo < lhi
+                };
+                if violates {
+                    if let Some(vidx) = self.rob_index_of(l.seq) {
+                        self.rob[vidx].replay = true;
                     }
-                })
-                .map(|l| l.seq)
-                .collect();
-            for vseq in violators {
-                if let Some(vidx) = self.rob_index_of(vseq) {
-                    self.rob[vidx].replay = true;
                 }
             }
             // Capture address and data into the SQ.

@@ -31,6 +31,7 @@
 //! `live`, `fates` and `diverged`.
 
 use crate::cache::FaultFate;
+use crate::core::StateDiff;
 use marvel_isa::{AluOp, Isa};
 
 /// Hard upper bound on lanes per pass: one bit of a `u64` lane mask each.
@@ -404,5 +405,24 @@ impl LaneEngine {
             m |= 1 << lane;
         }
         m & self.live
+    }
+
+    /// Where lane `l`'s diff lives, checked as [`diffs_live`](Self::diffs_live)
+    /// gathers it: a register (`Prf`), an in-flight result (`Pipeline`) or
+    /// a ROB entry or deferred ROB flip (`Rob`). `None` when the lane holds
+    /// no diff.
+    pub fn diff_site(&self, l: usize) -> Option<StateDiff> {
+        let bit = 1u64 << l;
+        if self.reg_nz.iter().any(|&nz| nz & bit != 0) {
+            Some(StateDiff::Prf)
+        } else if self.event_diffs.iter().any(|&(_, _, m)| m & bit != 0) {
+            Some(StateDiff::Pipeline)
+        } else if self.rob_diffs.iter().any(|&(_, _, m)| m & bit != 0)
+            || self.rob_armed.iter().any(|&(lane, _, _)| lane as usize == l)
+        {
+            Some(StateDiff::Rob)
+        } else {
+            None
+        }
     }
 }

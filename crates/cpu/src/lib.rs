@@ -25,7 +25,7 @@ pub mod prf;
 pub mod testbus;
 
 pub use crate::core::{
-    Bus, CommitEffect, CommitRecord, Core, CoreDirtyMarks, CoreStats, StepEvent, TraceMode,
+    Bus, CommitEffect, CommitRecord, Core, CoreDirtyMarks, CoreStats, StateDiff, StepEvent, TraceMode,
 };
 pub use cache::{Cache, CacheLines, CacheSets, FaultFate, RungLines};
 pub use config::{CacheConfig, CoreConfig};

@@ -343,9 +343,33 @@ pub struct FreeList {
 impl FreeList {
     /// All registers except 0 (constant zero) and those in `in_use`.
     pub fn new(prf_size: u16, in_use: &[u16]) -> Self {
-        let mut free: Vec<u16> = (1..prf_size).filter(|p| !in_use.contains(p)).collect();
-        free.reverse(); // pop from the low end first
-        FreeList { free }
+        let mut fl = FreeList { free: Vec::new() };
+        fl.rebuild(prf_size, in_use);
+        fl
+    }
+
+    /// Become [`FreeList::new`]`(prf_size, in_use)` in this list's own
+    /// allocation: one flag per register (1 = free), then compacted in
+    /// place to the free register numbers — each write lands on a flag
+    /// already read — and reversed, so the low end pops first.
+    pub fn rebuild(&mut self, prf_size: u16, in_use: &[u16]) {
+        let f = &mut self.free;
+        f.clear();
+        f.resize(prf_size as usize, 1);
+        for &p in in_use {
+            if let Some(flag) = f.get_mut(p as usize) {
+                *flag = 0;
+            }
+        }
+        let mut n = 0;
+        for p in 1..prf_size as usize {
+            if f[p] != 0 {
+                f[n] = p as u16;
+                n += 1;
+            }
+        }
+        f.truncate(n);
+        f.reverse();
     }
 
     pub fn alloc(&mut self) -> Option<u16> {

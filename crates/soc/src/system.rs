@@ -8,7 +8,7 @@ use crate::isr::build_isr;
 use marvel_accel::{AccelSite, MemRef};
 use marvel_cpu::{
     Bus, CacheSets, Core, CoreConfig, CoreDirtyMarks, DirtyMap, DirtyMarks, FaultFate, LaneEngine,
-    RungLines, StepEvent, TraceMode,
+    RungLines, StateDiff, StepEvent, TraceMode,
 };
 use marvel_ir::memmap::{
     ACCEL_MMR_BASE, ACCEL_MMR_STRIDE, CONSOLE_ADDR, IRQ_CTRL_BASE, IRQ_CTRL_SIZE, IRQ_VECTOR, RAM_BASE,
@@ -608,18 +608,26 @@ impl System {
     /// (statistics, armed fault fates, journals, taint shadows) is
     /// excluded: it never steers execution.
     pub fn state_converged(&mut self, rung: RungView<'_>) -> bool {
+        self.state_diff(rung).is_none()
+    }
+
+    /// The compare behind [`state_converged`](Self::state_converged):
+    /// `None` when converged, otherwise the first structure that differs
+    /// ([`StateDiff`] order).
+    pub fn state_diff(&mut self, rung: RungView<'_>) -> Option<StateDiff> {
         let own = rung.own();
         if self.cycle != own.cycle
             || self.checkpoint_cycle != own.checkpoint_cycle
             || self.switch_cycle != own.switch_cycle
             || self.traps != own.traps
-            || self.bus.console != own.bus.console
-            || !self.bus.irq_ctrl.state_eq(&own.bus.irq_ctrl)
         {
-            return false;
+            return Some(StateDiff::Pipeline);
         }
-        if !self.bus.accels.iter().zip(&own.bus.accels).all(|(h, p)| h.state_eq(p)) {
-            return false;
+        if self.bus.console != own.bus.console
+            || !self.bus.irq_ctrl.state_eq(&own.bus.irq_ctrl)
+            || !self.bus.accels.iter().zip(&own.bus.accels).all(|(h, p)| h.state_eq(p))
+        {
+            return Some(StateDiff::Devices);
         }
         self.fold_dma_watermarks();
         let ram_len = self.bus.ram.len();
@@ -635,7 +643,10 @@ impl System {
             }
             None => (0..ram_len.div_ceil(1 << RAM_PAGE_SHIFT)).all(page_eq),
         };
-        ram_ok && self.core.state_converged(&own.core, rung.lines())
+        if !ram_ok {
+            return Some(StateDiff::Ram);
+        }
+        self.core.state_diff(&own.core, rung.lines())
     }
 
     /// True when no tracked state carries taint (or tracking is off) —

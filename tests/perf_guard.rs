@@ -187,6 +187,18 @@ fn shipped_config_ends_masked_lq_runs_at_a_rung() {
     );
     let converged = res.records.iter().filter(|r| r.converged).count() as u64;
     assert_eq!(registry.counter("campaign.convergence_exits").get(), converged);
+    assert_state_deferrals_split(&registry);
+}
+
+/// Every `state` deferral is counted under exactly one structure: the
+/// first the convergence compare found different.
+fn assert_state_deferrals_split(registry: &Registry) {
+    let structures =
+        ["devices", "ram", "pipeline", "rob", "lsq", "rename", "bp", "prf", "l1i", "l1d", "l2"];
+    let metric = |s: &str| registry.counter(&format!("campaign.convergence_deferred.state.{s}")).get();
+    let by_structure: u64 = structures.iter().map(|s| metric(s)).sum();
+    let state = registry.counter("campaign.convergence_deferred.state").get();
+    assert_eq!(by_structure, state, "structures must sum to campaign.convergence_deferred.state");
 }
 
 /// Ladder guard: a permanent campaign's runs all start at the checkpoint,
@@ -325,6 +337,7 @@ fn lane_packing_sustains_occupancy_and_bounded_forks() {
     let by_cause: u64 =
         causes.iter().map(|c| registry.counter(&format!("campaign.lane_forks.{c}")).get()).sum();
     assert_eq!(by_cause, forks, "fork causes must sum to campaign.lane_forks");
+    assert_state_deferrals_split(&registry);
 }
 
 /// Elementwise OUT[i] = IN[i] * 3 over `n` elements — a workload where a
@@ -468,4 +481,26 @@ fn event_engine_drives_every_run_at_a_tenth_of_the_oracle_evals() {
         "the event engine evaluated {event} nodes, more than a tenth of the cycle oracle's {oracle}"
     );
     assert!(warps > 0, "no block was warped");
+}
+
+/// Warp guard, in counters: a shipped-config FFT SPM campaign runs on the
+/// event engine (no fallback), warps blocks, and counts every fresh block
+/// instance the warp declined under exactly one reason.
+#[test]
+fn warp_declines_are_counted_by_reason() {
+    let g = fft_golden();
+    let registry = Registry::new();
+    let cc = CampaignConfig {
+        n_faults: 12,
+        workers: 2,
+        telemetry: TelemetryConfig { registry: registry.clone(), ..Default::default() },
+        ..CampaignConfig::default()
+    };
+    run_dsa_campaign(&g, Target::Spm { accel: 0, mem: 0 }, &cc);
+    let count = |m: &str| registry.counter(m).get();
+    assert_eq!(count("dsa.engine_fallback"), 0, "FFT has an armed replay");
+    assert!(count("dsa.warp_blocks") > 0, "no block was warped");
+    let reasons = ["ctl", "misaligned", "tainted_args", "budget", "tainted_load"];
+    let by_reason: u64 = reasons.iter().map(|r| count(&format!("dsa.warp_aborts.{r}"))).sum();
+    assert_eq!(by_reason, count("dsa.warp_aborts"), "reasons must sum to dsa.warp_aborts");
 }

@@ -161,6 +161,17 @@ fn campaign_drives_publish_pinned_metric_names() {
             "campaign.convergence_deferred.fate_split",
             "campaign.convergence_deferred.hvf",
             "campaign.convergence_deferred.state",
+            "campaign.convergence_deferred.state.bp",
+            "campaign.convergence_deferred.state.devices",
+            "campaign.convergence_deferred.state.l1d",
+            "campaign.convergence_deferred.state.l1i",
+            "campaign.convergence_deferred.state.l2",
+            "campaign.convergence_deferred.state.lsq",
+            "campaign.convergence_deferred.state.pipeline",
+            "campaign.convergence_deferred.state.prf",
+            "campaign.convergence_deferred.state.ram",
+            "campaign.convergence_deferred.state.rename",
+            "campaign.convergence_deferred.state.rob",
             "campaign.convergence_deferred.taint",
             "campaign.convergence_exits",
             "campaign.crash",
@@ -217,6 +228,7 @@ fn campaign_drives_publish_pinned_metric_names() {
             "dsa.convergence_exits",
             "dsa.crash",
             "dsa.early_terminated",
+            "dsa.engine_fallback",
             "dsa.golden_accel.blocks_executed",
             "dsa.golden_accel.compute_cycles",
             "dsa.golden_accel.cycles",
@@ -237,6 +249,13 @@ fn campaign_drives_publish_pinned_metric_names() {
             "dsa.masked",
             "dsa.runs",
             "dsa.sdc",
+            "dsa.warp_aborts",
+            "dsa.warp_aborts.budget",
+            "dsa.warp_aborts.ctl",
+            "dsa.warp_aborts.misaligned",
+            "dsa.warp_aborts.tainted_args",
+            "dsa.warp_aborts.tainted_load",
+            "dsa.warp_blocks",
             "dsa.worker0.runs",
         ]
     );
