@@ -7,9 +7,10 @@
 //! - **Cycle** ([`Accelerator::tick`]): the original oracle — every cycle
 //!   retires completions and scans all nodes for issue.
 //! - **Event** ([`Accelerator::advance`]): follows a precomputed
-//!   [`StaticSchedule`], jumping straight between fire/terminator cycles,
-//!   and optionally replays a recorded [`GoldenTrace`], re-evaluating
-//!   only nodes whose inputs are tainted.
+//!   [`StaticSchedule`], running a block's fires at their schedule cycles
+//!   and bulk-charging the cycles in between, and optionally replays a
+//!   recorded [`GoldenTrace`], re-evaluating only nodes whose inputs are
+//!   tainted.
 
 use crate::air::{Cdfg, FuClass, MemRef, NodeOp, Terminator, NODE_NONE};
 use crate::mmr::{Mmr, CTRL_START, MMR_CTRL, MMR_DATA0, MMR_STATUS, STATUS_DONE, STATUS_ERROR};
@@ -588,8 +589,10 @@ impl Accelerator {
         self.cycle = pristine.cycle;
         self.irq = pristine.irq;
         self.stats = pristine.stats.clone();
-        // Per-run taint plane: the pristine checkpoint never carries one.
-        self.taint.clone_from(&pristine.taint);
+        // The taint plane is per-run: a caller that wants one enables it
+        // after the reset, so none is copied (an event rung's own plane,
+        // from the ladder replay, is never read).
+        self.taint = None;
         self.engine = pristine.engine;
         // The schedule is immutable and Arc-shared (pointer copy); the
         // replay cursor is positional state and must be restored.
@@ -1126,8 +1129,9 @@ impl Accelerator {
     /// Advance up to `max_cycles`, returning the resulting state and the
     /// cycles actually consumed (always `max_cycles` unless the run left
     /// `Idle`/`Running` earlier). Under the cycle engine this is a plain
-    /// tick loop; under the event engine it jumps straight between
-    /// schedule events, bulk-charging the skipped compute cycles.
+    /// tick loop; under the event engine a running block either warps
+    /// whole ([`try_warp`](Self::try_warp)) or goes through the one
+    /// schedule stepper ([`step_scheduled`](Self::step_scheduled)).
     pub fn advance(&mut self, max_cycles: u64) -> (AccelState, u64) {
         if self.engine == AccelEngine::Cycle || self.schedule.is_none() {
             let mut used = 0;
@@ -1161,28 +1165,10 @@ impl Accelerator {
                     if left == 0 {
                         break;
                     }
-                    let warped = self.try_warp(left);
-                    if warped > 0 {
-                        left -= warped;
-                        continue;
-                    }
-                    let coned = self.try_cone(left);
-                    if coned > 0 {
-                        left -= coned;
-                        continue;
-                    }
-                    let next = self.next_event_cycle();
-                    let delta = next - self.cycle;
-                    if delta > left {
-                        self.cycle += left;
-                        self.stats.compute_cycles += left;
-                        left = 0;
-                    } else {
-                        self.cycle += delta;
-                        self.stats.compute_cycles += delta;
-                        left -= delta;
-                        self.step_event();
-                    }
+                    left -= match self.try_warp(left) {
+                        0 => self.step_scheduled(left),
+                        warped => warped,
+                    };
                 }
                 AccelState::Done | AccelState::Error(_) => break,
             }
@@ -1193,7 +1179,7 @@ impl Accelerator {
     /// Whole-block warp: replay an entire block instance in one step when
     /// it provably touches no tainted data, applying only the recorded
     /// stores and skipping per-fire execution. Returns the cycles
-    /// consumed (0 = not eligible, fall back to per-fire stepping).
+    /// consumed (0 = not eligible, fall back to the schedule stepper).
     ///
     /// Eligibility is checked against the state *at block entry*: the
     /// replay must be aligned, control flow unpoisoned, the block
@@ -1284,7 +1270,7 @@ impl Accelerator {
             };
             if let Some(why) = decline {
                 // Chain breaks before this block commits: hand it to the
-                // per-fire engine. Its entry bookkeeping already happened
+                // schedule stepper. Its entry bookkeeping already happened
                 // (at `enter_block` for the first block, inline below for
                 // chained ones), so only the exec state is materialized;
                 // the next `try_warp` sees it fresh and counts its
@@ -1352,142 +1338,65 @@ impl Accelerator {
         }
     }
 
-    /// One-pass block execution: batch every schedule event of the
-    /// running block when the whole block fits inside the caller's cycle
-    /// budget. Fires run in schedule order at their scheduled cycles
-    /// (bulk-charging the skipped compute cycles) and the terminator runs
-    /// at the block's terminator cycle — exactly the sequence per-event
-    /// stepping would produce, minus the advance-loop and `step_event`
-    /// scan paid at every intermediate event cycle.
+    /// Step the running block through the next `left` cycles: run its
+    /// scheduled fires due by the stop (`self.cycle + left`) in schedule
+    /// order at their cycles, bulk-charging the cycles in between, then
+    /// retire every completion due by the stop and run the terminator if
+    /// it is due too. Returns the cycles consumed: `left`, or fewer when
+    /// the terminator or a datapath error ends the block first.
     ///
-    /// Unlike the whole-block warp this path tolerates taint anywhere:
-    /// tainted loads, tainted entry arguments, even control poison. Every
-    /// node still goes through [`Self::exec_node`], so memoization,
-    /// taint propagation, access-time fate transitions, stuck-bit
-    /// reassertion and trace-cursor bookkeeping are byte-identical to
-    /// per-fire stepping; it is a pure batching of the event loop. This
-    /// is what keeps stuck-at campaigns fast: a permanent fault's taint
-    /// cone (blocks whose loads genuinely observe the stuck byte) cannot
-    /// be warped, but its blocks collapse to one pass each instead of an
-    /// event-queue iteration per fire cycle.
-    fn try_cone(&mut self, left: u64) -> u64 {
-        if self.engine != AccelEngine::Event || self.recording.is_some() {
-            return 0;
-        }
-        let Some(sched) = self.schedule.as_deref() else { return 0 };
-        {
-            // Fresh block instance only (nothing issued or in flight),
-            // and the whole block must fit the budget so DMA stop
-            // patterns, ladder rungs and early-termination polls observe
-            // identical cycle boundaries to per-fire stepping.
-            let Some(ex) = self.exec.as_ref() else { return 0 };
-            if !ex.fresh(self.cdfg.blocks[ex.block].nodes.len()) {
-                return 0;
-            }
-            let delta =
-                (ex.entry_cycle + sched.blocks[ex.block].term_rel as u64).saturating_sub(self.cycle);
-            if delta == 0 || delta > left {
-                return 0;
-            }
-        }
-        let ex = self.exec.take().expect("checked above");
-        self.with_schedule(|a, sched| a.cone_block(sched, ex))
-    }
-
-    /// The body of [`try_cone`](Self::try_cone): run every fire of the
-    /// fresh instance `ex`, then its terminator.
-    fn cone_block(&mut self, sched: &StaticSchedule, mut ex: BlockExec) -> u64 {
+    /// One loop serves fresh and part-run blocks, campaign runs, ladder
+    /// replays and the golden recording run; taint anywhere is fine,
+    /// since every node still goes through [`Self::exec_node`]. The state
+    /// at a cycle does not depend on where the caller stopped on the way:
+    /// fires and the terminator run at their schedule cycles whatever the
+    /// budget, and completions retire by the stop in fire order (`retain`
+    /// keeps `pending` in push order), so a run reaches a rung's cycle in
+    /// the state the rung was frozen in, through any chunking of
+    /// [`advance`](Self::advance).
+    fn step_scheduled(&mut self, left: u64) -> u64 {
+        // Lend the shared schedule: moved out and back, so no refcount is
+        // touched. Nothing below reads `self.schedule`.
+        let sched = self.schedule.take().expect("event engine without schedule");
+        let mut ex = self.exec.take().expect("running without exec state");
+        let (start, stop) = (self.cycle, self.cycle + left);
         let bs = &sched.blocks[ex.block];
-        let start = self.cycle;
-        for &(r, ni) in &bs.fires {
+        while let Some(&(r, ni)) = bs.fires.get(ex.sched_pos as usize) {
             let at = ex.entry_cycle + r as u64;
-            if at > self.cycle {
-                self.stats.compute_cycles += at - self.cycle;
-                self.cycle = at;
+            if at > stop {
+                break;
             }
+            self.stats.compute_cycles += at - self.cycle;
+            self.cycle = at;
             ex.sched_pos += 1;
             if !self.exec_node(&mut ex, ni as usize, at) {
-                // Datapath error: the accelerator finished at this fire's
-                // cycle; report exactly the cycles consumed so far.
+                // Datapath error: the accelerator finished at this fire.
+                self.schedule = Some(sched);
                 return self.cycle - start;
             }
         }
         let term = ex.entry_cycle + bs.term_rel as u64;
-        self.stats.compute_cycles += term - self.cycle;
-        self.cycle = term;
-        // Every completion is due by the terminator cycle by schedule
-        // construction: retire them all and run the terminator.
-        for &(due, ni) in &ex.pending {
-            debug_assert!(due <= term, "completion past the terminator cycle");
-            ex.done[ni as usize] = true;
-            ex.remaining -= 1;
-        }
-        ex.pending.clear();
-        debug_assert_eq!(ex.remaining, 0, "one-pass block left nodes unfired");
-        self.run_terminator(ex);
-        self.cycle - start
-    }
-
-    /// Lend the shared schedule to `f`: moved out of `self` and back, so
-    /// the per-event loops touch no refcount. Nothing `f` reaches reads
-    /// `self.schedule`.
-    fn with_schedule<R>(&mut self, f: impl FnOnce(&mut Self, &StaticSchedule) -> R) -> R {
-        let sched = self.schedule.take().expect("event engine without schedule");
-        let r = f(self, &sched);
-        self.schedule = Some(sched);
-        r
-    }
-
-    /// The next cycle at which anything fires or the terminator runs.
-    /// Always strictly ahead of `self.cycle`: the schedule's first fire
-    /// is at relative cycle 1, and past the last fire the terminator
-    /// cycle is itself beyond every completion.
-    fn next_event_cycle(&self) -> u64 {
-        let ex = self.exec.as_ref().expect("running without exec state");
-        let bs = &self.schedule.as_ref().expect("event engine without schedule").blocks[ex.block];
-        let rel = match bs.fires.get(ex.sched_pos as usize) {
-            Some(&(r, _)) => r,
-            None => bs.term_rel,
-        };
-        let next = ex.entry_cycle + rel as u64;
-        debug_assert!(next > self.cycle, "schedule event not in the future");
-        next.max(self.cycle + 1)
-    }
-
-    /// Process one event cycle (`self.cycle`): retire due completions,
-    /// run the terminator once the block has drained, otherwise issue
-    /// this cycle's precomputed fires in schedule order.
-    fn step_event(&mut self) {
-        let now = self.cycle;
-        let mut ex = self.exec.take().expect("running without exec state");
-        let mut i = 0;
-        while i < ex.pending.len() {
-            if ex.pending[i].0 <= now {
-                let (_, ni) = ex.pending.swap_remove(i);
+        let to = term.min(stop);
+        self.stats.compute_cycles += to - self.cycle;
+        self.cycle = to;
+        ex.pending.retain(|&(due, ni)| {
+            let retire = due <= to;
+            if retire {
                 ex.done[ni as usize] = true;
                 ex.remaining -= 1;
-            } else {
-                i += 1;
             }
-        }
-        if ex.remaining == 0 {
-            self.run_terminator(ex);
-            return;
-        }
-        self.with_schedule(|a, sched| {
-            let bs = &sched.blocks[ex.block];
-            let rel = (now - ex.entry_cycle) as u32;
-            while let Some(&(r, ni)) = bs.fires.get(ex.sched_pos as usize) {
-                if r != rel {
-                    break;
-                }
-                ex.sched_pos += 1;
-                if !a.exec_node(&mut ex, ni as usize, now) {
-                    return;
-                }
-            }
-            a.exec = Some(ex);
+            !retire
         });
+        if to == term {
+            // Every completion is due by the terminator cycle by schedule
+            // construction.
+            debug_assert_eq!(ex.remaining, 0, "block left nodes unfired at its terminator");
+            self.run_terminator(ex);
+        } else {
+            self.exec = Some(ex);
+        }
+        self.schedule = Some(sched);
+        self.cycle - start
     }
 }
 
@@ -1690,8 +1599,9 @@ mod tests {
     #[test]
     fn event_engine_is_stop_pattern_independent() {
         // Advancing in awkward chunks must land on the same state as one
-        // big advance: lazy retirement only happens at event cycles, so
-        // where the harness pauses cannot be observable.
+        // big advance: fires run at their schedule cycles and completions
+        // retire by every stop, so where the harness pauses cannot be
+        // observable.
         let mut whole = parallel_accel(FuConfig::uniform(2));
         let mut chunked = parallel_accel(FuConfig::uniform(2));
         for a in [&mut whole, &mut chunked] {

@@ -632,6 +632,34 @@ impl Deferral {
     }
 }
 
+/// Arm `mask` on `sys`: hold its bits stuck from here on (a permanent,
+/// armed at the checkpoint), or tick to its injection cycle, stopping
+/// early at a halt, a trap or `watchdog`, and flip them (a transient).
+/// With `taint`, the shadow planes are enabled just before the fault
+/// lands: the fault itself seeds them, and the fault-free prefix carries
+/// no taint anyway.
+fn arm_fault(sys: &mut System, mask: &FaultMask, watchdog: u64, taint: bool) {
+    if let FaultModel::Transient { cycle } = mask.model {
+        while sys.cycle < cycle {
+            if let SysEvent::Halted | SysEvent::Trapped(_) = sys.tick() {
+                break;
+            }
+            if sys.cycle >= watchdog {
+                break;
+            }
+        }
+    }
+    if taint {
+        sys.enable_taint(mask.target);
+    }
+    for &b in &mask.bits {
+        match mask.model {
+            FaultModel::Permanent { value } => sys.set_stuck(mask.target, b, value),
+            FaultModel::Transient { .. } => sys.flip(mask.target, b),
+        }
+    }
+}
+
 /// Execute one injection run. With a ladder, transient runs start from
 /// the nearest rung at or below their injection cycle (skipping the
 /// fault-free prefix) and — when `cc.convergence_exit` is set — compare
@@ -684,35 +712,7 @@ pub fn run_one_spanned(
         FaultModel::Transient { .. } => "transient",
     };
     lane.enter(PhaseId::Inject);
-    match mask.model {
-        FaultModel::Permanent { value } => {
-            if tel.taint {
-                sys.enable_taint(mask.target);
-            }
-            for &b in &mask.bits {
-                sys.set_stuck(mask.target, b, value);
-            }
-        }
-        FaultModel::Transient { cycle } => {
-            while sys.cycle < cycle {
-                match sys.tick() {
-                    SysEvent::Halted | SysEvent::Trapped(_) => break,
-                    _ => {}
-                }
-                if sys.cycle >= watchdog {
-                    break;
-                }
-            }
-            // Enable just before arming: the flip itself seeds the shadow
-            // planes, and the fault-free prefix carries no taint anyway.
-            if tel.taint {
-                sys.enable_taint(mask.target);
-            }
-            for &b in &mask.bits {
-                sys.flip(mask.target, b);
-            }
-        }
-    }
+    arm_fault(sys, mask, watchdog, tel.taint);
     lane.exit(PhaseId::Inject);
     fr.record(
         sys.cycle,
@@ -985,29 +985,7 @@ pub fn trace_pipeline_pair(golden: &Golden, mask: &FaultMask) -> (String, String
 
     let mut fsys = golden.ckpt.clone();
     fsys.enable_pipe_trace();
-    match mask.model {
-        FaultModel::Permanent { value } => {
-            fsys.enable_taint(mask.target);
-            for &b in &mask.bits {
-                fsys.set_stuck(mask.target, b, value);
-            }
-        }
-        FaultModel::Transient { cycle } => {
-            while fsys.cycle < cycle {
-                match fsys.tick() {
-                    SysEvent::Halted | SysEvent::Trapped(_) => break,
-                    _ => {}
-                }
-                if fsys.cycle >= watchdog {
-                    break;
-                }
-            }
-            fsys.enable_taint(mask.target);
-            for &b in &mask.bits {
-                fsys.flip(mask.target, b);
-            }
-        }
-    }
+    arm_fault(&mut fsys, mask, watchdog, true);
     let _ = fsys.run(watchdog);
     let ftrace = fsys.core.pipe_tracer().map(|p| p.render_kanata()).unwrap_or_default();
     (gtrace, ftrace)

@@ -429,8 +429,9 @@ impl DsaGolden {
     /// the injection window by the CPU golden run's freeze and placement
     /// rule. Rungs must be frozen by the same engine that later drives
     /// runs from them: the engines agree on architectural state at every
-    /// cycle, but the event engine retires lazily, so mid-block
-    /// bookkeeping (and the replay cursors) only line up engine-to-engine.
+    /// cycle, but mid-block bookkeeping (the event engine's schedule
+    /// cursor and completion order, and the replay cursors) only lines up
+    /// engine to engine.
     /// The event ladder also enables the taint shadow planes, which event
     /// runs need for replay memoization. (That is why the ladder is a
     /// replay: the recording run in [`prepare`](Self::prepare) has no

@@ -697,22 +697,16 @@ impl Core {
         self.l2.merge_marks(&m.l2);
     }
 
-    /// Functional-state equality against a ladder rung at the same cycle,
-    /// `pristine` with the L1I, L1D and L2 line arrays `lines`: true means
-    /// every future tick of `self` behaves exactly like the golden run's,
-    /// so the fault is masked. Journaled structures compare only their
+    /// Functional-state compare against a ladder rung at the same cycle,
+    /// `pristine` with its L1I, L1D and L2 line arrays: `None` means every
+    /// future tick of `self` behaves exactly like the golden run's, so the
+    /// fault is masked; otherwise the first structure that differs, in
+    /// [`StateDiff`] order. Journaled structures compare only their
     /// dirty indices (every index when `self` tracks no writes); small
     /// pipeline structures compare wholesale. Observational state (stats, armed fates, trace contents,
     /// taint shadows, tracers) is excluded — it cannot steer the data
     /// plane. `fq` entries ignore their `fetched_at` pipeline-trace stamp;
     /// invalid LSQ entries are wildcards (stale payload).
-    pub fn state_converged(&self, pristine: &Core, lines: [RungLines<'_>; 3]) -> bool {
-        self.state_diff(pristine, lines).is_none()
-    }
-
-    /// The compare behind [`state_converged`](Self::state_converged):
-    /// `None` when converged, otherwise the first structure that differs,
-    /// in [`StateDiff`] order.
     pub fn state_diff(&self, pristine: &Core, [l1i, l1d, l2]: [RungLines<'_>; 3]) -> Option<StateDiff> {
         let fuop_eq = |a: &FetchedUop, b: &FetchedUop| {
             a.uop == b.uop
@@ -779,7 +773,7 @@ impl Core {
 
     /// True when no core-side taint shadow carries a set bit, so the
     /// propagation report is frozen (live ROB/LSQ entry taints are covered
-    /// by [`state_converged`](Self::state_converged) against a zero-taint
+    /// by [`state_diff`](Self::state_diff) against a zero-taint
     /// rung).
     pub fn taint_quiescent(&self) -> bool {
         self.taint.as_deref().is_none_or(|tp| tp.rename.iter().all(|&b| !b))

@@ -35,15 +35,16 @@ use marvel_workloads::mibench;
 use std::sync::atomic::AtomicBool;
 
 /// Version of the campaign-spec schema [`CampaignSpec::render`] writes.
-/// [`CampaignSpec::parse`] also reads versions 2 and 1, which differ only
-/// in keys that selected an oracle and are now type-checked and ignored:
-/// v2 carries `convergence_exit` (a bool), v1 that and `reset_mode`
+/// [`CampaignSpec::parse`] also reads versions 3, 2 and 1, which differ
+/// only in keys that selected an oracle and are now type-checked and
+/// ignored: v3 carries `ladder_rungs` (a non-negative integer), v2 that
+/// and `convergence_exit` (a bool), v1 those and `reset_mode`
 /// (`clone|dirty`). Bump on any shape change; readers reject unknown
 /// versions.
-pub const SPEC_SCHEMA_VERSION: u32 = 3;
+pub const SPEC_SCHEMA_VERSION: u32 = 4;
 
-/// Top-level keys of a v3 spec.
-const SPEC_KEYS: [&str; 13] = [
+/// Top-level keys of a v4 spec.
+const SPEC_KEYS: [&str; 12] = [
     "type",
     "schema_version",
     "id",
@@ -53,7 +54,6 @@ const SPEC_KEYS: [&str; 13] = [
     "fault_kind",
     "seed",
     "workers",
-    "ladder_rungs",
     "hvf",
     "taint",
     "fast_prep",
@@ -123,7 +123,6 @@ pub struct CampaignSpec {
     /// Worker threads for one-shot CLI execution (the service shards
     /// across its own pool instead). 0 = all cores.
     pub workers: usize,
-    pub ladder_rungs: usize,
     pub collect_hvf: bool,
     pub taint: bool,
     /// Fast-forward golden prep with the reference model (CPU only).
@@ -292,7 +291,6 @@ impl CampaignSpec {
             kind: cc.kind,
             seed: cc.seed,
             workers: cc.workers,
-            ladder_rungs: cc.ladder_rungs,
             collect_hvf: cc.collect_hvf,
             taint: cc.telemetry.taint,
             fast_prep: false,
@@ -310,9 +308,10 @@ impl CampaignSpec {
             return Err("spec lacks \"type\":\"campaign_spec\"".into());
         }
         let retired: &[&str] = match top.uint("schema_version")?.ok_or("spec has no schema_version field")? {
-            3 => &[],
-            2 => &["convergence_exit"],
-            1 => &["convergence_exit", "reset_mode"],
+            4 => &[],
+            3 => &["ladder_rungs"],
+            2 => &["ladder_rungs", "convergence_exit"],
+            1 => &["ladder_rungs", "convergence_exit", "reset_mode"],
             version => {
                 return Err(format!(
                     "unknown spec schema_version {version} (this reader understands 1 to {SPEC_SCHEMA_VERSION})"
@@ -322,6 +321,7 @@ impl CampaignSpec {
         // Keys of older versions that selected an oracle: checked, then
         // ignored.
         top.only(&[&SPEC_KEYS[..], retired].concat())?;
+        top.count("ladder_rungs")?;
         top.bool("convergence_exit")?;
         if let Some(mode) = top.str("reset_mode")? {
             if !matches!(mode, "clone" | "dirty") {
@@ -358,7 +358,6 @@ impl CampaignSpec {
         }
         spec.seed = top.uint("seed")?.unwrap_or(spec.seed);
         spec.workers = top.count("workers")?.unwrap_or(spec.workers);
-        spec.ladder_rungs = top.count("ladder_rungs")?.unwrap_or(spec.ladder_rungs);
         spec.collect_hvf = top.bool("hvf")?.unwrap_or(spec.collect_hvf);
         spec.taint = top.bool("taint")?.unwrap_or(spec.taint);
         spec.fast_prep = top.bool("fast_prep")?.unwrap_or(spec.fast_prep);
@@ -383,14 +382,13 @@ impl CampaignSpec {
             ),
         };
         format!(
-            "{{\"type\":\"campaign_spec\",\"schema_version\":{SPEC_SCHEMA_VERSION},\"id\":{},\"workload\":{workload},\"target\":\"{}\",\"faults\":{},\"fault_kind\":\"{}\",\"seed\":{},\"workers\":{},\"ladder_rungs\":{},\"hvf\":{},\"taint\":{},\"fast_prep\":{}}}",
+            "{{\"type\":\"campaign_spec\",\"schema_version\":{SPEC_SCHEMA_VERSION},\"id\":{},\"workload\":{workload},\"target\":\"{}\",\"faults\":{},\"fault_kind\":\"{}\",\"seed\":{},\"workers\":{},\"hvf\":{},\"taint\":{},\"fast_prep\":{}}}",
             json_string(&self.id),
             cpu_target_name(self.cpu_target).expect("validated at construction"),
             self.n_faults,
             kind_name(self.kind),
             self.seed,
             self.workers,
-            self.ladder_rungs,
             self.collect_hvf,
             self.taint,
             self.fast_prep,
@@ -419,7 +417,6 @@ impl CampaignSpec {
             seed: self.seed,
             collect_hvf: self.collect_hvf,
             workers: self.workers,
-            ladder_rungs: self.ladder_rungs,
             telemetry: TelemetryConfig { taint: self.taint, ..telemetry },
             ..CampaignConfig::default()
         }
@@ -593,8 +590,9 @@ mod tests {
         );
         assert_eq!(spec.n_faults, 8);
         assert_eq!(spec.seed, 7);
-        assert_eq!(spec.ladder_rungs, 32);
-        assert_eq!(spec.to_config(TelemetryConfig::default()).reset_mode, ResetMode::Dirty);
+        let cc = spec.to_config(TelemetryConfig::default());
+        assert_eq!(cc.ladder_rungs, 32);
+        assert_eq!(cc.reset_mode, ResetMode::Dirty);
     }
 
     #[test]
@@ -631,11 +629,32 @@ mod tests {
     }
 
     #[test]
-    fn renders_schema_v3_without_retired_keys() {
+    fn renders_schema_v4_without_retired_keys() {
         let rendered = CampaignSpec::parse(dsa_spec_text()).unwrap().render();
-        assert!(rendered.contains("\"schema_version\":3,"), "{rendered}");
+        assert!(rendered.contains("\"schema_version\":4,"), "{rendered}");
         assert!(!rendered.contains("reset_mode"), "{rendered}");
         assert!(!rendered.contains("convergence_exit"), "{rendered}");
+        assert!(!rendered.contains("ladder_rungs"), "{rendered}");
+    }
+
+    #[test]
+    fn v3_specs_with_ladder_rungs_still_parse() {
+        let with = |version: u32, extra: &str| {
+            CampaignSpec::parse(&format!(
+                r#"{{"type":"campaign_spec","schema_version":{version},"id":"x",
+                    "workload":{{"kind":"cpu","bench":"crc32"}}{extra}}}"#
+            ))
+        };
+        // ladder_rungs is an oracle selector: accepted in v3 (and older)
+        // and ignored, so a campaign runs the shipped ladder either way.
+        let without = with(3, "").unwrap();
+        assert_eq!(with(3, r#","ladder_rungs":0"#).unwrap(), without);
+        assert_eq!(with(2, r#","ladder_rungs":8"#).unwrap(), with(2, "").unwrap());
+        let shipped = CampaignConfig::default().ladder_rungs;
+        assert_eq!(without.to_config(TelemetryConfig::default()).ladder_rungs, shipped);
+        // v4 has no such key.
+        let err = with(4, r#","ladder_rungs":0"#).unwrap_err();
+        assert!(err.contains("unknown spec key \"ladder_rungs\""), "{err}");
     }
 
     #[test]
@@ -691,6 +710,7 @@ mod tests {
             (format!(r#"{dsa},"lane_width":0"#), "\"lane_width\""),
             (format!(r#"{dsa},"dsa_engine":"cycle""#), "\"dsa_engine\""),
             (format!(r#"{cpu},"convergence_exit":false"#), "\"convergence_exit\""),
+            (format!(r#"{dsa},"ladder_rungs":32"#), "\"ladder_rungs\""),
             (format!(r#"{cpu},"Faults":3"#), "\"Faults\""),
             (r#""workload":{"kind":"dsa","design":"FFT","lanes":2}"#.to_string(), "\"lanes\""),
             (r#""workload":{"kind":"cpu","bench":"crc32","fus":2}"#.to_string(), "\"fus\""),

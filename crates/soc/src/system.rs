@@ -582,7 +582,7 @@ impl System {
     }
 
     /// Merge a golden segment's dirty marks into this system's live
-    /// journals, so a subsequent [`state_converged`](Self::state_converged)
+    /// journals, so a subsequent [`state_diff`](Self::state_diff)
     /// also checks locations only the golden run wrote (a fault can
     /// *suppress* a golden store; comparing only the faulty run's dirt
     /// would miss that divergence). Over-marking is harmless.
@@ -593,9 +593,10 @@ impl System {
         }
     }
 
-    /// Dirty-diff convergence check: does this system's functional state
-    /// equal `rung`'s (a golden-run snapshot at the same cycle, laid over
-    /// its checkpoint)?
+    /// Dirty-diff convergence check: `None` when this system's functional
+    /// state equals `rung`'s (a golden-run snapshot at the same cycle, laid
+    /// over its checkpoint), otherwise the first structure that differs
+    /// ([`StateDiff`] order).
     ///
     /// Journaled structures (RAM pages, cache sets, physical registers)
     /// are compared only at dirty locations, each against the rung's copy
@@ -607,13 +608,6 @@ impl System {
     /// Unjournaled structures are compared wholesale. Observational state
     /// (statistics, armed fault fates, journals, taint shadows) is
     /// excluded: it never steers execution.
-    pub fn state_converged(&mut self, rung: RungView<'_>) -> bool {
-        self.state_diff(rung).is_none()
-    }
-
-    /// The compare behind [`state_converged`](Self::state_converged):
-    /// `None` when converged, otherwise the first structure that differs
-    /// ([`StateDiff`] order).
     pub fn state_diff(&mut self, rung: RungView<'_>) -> Option<StateDiff> {
         let own = rung.own();
         if self.cycle != own.cycle

@@ -7,13 +7,12 @@
 //! marvel disasm <benchmark> [--isa ...] [--limit N]
 //! marvel campaign <benchmark> [--isa ...] [--target prf|l1i|l1d|l2|lq|sq|rob|rename]
 //!                 [--faults N] [--kind transient|permanent] [--hvf] [--seed S]
-//!                 [--prep ref|cycle] [--ladder-rungs N]
+//!                 [--prep ref|cycle]
 //!                 [--workers N] [--metrics [path]] [--forensics [path]] [--progress [ms]]
 //!                 [--taint] [--attribution [path]] [--trace-pipeline [dir]]
 //!                 [--trace-spans [path]] [--phase-report]
 //!                 [--journal path [--resume]] [--campaign-id id]
-//! marvel dsa <design> [--faults N] [--fus N]
-//!                 [--ladder-rungs N] [--workers N]
+//! marvel dsa <design> [--faults N] [--fus N] [--workers N]
 //!                 [--metrics [path]] [--forensics [path]] [--progress [ms]]
 //!                 [--taint] [--attribution [path]]
 //!                 [--trace-spans [path]] [--phase-report]
@@ -43,18 +42,17 @@
 //! `--phase-report` prints the per-phase wall-time attribution table
 //! (calls, total/self µs, p50/p95) with a coverage line. Either flag
 //! enables the collector; with both absent the span hooks stay no-ops.
-//! `--ladder-rungs` (default 32, at most the rungs the golden run
-//! freezes: 32 on the CPU, 8 on the DSA) gives transient campaigns N
-//! checkpoints of the fault-free run at nearly even spacing; each injection run then
-//! restores a rung near its injection cycle instead of re-simulating the
-//! fault-free prefix, and at every later rung it crosses diffs its
-//! journaled dirty state against the golden rung, ending as Masked the
-//! moment all of it has converged (the convergence exit; the report
-//! gives the share of runs it ended). Both are pure optimisations:
-//! reports stay bit-identical to `--ladder-rungs 0` (the full-run oracle).
-//! The engine's other fast paths — dirty reset, 64-wide lane packing and
-//! the event-driven DSA engine — are always on; their oracles are
-//! `CampaignConfig` fields the differential test suites set.
+//! Transient campaigns get a checkpoint ladder: the rungs the golden run
+//! freezes (32 on the CPU, 8 on the DSA), at nearly even spacing. Each
+//! injection run restores a rung near its injection cycle instead of
+//! re-simulating the fault-free prefix, and at every later rung it
+//! crosses diffs its journaled dirty state against the golden rung,
+//! ending as Masked the moment all of it has converged (the convergence
+//! exit; the report gives the share of runs it ended). Both are pure
+//! optimisations: reports stay bit-identical to a run without a ladder.
+//! The ladder and the engine's other fast paths — dirty reset, 64-wide
+//! lane packing and the event-driven DSA engine — are always on; their
+//! oracles are `CampaignConfig` fields the differential test suites set.
 //! `--lockstep` runs the cycle-level core under the architectural
 //! reference model, checking every committed instruction's effects and
 //! reporting the first divergence; `--prep ref` fast-forwards the golden
@@ -113,7 +111,6 @@ enum Takes {
 const CAMPAIGN_FLAGS: &[(&str, Takes)] = &[
     ("faults", Takes::Value),
     ("workers", Takes::Value),
-    ("ladder-rungs", Takes::Value),
     ("taint", Takes::Nothing),
     ("attribution", Takes::Optional),
     ("metrics", Takes::Optional),
@@ -257,8 +254,7 @@ struct Outputs {
 
 /// The spec `marvel campaign` and `marvel dsa` share: `workload` with the
 /// defaults of every spec ([`CampaignSpec::new`]), then `--faults`,
-/// `--workers`, `--ladder-rungs` (0 = the full-prefix oracle) and
-/// `--taint`. Each command sets its own flags on top.
+/// `--workers` and `--taint`. Each command sets its own flags on top.
 fn campaign_spec(args: &Args, id: &str, workload: Workload) -> Result<CampaignSpec, String> {
     let mut spec = CampaignSpec::new(id, workload)?;
     if let Some(n) = args.parsed("faults", "a count of at least 1")? {
@@ -268,7 +264,6 @@ fn campaign_spec(args: &Args, id: &str, workload: Workload) -> Result<CampaignSp
         return Err("bad --faults '0' (want a count of at least 1)".into());
     }
     spec.workers = args.parsed("workers", "a count")?.unwrap_or(spec.workers);
-    spec.ladder_rungs = args.parsed("ladder-rungs", "a count")?.unwrap_or(spec.ladder_rungs);
     spec.taint = args.switch("taint");
     Ok(spec)
 }
@@ -789,12 +784,10 @@ fn main() -> ExitCode {
              marvel disasm <benchmark> [--isa ...] [--limit N]\n  \
              marvel campaign <benchmark> [--isa ...] [--target prf|l1i|l1d|l2|lq|sq|rob|rename]\n            \
              [--faults N] [--kind transient|permanent] [--hvf] [--seed S] [--prep ref|cycle]\n            \
-             [--ladder-rungs N]\n            \
              [--workers N] [--metrics [path]] [--forensics [path]] [--progress [ms]]\n            \
              [--taint] [--attribution [path]] [--trace-pipeline [dir]]\n            \
              [--trace-spans [path]] [--phase-report]\n  \
-             marvel dsa <design> [--faults N] [--fus N]\n            \
-             [--ladder-rungs N] [--workers N]\n            \
+             marvel dsa <design> [--faults N] [--fus N] [--workers N]\n            \
              [--metrics [path]] [--forensics [path]] [--progress [ms]]\n            \
              [--taint] [--attribution [path]] [--trace-spans [path]] [--phase-report]\n  \
              marvel campaign ... [--journal path [--resume]] [--campaign-id id]\n  \

@@ -73,11 +73,10 @@ fn allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (r, ALLOCS.with(Cell::get))
 }
 
-/// Allocations one DSA injection run may make: the taint tracer it gets
-/// (and the one its rung carried), the hops the tracer records and the
-/// output buffer — a constant, not a count of block instances, DMA beats
-/// or cycles (about 16,000 per run when each block instance and DMA beat
-/// allocated).
+/// Allocations one DSA injection run may make: the taint tracer it gets,
+/// the hops the tracer records and the output buffer — a constant, not a
+/// count of block instances, DMA beats or cycles (about 16,000 per run
+/// when each block instance and DMA beat allocated).
 const DSA_RUN_ALLOCS: u64 = 32;
 
 /// Allocations per simulated cycle of a fault-free CPU run (1.69 on

@@ -14,6 +14,8 @@ fn bad_flags_fail_before_any_campaign_runs() {
         (&["dsa", "fft", "--dsa-engine", "cycle"][..], "--dsa-engine"),
         (&["campaign", "crc32", "--convergence-exit"][..], "--convergence-exit"),
         (&["dsa", "fft", "--convergence-exit"][..], "--convergence-exit"),
+        (&["campaign", "crc32", "--ladder-rungs", "0"][..], "--ladder-rungs"),
+        (&["dsa", "fft", "--ladder-rungs", "0"][..], "--ladder-rungs"),
         (&["campaign", "crc32", "--faults", "abc"][..], "--faults"),
         (&["campaign", "crc32", "--kind", "bogus"][..], "--kind"),
         (&["campaign", "crc32", "--seed", "0xc0ffee"][..], "--seed"),

@@ -282,10 +282,9 @@ fn warp_tolerates_load_disjoint_stuck_taint() {
     }
 }
 
-/// Regression for the convergence-exit bugfix: with the event engine's
-/// lazy retirement, a fault injected on a cycle strictly between two
-/// schedule events must not let `state_eq` declare a masked run while
-/// fire events are still pending. Sweep a dense band of injection cycles
+/// Regression for the convergence-exit bugfix: a fault injected on a
+/// cycle strictly between two schedule events must not let `state_eq`
+/// declare a masked run while fire events are still pending. Sweep a dense band of injection cycles
 /// mid-compute (guaranteeing many between-event landings) and require
 /// the laddered convergence-exit campaign to match the full-run cycle
 /// oracle record for record. On FFT's SPM under taint no run converges;

@@ -4,10 +4,11 @@
 
 //! Schedule fuzzer for the event-driven accelerator engine: random CDFG
 //! designs (node counts, FU mixes, memory-port contention, DMA timings)
-//! must produce a static schedule whose next-event stepper agrees with
-//! the naive tick-every-cycle loop *cycle for cycle* on golden runs —
-//! same state, same compute-cycle count, same memory bytes at every
-//! single cycle, not just at the end.
+//! must produce a static schedule whose stepper agrees with the naive
+//! tick-every-cycle loop *cycle for cycle* on golden runs — same state,
+//! same compute-cycle count, same memory bytes at every single cycle,
+//! not just at the end — and whose state at a cycle does not depend on
+//! the stops the caller made on the way there.
 
 use marvel_accel::air::{CdfgBuilder, MemRef};
 use marvel_accel::{AccelState, Accelerator, DmaDir, DmaJob, FuConfig, Sram, SramKind};
@@ -185,6 +186,42 @@ proptest! {
         prop_assert_eq!(cyc.stats.compute_cycles, evt.stats.compute_cycles);
         prop_assert_eq!(cyc.spms[1].bytes(), evt.spms[1].bytes());
         prop_assert_eq!(cyc.stats.nodes_executed, evt.stats.nodes_executed);
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // Stop-pattern independence mid-block: at every stop, an event-engine
+    // run advanced in random chunks of 1-64 cycles is in exactly the state
+    // (pending completions and schedule cursor included) of one advanced
+    // a cycle at a time to the same cycle. A ladder rung is frozen at one
+    // stop pattern and a campaign run reaches its cycle through another,
+    // so the convergence exit relies on this.
+    #[test]
+    fn chunked_advance_state_matches_single_steps_at_every_stop(seed in any::<u64>()) {
+        let (mut single, n, width) = gen_accel(seed);
+        fill(&mut single, seed, n * width);
+        prop_assert!(single.prepare_event_engine());
+        prop_assert!(single.set_engine_event());
+        single.start(&[]);
+        let mut chunked = single.clone();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x57);
+        for _ in 0..2_000_000u64 {
+            let (state, used) = chunked.advance(rng.gen_range(1..=64u64));
+            for _ in 0..used {
+                prop_assert_eq!(single.advance(1).1, 1);
+            }
+            prop_assert!(chunked.state_eq(&single), "state differs at cycle {}", chunked.cycle());
+            prop_assert_eq!(chunked.stats.compute_cycles, single.stats.compute_cycles);
+            match state {
+                AccelState::Done => return Ok(()),
+                AccelState::Error(e) => panic!("event engine error: {e}"),
+                _ => {}
+            }
+        }
+        panic!("accelerator did not finish");
     }
 
 }

@@ -5,7 +5,7 @@
 //! a faulty transient from rung i and is then restored to rung j (above,
 //! below and equal to i, and the checkpoint) must equal a clone of the
 //! checkpoint stepped fault-free to rung j's cycle, and
-//! `System::state_converged` must give the same answer against the
+//! `System::state_diff` must give the same answer against the
 //! compact rung as against that stepped system.
 
 use gem5_marvel::core::{build_campaign_ladder, CampaignConfig, Golden, Ladder};
@@ -33,7 +33,7 @@ fn assert_same(restored: &System, stepped: &System, what: &str) {
     assert!(restored.bus.ram == stepped.bus.ram, "{what}: RAM");
     assert_eq!(restored.bus.console, stepped.bus.console, "{what}: console");
     assert!(
-        stepped.core.state_converged(&restored.core, restored.core.rung_lines(None)),
+        stepped.core.state_diff(&restored.core, restored.core.rung_lines(None)).is_none(),
         "{what}: registers, caches or pipeline"
     );
 }
@@ -107,8 +107,8 @@ fn compact_rungs_restore_and_compare_like_the_fault_free_run() {
     }
     let agree = |s: &System, expect: bool, what: &str| {
         let (mut a, mut b) = (s.clone(), s.clone());
-        assert_eq!(a.state_converged(view), expect, "{what}: against the compact rung");
-        assert_eq!(b.state_converged(full), expect, "{what}: against the stepped system");
+        assert_eq!(a.state_diff(view).is_none(), expect, "{what}: against the compact rung");
+        assert_eq!(b.state_diff(full).is_none(), expect, "{what}: against the stepped system");
     };
     agree(&w, true, "a matching state");
     // A set the rung holds: a line filled since the checkpoint.

@@ -1,5 +1,5 @@
 //! Fuzzing `CampaignSpec::parse`, the service's outside input: valid spec
-//! texts (schema v1 and v2, CPU and DSA, compact and spaced) are
+//! texts (schema v1 to v4, CPU and DSA, compact and spaced) are
 //! truncated or corrupted at one byte. `parse` must never panic, and every
 //! spec it accepts must survive the canonical round trip
 //! `parse(render(s)) == s` — so an accepted spec always has one digest.
@@ -21,6 +21,8 @@ const CORPUS: &[&str] = &[
         "workload" : { "kind" : "dsa", "design" : "gemm", "fus" : 64 },
         "faults" : 3, "fault_kind" : "permanent" }"#,
     r#"{"type":"campaign_spec","schema_version":2,"id":"u","workload":{"kind":"cpu","bench":"sha","isa":"arm"},"target":"prf-fp"}"#,
+    r#"{"type":"campaign_spec","schema_version":3,"id":"v3","workload":{"kind":"dsa","design":"FFT","fus":2},"faults":9,"ladder_rungs":0,"taint":true}"#,
+    r#"{"type":"campaign_spec","schema_version":4,"id":"v4","workload":{"kind":"cpu","bench":"crc32"},"target":"lq","faults":7,"workers":1,"hvf":true}"#,
 ];
 
 /// JSON-significant bytes: corruptions built from these reach deeper
